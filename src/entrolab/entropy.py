@@ -257,11 +257,12 @@ def sandwich(
         h_ref = reference_seq.rows[-1].log_average
     peak_log = int_log(profile.peak)
     h0_logs = []
-    upper_logs = []
     for n in range(1, n_max + 1):
         pulled = pullback(base, iterate(phi, n))
         h0_logs.append(int_log(h0_length(pulled)))
-        upper_logs.append(int_log(complexity_upper_bound(ring, phi, n)))
+    # the upper tower count at n is the colength of the n-th iterate image
+    # of the maximal ideal: row n of the reference sequence
+    upper_logs = [int_log(row.length) for row in reference_seq.rows]
     reports = []
     for t in t_values:
         shift = peak_log + profile.width * abs(t)
@@ -286,15 +287,15 @@ def sandwich_violations(
     report: SandwichReport, tol: float = 1e-9
 ) -> list[str]:
     """Messages for any row breaking the sandwich invariants; empty when
-    the report is consistent."""
+    the report is consistent.  A NaN anywhere in a row breaks both."""
     problems = []
     for row in report.rows:
-        if row.lower_logavg > row.upper_logavg + tol:
+        if not row.lower_logavg <= row.upper_logavg + tol:
             problems.append(
                 f"t={report.t} n={row.n}: lower bound {row.lower_logavg!r} "
                 f"exceeds upper bound {row.upper_logavg!r}"
             )
-        if row.upper_logavg - row.lower_logavg > row.gap_bound + tol:
+        if not row.upper_logavg - row.lower_logavg <= row.gap_bound + tol:
             problems.append(
                 f"t={report.t} n={row.n}: bound gap exceeds "
                 f"{row.gap_bound!r}"

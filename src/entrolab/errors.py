@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: SpecError -> 2, the hypothesis-style
-failures (NotFiniteLengthError, NotRegularError, SquareCommutationError,
-HypothesisError) -> 3.
+The CLI maps these onto exit codes: the hypothesis-style failures
+(NotFiniteLengthError, NotRegularError, SquareCommutationError,
+HypothesisError) -> 3, SpecError and any other ValueError -> 2.
 """
 
 
@@ -28,11 +28,6 @@ class SquareCommutationError(ValueError):
 class HypothesisError(ValueError):
     """A verification suite was pointed at input that does not satisfy the
     suite's hypothesis (e.g. 'verify diagonal' on a non-diagonal map)."""
-
-
-class RegionOverflowError(RuntimeError):
-    """The cohomology search region hit the hard size cap before the
-    stabilization certificate was obtained."""
 
 
 class SpecError(ValueError):

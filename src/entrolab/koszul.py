@@ -7,8 +7,10 @@ subsets of {1..m}; the differential drops one element at a time with the
 sign (-1)^(position of the dropped index inside the sorted subset).  Each
 multidegree v carries a finite complex of vector spaces over the prime
 field (or the rationals in characteristic 0) whose matrices have entries
-0 and +-1; cohomology lengths are summed slice by slice with exact ranks,
-never floating point.
+0 and +-1, and its cohomology is computed with exact ranks, never floating
+point.  A slice depends only on how v compares with the basis shifts and
+the shifted quotient generators, so the cohomology lengths are summed over
+the cells that these breakpoints cut, one slice per cell.
 """
 
 from __future__ import annotations
@@ -17,18 +19,18 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import NotFiniteLengthError, RegionOverflowError
+from .errors import NotFiniteLengthError
 from .monomials import (
     MonomialIdeal,
     RingSpec,
     Vec,
+    _cell_sum,
     colength,
     ideal_sum,
+    is_standard,
     pure_power_bounds,
 )
 from .endos import MonomialMap, apply_to_monomial, is_finite_length
-
-DEFAULT_MAX_SIDE = 512
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -88,8 +90,10 @@ def exact_rank(rows: list[list[int]], characteristic: int) -> int:
 
 @dataclass
 class HomologyLengths:
-    """Length of each cohomology module, keyed by cohomological degree,
-    together with the multidegree box that was swept to obtain it."""
+    """Length of each cohomology module, keyed by cohomological degree.
+
+    ``region`` is the last breakpoint on each axis: every multidegree
+    outside the box of these sides has acyclic slices."""
 
     lengths: dict[int, int]
     region: tuple[int, ...]
@@ -113,17 +117,12 @@ class KoszulComplex:
 
     def __init__(self, ring: RingSpec, sequence):
         seq = tuple(tuple(int(e) for e in w) for w in sequence)
-        d = ring.dim_ambient
-        for w in seq:
-            if len(w) != d:
-                raise NotFiniteLengthError(
-                    f"sequence entry {w} does not have {d} exponents"
-                )
-            if sum(w) == 0:
-                raise NotFiniteLengthError(
-                    "sequence entries must lie in the maximal ideal"
-                )
-        generated = ideal_sum(MonomialIdeal(seq, d), ring.quotient)
+        # building the ideal checks every entry's length and sign
+        generated = ideal_sum(MonomialIdeal(seq, ring.dim_ambient), ring.quotient)
+        if any(sum(w) == 0 for w in seq):
+            raise NotFiniteLengthError(
+                "sequence entries must lie in the maximal ideal"
+            )
         if pure_power_bounds(generated) is None:
             raise NotFiniteLengthError(
                 "sequence does not generate an ideal of finite colength"
@@ -184,15 +183,6 @@ class KoszulComplex:
             return comb(self.m, -degree)
         return 0
 
-    def _standard(self, u: Vec) -> bool:
-        for g in self._jgens:
-            for a, b in zip(g, u):
-                if a > b:
-                    break
-            else:
-                return False
-        return True
-
     def slice_dims(self, v: Vec) -> dict[int, int]:
         """Cohomology dimensions of the single multidegree-v slice,
         keyed by cohomological degree.  Independent of any other slice."""
@@ -202,7 +192,7 @@ class KoszulComplex:
             acts = []
             for si, shift in enumerate(level_shifts):
                 u = tuple(a - b for a, b in zip(v, shift))
-                if min(u, default=0) >= 0 and self._standard(u):
+                if min(u, default=0) >= 0 and is_standard(u, self._jgens):
                     acts.append(si)
             active.append(acts)
         ranks = [0] * (m + 2)
@@ -246,85 +236,33 @@ def pullback(complex_: KoszulComplex, phi: MonomialMap) -> KoszulComplex:
     return KoszulComplex(complex_.ring, images)
 
 
-def _region_bounds(complex_: KoszulComplex) -> tuple[list[int], list[int]]:
-    ring = complex_.ring
-    d = ring.dim_ambient
-    generated = ideal_sum(
-        MonomialIdeal(complex_.sequence, d), ring.quotient
-    )
-    powers = pure_power_bounds(generated)
-    total_shift = [sum(w[i] for w in complex_.sequence) for i in range(d)]
-    quotient_height = [
-        max((g[i] for g in ring.quotient.generators), default=0) for i in range(d)
-    ]
-    start = [powers[i] + total_shift[i] for i in range(d)]
-    # Every slice with v_i >= powers_i + quotient_height_i + total_shift_i in
-    # some coordinate is acyclic: either X_i^powers_i lies in the quotient and
-    # the slice is empty, or some sequence entry is a pure power of X_i and
-    # multiplication by it is bijective on the relevant graded pieces, making
-    # the slice a cone over an isomorphism.
-    guaranteed = [
-        powers[i] + quotient_height[i] + total_shift[i] for i in range(d)
-    ]
-    return start, guaranteed
+def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
+    """Exact length of every cohomology module, as a cell sum of slices.
 
-
-def homology_lengths(
-    complex_: KoszulComplex,
-    max_side: int = DEFAULT_MAX_SIDE,
-    pad: int = 0,
-) -> HomologyLengths:
-    """Exact length of every cohomology module, summed multidegree by
-    multidegree.
-
-    The sweep starts on the pure-power box of the generated ideal enlarged
-    by the total multidegree shift of the basis (plus ``pad`` on every
-    side), then grows by unit shells until two consecutive shells are
-    homology-free everywhere and the swept box contains the region outside
-    which slices are provably acyclic.  Hitting ``max_side`` first raises
-    RegionOverflowError rather than returning a silently truncated answer.
+    Basis subset S is active in multidegree v exactly when v >= shift_S
+    and no quotient generator g has v >= shift_S + g, so the slice
+    cohomology is constant on the cells cut by these coordinates.  The
+    sequence and the quotient generate an ideal primary to the maximal
+    ideal, which kills the cohomology; every unbounded cell is therefore
+    acyclic, and a nonzero one is an internal fault (AssertionError).
     """
-    start, guaranteed = _region_bounds(complex_)
-    start = [s + pad for s in start]
     d = complex_.ring.dim_ambient
-    m = complex_.m
-    totals = {-j: 0 for j in range(m + 1)}
-
-    def sweep(sides: list[int], previous: list[int] | None) -> bool:
-        contributed = False
-        for v in itertools.product(*(range(s) for s in sides)):
-            if previous is not None and all(
-                v[i] < previous[i] for i in range(d)
-            ):
-                continue
-            for degree, dim in complex_.slice_dims(v).items():
-                if dim:
-                    totals[degree] += dim
-                    contributed = True
-        return contributed
-
-    if any(s > max_side for s in start):
-        raise RegionOverflowError(
-            f"initial search box {start} exceeds the side cap {max_side}"
-        )
-    sweep(start, None)
-    shell = 0
-    zero_streak = 0
-    sides = list(start)
-    while not (
-        zero_streak >= 2 and all(s >= g for s, g in zip(sides, guaranteed))
-    ):
-        shell += 1
-        previous = sides
-        sides = [s + 1 for s in previous]
-        if any(s > max_side for s in sides):
-            raise RegionOverflowError(
-                f"cohomology search did not stabilize within the side cap "
-                f"{max_side}"
-            )
-        contributed = sweep(sides, previous)
-        zero_streak = 0 if contributed else zero_streak + 1
-    return HomologyLengths(totals, tuple(sides))
+    offsets = [(0,) * d, *complex_.ring.quotient.generators]
+    cuts = [
+        tuple(map(sum, zip(shift, g)))
+        for level in complex_.shifts
+        for shift in level
+        for g in offsets
+    ]
+    breakpoints = [sorted({c[i] for c in cuts}) for i in range(d)]
+    try:
+        sums = _cell_sum(breakpoints, complex_.slice_dims)
+    except NotFiniteLengthError as exc:
+        raise AssertionError(
+            f"cohomology of an m-primary Koszul complex is {exc}"
+        ) from None
+    lengths = {-j: sums.get(-j, 0) for j in range(complex_.m + 1)}
+    return HomologyLengths(lengths, tuple(axis[-1] for axis in breakpoints))
 
 
 def h0_length(complex_: KoszulComplex) -> int:

@@ -9,15 +9,12 @@ ideal compare equal.  All lengths are exact Python integers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotFiniteLengthError
 
 Vec = tuple[int, ...]
-
-# Inclusion-exclusion over generator subsets is exponential; past this many
-# minimal generators fall back to direct box enumeration.
-INCLUSION_EXCLUSION_CAP = 20
 
 
 def _check_vec(v, ambient_dim: int | None = None) -> Vec:
@@ -137,17 +134,43 @@ def krull_dimension(ideal: MonomialIdeal, ambient_dim: int) -> int:
     raise AssertionError("unreachable: the empty subset always works")
 
 
+# Deterministic Miller-Rabin: the prime bases up to 41 decide primality
+# exactly for every n below _PRIME_TEST_LIMIT.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def check_characteristic(p: int) -> None:
+    """Raise ValueError unless p is 0 or a prime that can be certified."""
+    if p >= _PRIME_TEST_LIMIT:
+        raise ValueError(
+            f"characteristic {p} is too large: primality is decided exactly "
+            f"only below {_PRIME_TEST_LIMIT}"
+        )
+    if p != 0 and not _is_prime(p):
+        raise ValueError(f"characteristic must be 0 or prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -166,10 +189,7 @@ class RingSpec:
     quotient: MonomialIdeal
 
     def __post_init__(self):
-        if self.characteristic != 0 and not _is_prime(self.characteristic):
-            raise ValueError(
-                f"characteristic must be 0 or prime, got {self.characteristic}"
-            )
+        check_characteristic(self.characteristic)
         if self.dim_ambient < 1:
             raise ValueError("need at least one variable")
         if self.quotient.ambient_dim != self.dim_ambient:
@@ -200,7 +220,68 @@ class RingSpec:
         return MonomialIdeal(gens, self.dim_ambient)
 
 
-def _finite_colength_data(ideal: MonomialIdeal, ring: RingSpec):
+def is_standard(v: Vec, gens) -> bool:
+    """True iff no exponent vector in ``gens`` divides v."""
+    for g in gens:
+        for a, b in zip(g, v):
+            if a > b:
+                break
+        else:
+            return False
+    return True
+
+
+def _cell_sum(breakpoints, weigh) -> dict:
+    """Sum of volume * weigh(corner) over the cells of a grid.
+
+    ``breakpoints`` holds one sorted list per axis, each starting at 0; the
+    cells are the products of the half-open intervals between consecutive
+    breakpoints, and a cell past the last breakpoint of some axis is
+    unbounded.  ``weigh`` maps the lower corner of a cell to a dict of ints
+    and must be constant on every cell.  An unbounded cell of nonzero
+    weight makes the sum infinite and raises NotFiniteLengthError.
+    """
+    widths = [
+        [hi - lo for lo, hi in zip(axis, axis[1:])] + [None] for axis in breakpoints
+    ]
+    totals: dict = {}
+    for corner, sides in zip(
+        itertools.product(*breakpoints), itertools.product(*widths)
+    ):
+        weights = weigh(corner)
+        if not any(weights.values()):
+            continue
+        if None in sides:
+            raise NotFiniteLengthError(
+                f"not of finite length: the unbounded cell at {corner} has "
+                f"nonzero weight {weights}"
+            )
+        volume = math.prod(sides)
+        for key, w in weights.items():
+            totals[key] = totals.get(key, 0) + volume * w
+    return totals
+
+
+def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:
+    """Number of standard monomials of ideal + quotient, i.e. the k-dimension
+    of the ring modulo the ideal.
+
+    Whether a monomial is standard depends only on comparisons with the
+    generator coordinates, so the count is a cell sum over the grid those
+    coordinates cut.  A standard unbounded cell means infinite colength and
+    raises NotFiniteLengthError.
+    """
+    gens = ideal_sum(ideal, ring.quotient).generators
+    breakpoints = [
+        sorted({0, *(g[i] for g in gens)}) for i in range(ring.dim_ambient)
+    ]
+    count = _cell_sum(breakpoints, lambda v: {"standard": is_standard(v, gens)})
+    return count.get("standard", 0)
+
+
+def colength_bruteforce(ideal: MonomialIdeal, ring: RingSpec) -> int:
+    """Independent oracle for colength: enumerate the pure-power box and
+    count the monomials divisible by no generator."""
     total = ideal_sum(ideal, ring.quotient)
     bounds = pure_power_bounds(total)
     if bounds is None:
@@ -208,49 +289,9 @@ def _finite_colength_data(ideal: MonomialIdeal, ring: RingSpec):
             "quotient by the ideal is not finite dimensional: some variable "
             "has no pure power in the ideal"
         )
-    return total, bounds
-
-
-def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:
-    """Number of standard monomials of ideal + quotient, i.e. the k-dimension
-    of the ring modulo the ideal.
-
-    Computed by inclusion-exclusion over subsets of the minimal generators:
-    inside the box cut out by the least pure powers (a_1, ..., a_d), the
-    monomials divisible by the lcm of a subset number prod max(0, a_i - lcm_i).
-    Subsets whose lcm already escapes the box are pruned with all their
-    supersets.
-    """
-    total, bounds = _finite_colength_data(ideal, ring)
-    gens = total.generators
-    if len(gens) > INCLUSION_EXCLUSION_CAP:
-        return colength_bruteforce(ideal, ring)
-    d = total.ambient_dim
-    acc = 0
-
-    def visit(start: int, lcm: Vec, sign: int):
-        nonlocal acc
-        count = 1
-        for a, l in zip(bounds, lcm):
-            if l >= a:
-                return  # every superset also counts zero monomials
-            count *= a - l
-        acc += sign * count
-        for j in range(start, len(gens)):
-            visit(j + 1, tuple(map(max, lcm, gens[j])), -sign)
-
-    visit(0, (0,) * d, 1)
-    return acc
-
-
-def colength_bruteforce(ideal: MonomialIdeal, ring: RingSpec) -> int:
-    """Independent oracle for colength: enumerate the pure-power box and
-    count the monomials divisible by no generator."""
-    total, bounds = _finite_colength_data(ideal, ring)
-    gens = total.generators
     count = 0
     for v in itertools.product(*(range(b) for b in bounds)):
-        for g in gens:
+        for g in total.generators:
             if all(a <= b for a, b in zip(g, v)):
                 break
         else:

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import SpecError
-from .monomials import MonomialIdeal, RingSpec
+from .monomials import MonomialIdeal, RingSpec, check_characteristic
 from .endos import MonomialMap, TransferSquare
 
 _VECTOR = re.compile(r"\[([^\]]*)\]")
@@ -98,12 +98,17 @@ def _parse_vectors(payload: str, line_no: int, field: str):
         if not body:
             raise SpecError(f"line {line_no}: {field} has an empty vector")
         try:
-            vectors.append(tuple(int(tok) for tok in body.split(",")))
+            vec = tuple(int(tok) for tok in body.split(","))
         except ValueError:
             raise SpecError(
                 f"line {line_no}: {field} vector {match.group(0)!r} is not a "
                 f"comma-separated integer list"
             ) from None
+        if min(vec) < 0:
+            raise SpecError(
+                f"line {line_no}: {field} vector {list(vec)} has a negative entry"
+            )
+        vectors.append(vec)
         rest = rest.strip()[match.end():]
     return tuple(vectors)
 
@@ -145,6 +150,10 @@ def parse_spec(path: str) -> SpecFile:
             f"line {line_no}: characteristic must be an integer, got "
             f"{payload!r}"
         ) from None
+    try:
+        check_characteristic(characteristic)
+    except ValueError as exc:
+        raise SpecError(f"line {line_no}: {exc}") from None
 
     line_no, payload = require("variables")
     variables = tuple(payload.split())

@@ -191,7 +191,7 @@ def test_criterion_8_colength_oracle_equivalence():
         ideal = minimalize(random_m_primary_ideal(rng, dim, max_exp=6), dim)
         ring = rings[dim]
         assert colength(ideal, ring) == colength_bruteforce(ideal, ring)
-    print("criterion 8 (inclusion-exclusion == box enumeration, 200 ideals): PASS")
+    print("criterion 8 (cell sum == box enumeration, 200 ideals): PASS")
 
 
 def test_criterion_9_transfer_square():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -85,7 +86,7 @@ def test_koszul_golden(workdir, capsys):
             "-1\t7\t1.94591014906",
             "0\t7\t1.94591014906",
             "# profile\tmax_length=7\twidth=1",
-            "# region\t10,10",
+            "# region\t5,5",
             "",
         ]
     )
@@ -96,7 +97,7 @@ def test_koszul_oracle_and_errors(workdir, capsys):
     (workdir / "cross2.spec").write_text(CROSS_FROB2)
     code, out = _run(capsys, ["koszul", "--spec", "cross2.spec", "--oracle"])
     assert code == 0
-    assert "# verdict\toracle-region\tPASS" in out
+    assert "# verdict\toracle-slices\tPASS" in out
 
     # (X) alone in two variables is rejected as a sequence
     (workdir / "thin.spec").write_text(
@@ -275,3 +276,117 @@ def test_transfer_broken_square_is_exit_3(workdir, capsys):
     (workdir / "broken.spec").write_text(broken)
     assert main(["transfer", "--spec", "broken.spec"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--max-iter", "0"],
+        ["entropy", "--max-iter", "-1"],
+        ["entropy", "--max-iter", "two"],
+        ["koszul", "--pullback-iter", "-1"],
+        ["transfer", "--tolerance", "nan"],
+        ["verify", "transfer", "--tolerance", "inf"],
+        ["delta", "--t=nan"],
+        ["delta", "--t=0,inf"],
+        ["delta", "--t=,"],
+    ],
+)
+def test_out_of_range_flags_exit_2(workdir, capsys, argv):
+    (workdir / "cross2.spec").write_text(CROSS_FROB2)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--spec", "cross2.spec"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_library_value_errors_exit_2(workdir, capsys):
+    (workdir / "square.spec").write_text(SQUARE_OK)
+    assert main(["transfer", "--spec", "square.spec", "--max-iter", "2"]) == 2
+    (workdir / "diag23.spec").write_text(DIAG)
+    argv = ["verify", "diagonal", "--spec", "diag23.spec", "--max-iter", "2"]
+    assert main(argv) == 2
+    (workdir / "neg.spec").write_text(DIAG + "ideal [-1,0] [0,2]\n")
+    assert main(["entropy", "--spec", "neg.spec"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 4: ideal vector [-1, 0] has a negative entry" in captured.err
+
+
+def _random_vectors(rng, count, dim):
+    vecs = []
+    for _ in range(count):
+        length = dim if rng.random() < 0.9 else dim + rng.choice((-1, 1))
+        lo = -1 if rng.random() < 0.05 else 0
+        vecs.append(
+            "[" + ",".join(str(rng.randint(lo, 2)) for _ in range(length)) + "]"
+        )
+    return " ".join(vecs)
+
+
+def _random_spec_text(rng):
+    dim = rng.randint(1, 3)
+    names = ["X", "Y", "Z"][:dim]
+    lines = [
+        "characteristic " + rng.choice(["0", "2", "3", "5", "4", "-3", "x"]),
+        "variables " + " ".join(names),
+        "map " + _random_vectors(rng, dim if rng.random() < 0.9 else dim + 1, dim),
+    ]
+    if rng.random() < 0.4:
+        lines.append("quotient " + _random_vectors(rng, rng.randint(1, 2), dim))
+    if rng.random() < 0.5:
+        lines.append("ideal " + _random_vectors(rng, rng.randint(1, 3), dim))
+    if rng.random() < 0.7:
+        lines.append("sequence " + _random_vectors(rng, rng.randint(1, 3), dim))
+    if rng.random() < 0.3:
+        sdim = rng.randint(1, 2)
+        lines.append("source_variables " + " ".join(["U", "V"][:sdim]))
+        lines.append("source_map " + _random_vectors(rng, sdim, sdim))
+        lines.append("xi " + _random_vectors(rng, sdim, dim))
+    if rng.random() < 0.1:
+        lines.append(rng.choice(["bogus 1", "map [1]", "ideal [", "sequence []"]))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _random_argv(rng):
+    command = rng.choice(["entropy", "delta", "koszul", "verify", "transfer"])
+    argv = [command]
+    if command == "verify":
+        argv.append(
+            rng.choice(
+                ["diagonal", "monomial-matrix", "frobenius",
+                 "ideal-independence", "sandwich", "transfer"]
+            )
+        )
+    argv += ["--spec", "fuzz.spec"]
+    if rng.random() < 0.7:
+        argv += ["--max-iter", rng.choice(["1", "2", "3", "4", "0", "-2", "x"])]
+    if command in ("delta", "verify") and rng.random() < 0.5:
+        argv.append("--t=" + rng.choice(["0", "-1,0,1", "0.5", "nan", "1,inf", ""]))
+    if command in ("verify", "transfer") and rng.random() < 0.5:
+        argv += ["--tolerance", rng.choice(["1e-6", "0.5", "nan", "-inf"])]
+    if command == "koszul" and rng.random() < 0.7:
+        argv += ["--pullback-iter", rng.choice(["0", "1", "2", "-1"])]
+    if command in ("entropy", "delta", "koszul") and rng.random() < 0.3:
+        argv.append("--oracle")
+    if rng.random() < 0.3:
+        argv += ["--format", "report"]
+    return argv
+
+
+def test_cli_fuzz_exit_codes(workdir, capsys):
+    rng = random.Random(4096)
+    seen = set()
+    for _ in range(200):
+        (workdir / "fuzz.spec").write_text(_random_spec_text(rng))
+        argv = _random_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in captured.err, argv
+        seen.add(code)
+    assert {0, 2, 3} <= seen

@@ -12,6 +12,8 @@ from entrolab import (
     NotFiniteLengthError,
     NotRegularError,
     RingSpec,
+    SandwichReport,
+    SandwichRow,
     SquareCommutationError,
     TransferSquare,
     complexity_lower_bound,
@@ -174,6 +176,21 @@ def test_sandwich_monotone_chain_random():
         ts = [rng.uniform(-2, 2) for _ in range(3)]
         for rep in sandwich(R2, phi, seq, ts, 6):
             assert not sandwich_violations(rep)
+            for row in rep.rows:
+                upper = complexity_upper_bound(R2, phi, row.n)
+                assert row.upper_logavg == int_log(upper) / row.n
+
+
+def test_sandwich_violations_flag_nan_rows():
+    nan = float("nan")
+    profile = GeneratorProfile(peak=1, width=0)
+    for row in (
+        SandwichRow(1, nan, 0.0, 0.0),
+        SandwichRow(1, 0.0, nan, 0.0),
+        SandwichRow(1, 0.0, 0.0, nan),
+    ):
+        report = SandwichReport(nan, (row,), profile, 0.0)
+        assert sandwich_violations(report)
 
 
 def test_diagonal_closed_form():

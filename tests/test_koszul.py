@@ -5,9 +5,9 @@ import random
 import pytest
 
 from entrolab import (
+    DimensionMismatchError,
     MonomialMap,
     NotFiniteLengthError,
-    RegionOverflowError,
     RingSpec,
     build_koszul,
     colength,
@@ -54,6 +54,8 @@ def test_build_requires_finite_colength():
         build_koszul(R2, [(1, 0)])
     with pytest.raises(NotFiniteLengthError):
         build_koszul(R2, [(1, 0), (0, 0)])
+    with pytest.raises(DimensionMismatchError):
+        build_koszul(R2, [(1, 0), (0, 1, 0)])
     # (X, Y) + (XY) generates the maximal ideal, so this is accepted
     build_koszul(CROSS, [(1, 0), (0, 1)])
 
@@ -175,6 +177,43 @@ def test_homology_matches_bruteforce_oracle():
         assert lengths.lengths == oracle
 
 
+def test_cell_sum_matches_oracle_on_twice_the_region_random():
+    rng = random.Random(4242)
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        char = rng.choice((0, 2, 3, 5))
+        ring = RingSpec.polynomial(char, dim)
+        if rng.random() < 0.5:
+            jgens = [
+                tuple(rng.randint(0, 2) for _ in range(dim))
+                for _ in range(rng.randint(1, 2))
+            ]
+            jgens = [g for g in jgens if sum(g)] or [(1,) * dim]
+            ring = RingSpec(char, dim, minimalize(jgens, dim))
+        seq = random_monomial_sequence(
+            rng, dim, rng.randint(dim, dim + 2), max_exp=2
+        )
+        complex_ = build_koszul(ring, seq)
+        lengths = homology_lengths(complex_)
+        box = tuple(2 * s for s in lengths.region)
+        oracle = koszul_homology_oracle(
+            char, ring.quotient.generators, complex_.sequence, box
+        )
+        assert lengths.lengths == oracle
+
+
+def test_frobenius_cross_pullback_closed_form():
+    # F_3[X,Y]/(XY): H^0 = H^-1 = k[X,Y]/(XY, X^q, Y^q) of length 2q - 1
+    ring = RingSpec(3, 2, minimalize({(1, 1)}))
+    base = build_koszul(ring, [(1, 0), (0, 1)])
+    frob = MonomialMap.frobenius(ring)
+    for n in range(1, 13):
+        lengths = homology_lengths(pullback(base, iterate(frob, n)))
+        q = 3**n
+        assert lengths.lengths == {0: 2 * q - 1, -1: 2 * q - 1, -2: 0}
+        assert lengths.region == (q + 1, q + 1)
+
+
 def test_slice_dims_independent_of_order():
     complex_ = build_koszul(CROSS, [(1, 0), (0, 1)])
     lengths = homology_lengths(complex_)
@@ -199,12 +238,6 @@ def test_slice_dims_match_oracle_pointwise():
         assert complex_.slice_dims(v) == koszul_slice_oracle(
             5, ring.quotient.generators, complex_.sequence, v
         )
-
-
-def test_region_cap_failure_is_explicit():
-    complex_ = build_koszul(R2, [(2, 0), (0, 3)])
-    with pytest.raises(RegionOverflowError):
-        homology_lengths(complex_, max_side=3)
 
 
 def test_generator_profile_examples():

@@ -1,5 +1,6 @@
 """Exponent-vector and monomial-ideal arithmetic."""
 
+import itertools
 import random
 
 import pytest
@@ -122,8 +123,7 @@ def test_colength_basic():
         assert colength(ideal, quotient) == 2 * q - 1
 
 
-def test_colength_generator_cap_falls_back_to_enumeration():
-    # a 22-generator staircase antichain exceeds the inclusion-exclusion cap
+def test_colength_staircase_of_22_generators():
     ring = RingSpec.polynomial(0, 2)
     staircase = minimalize({(i, 21 - i) for i in range(22)})
     assert len(staircase.generators) == 22
@@ -134,9 +134,9 @@ def test_colength_generator_cap_falls_back_to_enumeration():
 
 def test_colength_requires_finite_length():
     ring = RingSpec.polynomial(0, 2)
-    with pytest.raises(NotFiniteLengthError):
+    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
         colength(minimalize({(1, 1)}), ring)
-    with pytest.raises(NotFiniteLengthError):
+    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
         colength(MonomialIdeal((), 2), ring)
 
 
@@ -148,6 +148,30 @@ def test_colength_matches_bruteforce_random():
         ring = ring_cache.setdefault(dim, RingSpec.polynomial(0, dim))
         ideal = minimalize(random_m_primary_ideal(rng, dim), dim)
         assert colength(ideal, ring) == colength_bruteforce(ideal, ring)
+
+
+def test_colength_matches_bruteforce_many_generators():
+    # minimal generators drawn from two consecutive degrees, 21 to 30 of them
+    rng = random.Random(2130)
+    checked = 0
+    while checked < 24:
+        dim = rng.randint(2, 3)
+        s = 29 if dim == 2 else 7
+        pool = [
+            v
+            for v in itertools.product(range(s + 2), repeat=dim)
+            if sum(v) in (s, s + 1)
+        ]
+        pure = [tuple(s if j == i else 0 for j in range(dim)) for i in range(dim)]
+        ideal = minimalize(pure + rng.sample(pool, rng.randint(21, 40)), dim)
+        if not 21 <= len(ideal.generators) <= 30:
+            continue
+        ring = RingSpec.polynomial(0, dim)
+        if checked % 2:
+            jgen = tuple(rng.randint(0, s) for _ in range(dim))
+            ring = RingSpec(0, dim, minimalize([jgen if sum(jgen) else pure[0]], dim))
+        assert colength(ideal, ring) == colength_bruteforce(ideal, ring)
+        checked += 1
 
 
 def test_colength_on_quotient_reduces_to_ambient_sum():

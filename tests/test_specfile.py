@@ -68,11 +68,38 @@ def test_comments_and_blank_lines(tmp_path):
          "quotient generator 1"),
         ("characteristic 0\nvariables X Y\nmap [2,0] [0,3]\nxi [1,0]\n",
          "needs all of"),
+        ("characteristic 0\nvariables X Y\nmap [2,0] [0,3]\nideal [-1,0] [0,2]\n",
+         r"line 4: ideal vector \[-1, 0\] has a negative entry"),
+        ("characteristic 0\nvariables X Y\nmap [2,0] [0,-3]\n",
+         r"line 3: map vector \[0, -3\] has a negative entry"),
+        ("variables X\nmap [2]\ncharacteristic 3317044064679887385961981\n",
+         "line 3: characteristic 3317044064679887385961981 is too large"),
     ],
 )
 def test_parse_errors(tmp_path, text, needle):
     with pytest.raises(SpecError, match=needle):
         parse_spec(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "p,prime",
+    [
+        (10**18 + 3, True),
+        (2**61 - 1, True),
+        (561, False),
+        (2047, False),
+        (3215031751, False),
+        (3825123056546413051, False),
+    ],
+)
+def test_characteristic_primality(tmp_path, p, prime):
+    # large primes are certified quickly; strong pseudoprimes are rejected
+    path = _write(tmp_path, f"variables X\nmap [2]\ncharacteristic {p}\n")
+    if prime:
+        assert parse_spec(path).ring.characteristic == p
+    else:
+        with pytest.raises(SpecError, match=r"line 3: .*0 or prime"):
+            parse_spec(path)
 
 
 def test_error_messages_are_line_anchored(tmp_path):
