@@ -9,6 +9,7 @@ hypothesis (finite length, regularity, commutation), 4 failed verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -322,6 +323,9 @@ def _cmd_koszul(args, spec) -> RunReport:
 
 
 def _oracle_slices_verdict(complex_, lengths):
+    """Check that the slices are constant on the cells: the sum over every
+    multidegree of the region box equals the cell sum.  The tests check
+    each slice against an independent oracle."""
     volume = math.prod(lengths.region)
     if volume > BRUTE_BOX_CAP:
         return ("oracle-slices", True, f"region box of {volume} multidegrees "
@@ -611,6 +615,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one serves every call
+    return build_parser()
+
+
 _DISPATCH = {
     "entropy": _cmd_entropy,
     "delta": _cmd_delta,
@@ -623,8 +633,7 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
         digest = _digest(args.spec)

@@ -10,7 +10,9 @@ field (or the rationals in characteristic 0) whose matrices have entries
 0 and +-1, and its cohomology is computed with exact ranks, never floating
 point.  A slice depends only on how v compares with the basis shifts and
 the shifted quotient generators, so the cohomology lengths are summed over
-the cells that these breakpoints cut, one slice per cell.
+the cells that these breakpoints cut, one slice per cell.  A slice's active
+basis is a divisor bitmask, and each complex ranks every distinct active set
+once, so rank work grows with the distinct active sets, not with the cells.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .monomials import (
     RingSpec,
     Vec,
     _cell_sum,
+    _divisor_mask,
+    _divisor_tables,
     colength,
     ideal_sum,
-    is_standard,
     pure_power_bounds,
 )
 from .endos import MonomialMap, apply_to_monomial, is_finite_length
@@ -111,6 +114,11 @@ class GeneratorProfile:
     width: int
 
 
+# the m already checked to square to zero: both paths from a source to a
+# target drop the same pair {a, b}, so the check depends on m alone
+_DD_ZERO_CHECKED: set[int] = set()
+
+
 class KoszulComplex:
     """Strictly perfect complex built from a monomial sequence; see
     ``build_koszul``."""
@@ -130,9 +138,10 @@ class KoszulComplex:
         self.ring = ring
         self.sequence = seq
         self.m = len(seq)
-        self._jgens = ring.quotient.generators
         self._build_tables()
-        self._verify_dd_zero()
+        if self.m not in _DD_ZERO_CHECKED:
+            self._verify_dd_zero()
+            _DD_ZERO_CHECKED.add(self.m)
 
     def _build_tables(self):
         m = self.m
@@ -162,6 +171,15 @@ class KoszulComplex:
                     entries.append((index[j - 1][target], sign, i))
                 table.append(entries)
             self.diff[j] = table
+        # subset k of the flat list is active at v iff v >= shift_k and no
+        # quotient generator g has v >= shift_k + g
+        flat = [shift for level in self.shifts for shift in level]
+        self._present = _divisor_tables(flat)
+        self._killed = [
+            _divisor_tables([tuple(map(sum, zip(s, g))) for s in flat])
+            for g in self.ring.quotient.generators
+        ]
+        self._slices: dict[int, dict[int, int]] = {}
 
     def _verify_dd_zero(self):
         for j in range(2, self.m + 1):
@@ -184,22 +202,29 @@ class KoszulComplex:
         return 0
 
     def slice_dims(self, v: Vec) -> dict[int, int]:
-        """Cohomology dimensions of the single multidegree-v slice,
-        keyed by cohomological degree.  Independent of any other slice."""
+        """Cohomology dimensions of the multidegree-v slice, keyed by
+        cohomological degree, in a fresh dict; independent of any other
+        slice.  The active basis is the divisor mask of the shifts less those
+        of the shifted quotient generators, ranked once per mask and cached."""
+        active = _divisor_mask(self._present, v)
+        for killed in self._killed:
+            active &= ~_divisor_mask(killed, v)
+        dims = self._slices.get(active)
+        if dims is None:
+            dims = self._slices[active] = self._active_dims(active)
+        return dict(dims)
+
+    def _active_dims(self, active: int) -> dict[int, int]:
         m = self.m
-        active: list[list[int]] = []
-        for level_shifts in self.shifts:
-            acts = []
-            for si, shift in enumerate(level_shifts):
-                u = tuple(a - b for a, b in zip(v, shift))
-                if min(u, default=0) >= 0 and is_standard(u, self._jgens):
-                    acts.append(si)
-            active.append(acts)
+        acts = []
+        for level in self.levels:
+            acts.append([si for si in range(len(level)) if active >> si & 1])
+            active >>= len(level)
         ranks = [0] * (m + 2)
         char = self.ring.characteristic
         for j in range(1, m + 1):
-            cols = active[j]
-            rows = active[j - 1]
+            cols = acts[j]
+            rows = acts[j - 1]
             if not cols or not rows:
                 continue
             rowpos = {si: r for r, si in enumerate(rows)}
@@ -210,9 +235,7 @@ class KoszulComplex:
                     if r is not None:
                         mat[r][c] = sign
             ranks[j] = exact_rank(mat, char)
-        return {
-            -j: len(active[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)
-        }
+        return {-j: len(acts[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)}
 
 
 def build_koszul(ring: RingSpec, sequence) -> KoszulComplex:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotFiniteLengthError
@@ -37,23 +39,57 @@ def divides(u: Vec, v: Vec) -> bool:
     return all(a <= b for a, b in zip(u, v))
 
 
+def _divisor_tables(vectors) -> tuple:
+    """Tables answering "which of ``vectors`` divide X^v" for any v.
+
+    Bit k of a mask stands for vectors[k]; Python ints are the bitsets, so
+    any number of vectors fits.  Axis i keeps the sorted distinct i-th
+    coordinates and, for each, the mask of the vectors whose i-th
+    coordinate is at most that value.
+    """
+    axes = []
+    for column in zip(*vectors):
+        bits: dict[int, int] = {}
+        for k, c in enumerate(column):
+            bits[c] = bits.get(c, 0) | 1 << k
+        coords = sorted(bits)
+        prefix = itertools.accumulate(map(bits.get, coords), operator.or_)
+        axes.append((coords, list(prefix)))
+    return (1 << len(vectors)) - 1, axes
+
+
+def _divisor_mask(tables, v) -> int:
+    """Mask of the vectors of ``tables`` that divide X^v: bit k is set iff
+    vectors[k] <= v componentwise.  One bisection per axis."""
+    mask, axes = tables
+    for (coords, masks), x in zip(axes, v):
+        t = bisect_right(coords, x)
+        if not t:
+            return 0
+        mask &= masks[t - 1]
+    return mask
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, held as its minimal generating set.
 
     Construction minimalizes and sorts the generators, so the stored form
-    is canonical.  The empty generating set is the zero ideal.
+    is canonical.  A generator is minimal when its divisor mask over the
+    distinct generators holds only its own bit.  The empty generating set
+    is the zero ideal.
     """
 
     generators: tuple[Vec, ...]
     ambient_dim: int
 
     def __post_init__(self):
-        gens = {_check_vec(g, self.ambient_dim) for g in self.generators}
+        gens = sorted({_check_vec(g, self.ambient_dim) for g in self.generators})
+        tables = _divisor_tables(gens)
         minimal = [
-            g for g in gens if not any(h != g and divides(h, g) for h in gens)
+            g for k, g in enumerate(gens) if _divisor_mask(tables, g) == 1 << k
         ]
-        object.__setattr__(self, "generators", tuple(sorted(minimal)))
+        object.__setattr__(self, "generators", tuple(minimal))
 
     @property
     def is_zero(self) -> bool:
@@ -220,17 +256,6 @@ class RingSpec:
         return MonomialIdeal(gens, self.dim_ambient)
 
 
-def is_standard(v: Vec, gens) -> bool:
-    """True iff no exponent vector in ``gens`` divides v."""
-    for g in gens:
-        for a, b in zip(g, v):
-            if a > b:
-                break
-        else:
-            return False
-    return True
-
-
 def _cell_sum(breakpoints, weigh) -> dict:
     """Sum of volume * weigh(corner) over the cells of a grid.
 
@@ -268,14 +293,16 @@ def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:
 
     Whether a monomial is standard depends only on comparisons with the
     generator coordinates, so the count is a cell sum over the grid those
-    coordinates cut.  A standard unbounded cell means infinite colength and
-    raises NotFiniteLengthError.
+    coordinates cut; a corner is standard when its divisor mask over the
+    generators is empty.  A standard unbounded cell means infinite colength
+    and raises NotFiniteLengthError.
     """
     gens = ideal_sum(ideal, ring.quotient).generators
     breakpoints = [
         sorted({0, *(g[i] for g in gens)}) for i in range(ring.dim_ambient)
     ]
-    count = _cell_sum(breakpoints, lambda v: {"standard": is_standard(v, gens)})
+    tables = _divisor_tables(gens)
+    count = _cell_sum(breakpoints, lambda v: {"standard": not _divisor_mask(tables, v)})
     return count.get("standard", 0)
 
 

@@ -2,16 +2,26 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entrolab
 from entrolab.cli import main
 
 DIAG = "characteristic 0\nvariables X Y\nmap [2,0] [0,3]\n"
 CROSS_FROB2 = (
     "characteristic 2\nvariables X Y\nquotient [1,1]\nmap [2,0] [0,2]\n"
     "sequence [1,0] [0,1]\n"
+)
+CUBE3_SIX = (
+    "characteristic 3\nvariables X Y Z\nquotient [1,1,0]\n"
+    "map [3,0,0] [0,3,0] [0,0,3]\n"
+    "sequence [2,0,0] [0,2,0] [0,0,3] [1,1,1] [1,1,1] [2,0,2]\n"
 )
 SQUARE_OK = (
     "characteristic 2\nvariables X Y\nmap [2,0] [0,2]\n"
@@ -110,6 +120,48 @@ def test_koszul_oracle_and_errors(workdir, capsys):
     (workdir / "noseq.spec").write_text(DIAG)
     code, _ = _run(capsys, ["koszul", "--spec", "noseq.spec"])
     assert code == 2
+
+
+def test_koszul_oracle_resums_a_six_entry_region(workdir, capsys):
+    # 128205 multidegrees, each with 64 basis subsets, summed one by one
+    (workdir / "six.spec").write_text(CUBE3_SIX)
+    code, out = _run(
+        capsys, ["koszul", "--spec", "six.spec", "--pullback-iter", "2", "--oracle"]
+    )
+    assert code == 0
+    assert "# region\t55,37,63\n" in out
+    assert (
+        "# verdict\toracle-slices\tPASS\tslice-by-slice sum over the 128205 "
+        "multidegrees of the region box agrees\n"
+    ) in out
+
+
+def test_repeated_main_calls_match_fresh_processes(workdir, capsys):
+    (workdir / "diag23.spec").write_text(DIAG)
+    (workdir / "cross2.spec").write_text(CROSS_FROB2)
+    commands = [
+        ["delta", "--spec", "diag23.spec", "--max-iter", "3"],
+        ["entropy", "--spec", "diag23.spec", "--max-iter", "0"],
+        ["koszul", "--spec", "cross2.spec", "--pullback-iter", "1"],
+        ["delta", "--spec", "diag23.spec", "--max-iter", "3", "--t=2"],
+        ["delta", "--spec", "diag23.spec", "--max-iter", "3"],
+    ]
+    package_root = str(Path(entrolab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    codes = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "entrolab.cli", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0, 0]
 
 
 def test_entropy_log_base_rescales_display(workdir, capsys):

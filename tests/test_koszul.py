@@ -1,9 +1,11 @@
 """Koszul complex construction, pullback, and exact cohomology lengths."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+import entrolab.koszul as koszul
 from entrolab import (
     DimensionMismatchError,
     MonomialMap,
@@ -19,6 +21,7 @@ from entrolab import (
     minimalize,
     pullback,
 )
+from entrolab.specfile import parse_spec
 
 from helpers import (
     dd_product_terms,
@@ -238,6 +241,78 @@ def test_slice_dims_match_oracle_pointwise():
         assert complex_.slice_dims(v) == koszul_slice_oracle(
             5, ring.quotient.generators, complex_.sequence, v
         )
+
+
+def test_slice_dims_match_oracle_random_with_repeats():
+    rng = random.Random(9090)
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        char = rng.choice((0, 2, 3, 5))
+        jgens = [
+            tuple(rng.randint(0, 2) for _ in range(dim))
+            for _ in range(rng.randint(0, 3))
+        ]
+        ring = RingSpec(char, dim, minimalize([g for g in jgens if sum(g)], dim))
+        seq = random_monomial_sequence(
+            rng, dim, rng.randint(dim, dim + 4), max_exp=2
+        )
+        complex_ = build_koszul(ring, seq)
+        region = homology_lengths(complex_).region
+        points = [
+            tuple(rng.randint(0, 2 * side + 1) for side in region)
+            for _ in range(25)
+        ]
+        for v in points + rng.sample(points, 10):
+            expected = koszul_slice_oracle(
+                char, ring.quotient.generators, complex_.sequence, v
+            )
+            dims = complex_.slice_dims(v)
+            assert dims == expected
+            dims[0] += 1  # the caller owns the returned dict
+            assert complex_.slice_dims(v) == expected
+
+
+def test_dd_zero_check_runs_once_per_m(monkeypatch):
+    build_tables = koszul.KoszulComplex._build_tables
+
+    def corrupted(self):
+        build_tables(self)
+        target, sign, dropped = self.diff[2][0][0]
+        self.diff[2][0][0] = (target, -sign, dropped)
+
+    monkeypatch.setattr(koszul, "_DD_ZERO_CHECKED", set())
+    monkeypatch.setattr(koszul.KoszulComplex, "_build_tables", corrupted)
+    with pytest.raises(AssertionError, match="square to zero"):
+        build_koszul(R2, [(1, 0), (0, 1), (1, 1)])
+    # a sound complex records m = 3; the check then skips that m
+    monkeypatch.setattr(koszul.KoszulComplex, "_build_tables", build_tables)
+    build_koszul(R2, [(1, 0), (0, 1), (1, 1)])
+    assert koszul._DD_ZERO_CHECKED == {3}
+    monkeypatch.setattr(koszul.KoszulComplex, "_build_tables", corrupted)
+    build_koszul(R2, [(2, 0), (0, 2), (1, 1)])
+    with pytest.raises(AssertionError, match="square to zero"):
+        build_koszul(R2, [(1, 0), (0, 1), (1, 1), (2, 2)])
+
+
+def test_pullback_rank_work_independent_of_n(monkeypatch):
+    # north-star cost model: the exponents grow like 3^n, the rank work must not
+    spec = parse_spec(
+        str(Path(__file__).parent.parent / "specs" / "frobenius_cross.ring")
+    )
+    base = build_koszul(spec.ring, spec.koszul_sequence())
+    calls = []
+
+    def counted(rows, characteristic):
+        calls.append(rows)
+        return exact_rank(rows, characteristic)
+
+    monkeypatch.setattr(koszul, "exact_rank", counted)
+    counts = []
+    for n in range(1, 13):
+        calls.clear()
+        homology_lengths(pullback(base, iterate(spec.map, n)))
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 12
 
 
 def test_generator_profile_examples():

@@ -56,6 +56,25 @@ def test_minimalize_idempotent_and_order_independent():
         assert minimalize(first.generators, dim) == first
 
 
+def test_minimal_generators_match_quadratic_definition():
+    # a generator stays iff no other distinct generator divides it
+    rng = random.Random(2024)
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        gens = [
+            tuple(rng.randint(0, 5) for _ in range(dim))
+            for _ in range(rng.randint(0, 40))
+        ]
+        gens += rng.sample(gens, min(len(gens), rng.randint(0, 5)))
+        distinct = set(gens)
+        expected = sorted(
+            g
+            for g in distinct
+            if not any(h != g and divides(h, g) for h in distinct)
+        )
+        assert MonomialIdeal(tuple(gens), dim).generators == tuple(expected)
+
+
 def test_contains():
     sq = minimalize({(2, 0), (0, 2)})
     assert not contains(sq, (1, 1))
