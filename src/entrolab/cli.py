@@ -224,6 +224,34 @@ def _cmd_entropy(args, spec) -> RunReport:
     return report
 
 
+def _profile_item(profile) -> tuple[str, ...]:
+    return ("profile", f"max_length={profile.peak}", f"width={profile.width}")
+
+
+def _fill_sandwich_rows(report: RunReport, reports, scale: float):
+    """The t/n/lower/upper/gap rows, the h_loc footer and the sandwich
+    verdict of the regular-ring bound tables."""
+    report.columns = ["t", "n", "lower_logavg", "upper_logavg", "gap_bound"]
+    problems: list[str] = []
+    for rep in reports:
+        problems += sandwich_violations(rep)
+        for row in rep.rows:
+            report.rows.append(
+                [
+                    _fmt(rep.t),
+                    str(row.n),
+                    _fmt(row.lower_logavg * scale),
+                    _fmt(row.upper_logavg * scale),
+                    _fmt(row.gap_bound * scale),
+                ]
+            )
+    report.footer.append(("h_loc", _fmt(reports[0].h_loc_reference * scale)))
+    report.verdicts.append(
+        ("sandwich", not problems, problems[0] if problems else
+         "lower <= upper and gap within bound at every n")
+    )
+
+
 def _cmd_delta(args, spec) -> RunReport:
     scale = _log_scale(args.log_base)
     ring = spec.ring
@@ -233,31 +261,8 @@ def _cmd_delta(args, spec) -> RunReport:
     report = RunReport(command="", digest="", columns=[])
     if ring.regular:
         reports = sandwich(ring, spec.map, x, args.t, args.max_iter)
-        report.columns = ["t", "n", "lower_logavg", "upper_logavg", "gap_bound"]
-        problems: list[str] = []
-        for rep in reports:
-            problems += sandwich_violations(rep)
-            for row in rep.rows:
-                report.rows.append(
-                    [
-                        _fmt(rep.t),
-                        str(row.n),
-                        _fmt(row.lower_logavg * scale),
-                        _fmt(row.upper_logavg * scale),
-                        _fmt(row.gap_bound * scale),
-                    ]
-                )
-        profile = reports[0].profile
-        report.footer.append(
-            ("profile", f"max_length={profile.peak}", f"width={profile.width}")
-        )
-        report.footer.append(
-            ("h_loc", _fmt(reports[0].h_loc_reference * scale))
-        )
-        report.verdicts.append(
-            ("sandwich", not problems, problems[0] if problems else
-             "lower <= upper and gap within bound at every n")
-        )
+        report.footer.append(_profile_item(reports[0].profile))
+        _fill_sandwich_rows(report, reports, scale)
     else:
         report.notices.append(
             "ring is not regular: the upper tower-count bound is not "
@@ -281,9 +286,7 @@ def _cmd_delta(args, spec) -> RunReport:
                         _fmt((h0_logs[n - 1] - shift) / n * scale),
                     ]
                 )
-        report.footer.append(
-            ("profile", f"max_length={profile.peak}", f"width={profile.width}")
-        )
+        report.footer.append(_profile_item(profile))
     if args.oracle:
         report.verdicts.append(
             _oracle_lengths_verdict(
@@ -313,9 +316,7 @@ def _cmd_koszul(args, spec) -> RunReport:
         value = lengths.length(degree)
         log_txt = _fmt(int_log(value) * scale) if value else ""
         report.rows.append([str(degree), str(value), log_txt])
-    report.footer.append(
-        ("profile", f"max_length={profile.peak}", f"width={profile.width}")
-    )
+    report.footer.append(_profile_item(profile))
     report.footer.append(("region", ",".join(str(s) for s in lengths.region)))
     if args.oracle:
         report.verdicts.append(_oracle_slices_verdict(complex_, lengths))
@@ -346,11 +347,10 @@ def _cmd_transfer(args, spec) -> RunReport:
     report = RunReport(
         command="", digest="", columns=["ring", "n", "length", "a_n"]
     )
-    for label, ring, mono_map in (
-        ("source", square.source_ring, square.psi),
-        ("target", square.target_ring, square.phi),
+    for label, seq in (
+        ("source", result.source_sequence),
+        ("target", result.target_sequence),
     ):
-        seq = local_entropy_sequence(ring, mono_map, None, args.max_iter)
         for row in seq.rows:
             report.rows.append(
                 [label, str(row.n), str(row.length), _fmt(row.log_average * scale)]
@@ -490,26 +490,7 @@ def _verify_sandwich(args, spec, report, scale):
         raise HypothesisError("verify sandwich requires a regular ring")
     x = spec.koszul_sequence() or [g for g in ring.maximal_ideal().generators]
     reports = sandwich(ring, spec.map, x, args.t, args.max_iter)
-    report.columns = ["t", "n", "lower_logavg", "upper_logavg", "gap_bound"]
-    problems: list[str] = []
-    for rep in reports:
-        problems += sandwich_violations(rep)
-        for row in rep.rows:
-            report.rows.append(
-                [
-                    _fmt(rep.t),
-                    str(row.n),
-                    _fmt(row.lower_logavg * scale),
-                    _fmt(row.upper_logavg * scale),
-                    _fmt(row.gap_bound * scale),
-                ]
-            )
-    report.verdicts.append(
-        ("sandwich", not problems,
-         problems[0] if problems else
-         "lower <= upper and gap within bound at every n")
-    )
-    report.footer.append(("h_loc", _fmt(reports[0].h_loc_reference * scale)))
+    _fill_sandwich_rows(report, reports, scale)
 
 
 def _verify_transfer(args, spec, report, scale):
@@ -567,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, t=False, oracle=False, tolerance=False):
+    def common(sp, *, t=False, oracle="", tolerance=False):
         sp.add_argument("--spec", required=True, help="ring specification file")
         sp.add_argument(
             "--format", choices=("tsv", "report"), default="tsv",
@@ -586,21 +567,19 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated real parameters for the bounds",
             )
         if oracle:
-            sp.add_argument(
-                "--oracle", action="store_true",
-                help="cross-check against brute-force enumeration",
-            )
+            sp.add_argument("--oracle", action="store_true", help=oracle)
         if tolerance:
             sp.add_argument("--tolerance", type=_finite_float, default=1e-6)
 
+    colength_oracle = "cross-check the colengths by column-by-column box enumeration"
     sp = sub.add_parser("entropy", help="colength growth of the iterates")
-    common(sp, oracle=True)
+    common(sp, oracle=colength_oracle)
 
     sp = sub.add_parser("delta", help="lower/upper complexity bound tables")
-    common(sp, t=True, oracle=True)
+    common(sp, t=True, oracle=colength_oracle)
 
     sp = sub.add_parser("koszul", help="cohomology lengths of a Koszul complex")
-    common(sp, oracle=True)
+    common(sp, oracle="cross-check by summing every slice of the region box")
     sp.add_argument(
         "--pullback-iter", type=_int_at_least(0), default=0, metavar="N"
     )

@@ -121,6 +121,8 @@ class TransferReport:
     tolerance: float
     shared_value: float | None
     conclusion: str
+    source_sequence: EntropySequence
+    target_sequence: EntropySequence
 
 
 def local_entropy_sequence(
@@ -368,4 +370,6 @@ def transfer_check(
         tolerance=tolerance,
         shared_value=shared,
         conclusion=conclusion,
+        source_sequence=source_seq,
+        target_sequence=target_seq,
     )

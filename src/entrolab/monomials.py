@@ -131,12 +131,14 @@ def pure_power_bounds(ideal: MonomialIdeal) -> tuple[int, ...] | None:
     Returns None when some variable has no pure-power generator.  Presence
     of a full tuple is exactly the radical-equals-maximal-ideal condition.
     """
+    return _pure_powers(ideal.generators, ideal.ambient_dim)
+
+
+def _pure_powers(gens, dim: int) -> tuple[int, ...] | None:
     bounds = []
-    for i in range(ideal.ambient_dim):
+    for i in range(dim):
         powers = [
-            g[i]
-            for g in ideal.generators
-            if all(e == 0 for j, e in enumerate(g) if j != i)
+            g[i] for g in gens if all(e == 0 for j, e in enumerate(g) if j != i)
         ]
         if not powers:
             return None
@@ -307,20 +309,36 @@ def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:
 
 
 def colength_bruteforce(ideal: MonomialIdeal, ring: RingSpec) -> int:
-    """Independent oracle for colength: enumerate the pure-power box and
-    count the monomials divisible by no generator."""
-    total = ideal_sum(ideal, ring.quotient)
-    bounds = pure_power_bounds(total)
+    """Independent oracle for colength: column-by-column box enumeration.
+
+    The box is cut out by the pure powers among the generators of ideal
+    and quotient.  Every point of the axes other than the longest is
+    enumerated; above it the standard monomials form an initial segment of
+    the longest axis, whose length is the least longest-axis exponent of a
+    generator dividing the point in the other coordinates, or the box side
+    if none does.  The generators are used as given, not minimalized, so
+    nothing here shares code with ``colength``.
+    """
+    if ideal.ambient_dim != ring.dim_ambient:
+        raise DimensionMismatchError(
+            f"ideal lives in {ideal.ambient_dim} variables, expected "
+            f"{ring.dim_ambient}"
+        )
+    gens = ideal.generators + ring.quotient.generators
+    bounds = _pure_powers(gens, ring.dim_ambient)
     if bounds is None:
         raise NotFiniteLengthError(
             "quotient by the ideal is not finite dimensional: some variable "
             "has no pure power in the ideal"
         )
+    axis = max(range(ring.dim_ambient), key=bounds.__getitem__)
+    others = [i for i in range(ring.dim_ambient) if i != axis]
+    # lowest first, so the first generator dividing a point sets its column
+    columns = sorted((g[axis], [g[i] for i in others]) for g in gens)
     count = 0
-    for v in itertools.product(*(range(b) for b in bounds)):
-        for g in total.generators:
-            if all(a <= b for a, b in zip(g, v)):
+    for point in itertools.product(*(range(bounds[i]) for i in others)):
+        for height, rest in columns:
+            if all(a <= x for a, x in zip(rest, point)):
+                count += height
                 break
-        else:
-            count += 1
     return count

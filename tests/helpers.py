@@ -42,6 +42,23 @@ def random_monomial_sequence(rng, dim, length, max_exp=3):
     return seq
 
 
+def standard_count_pointwise(gens, dim):
+    """Number of monomials divisible by none of ``gens``: every point of
+    the box cut out by the least pure powers is tested against every
+    generator."""
+    bounds = []
+    for i in range(dim):
+        powers = [
+            g[i] for g in gens if all(e == 0 for j, e in enumerate(g) if j != i)
+        ]
+        assert powers, f"variable {i} has no pure power"
+        bounds.append(min(powers))
+    return sum(
+        not any(all(a <= b for a, b in zip(g, v)) for g in gens)
+        for v in itertools.product(*(range(b) for b in bounds))
+    )
+
+
 def rank_over_fractions(rows):
     mat = [[Fraction(x) for x in row] for row in rows]
     rank = 0

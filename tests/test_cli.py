@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import entrolab
+import entrolab.cli
 from entrolab.cli import main
 
 DIAG = "characteristic 0\nvariables X Y\nmap [2,0] [0,3]\n"
@@ -179,10 +180,14 @@ def test_entropy_log_base_rescales_display(workdir, capsys):
 def test_entropy_oracle_verdict(workdir, capsys):
     (workdir / "diag23.spec").write_text(DIAG)
     code, out = _run(
-        capsys, ["entropy", "--spec", "diag23.spec", "--max-iter", "6", "--oracle"]
+        capsys, ["entropy", "--spec", "diag23.spec", "--max-iter", "8", "--oracle"]
     )
     assert code == 0
-    assert "# verdict\toracle-colength\tPASS\tbox enumeration agrees" in out
+    # the boxes are 6^n: 6^6 = 46656 <= BRUTE_BOX_CAP = 200000 < 6^7
+    assert (
+        "# verdict\toracle-colength\tPASS\tbox enumeration agrees for n <= 6"
+        in out.splitlines()
+    )
 
 
 def test_report_format_is_json(workdir, capsys):
@@ -318,6 +323,23 @@ def test_transfer_command_reports_chain_without_failing(workdir, capsys):
     assert code == 0
     assert "# agree\tyes" in out
     assert "# conclusion\tpullback entropy of the target map is constant in t" in out
+
+
+def test_transfer_builds_each_sequence_once(workdir, capsys, monkeypatch):
+    calls = []
+    real = entrolab.monomials.colength
+
+    def counting(ideal, ring):
+        calls.append(ideal)
+        return real(ideal, ring)
+
+    for module in (entrolab.monomials, entrolab.entropy, entrolab.koszul, entrolab.cli):
+        monkeypatch.setattr(module, "colength", counting)
+    (workdir / "square.spec").write_text(SQUARE_OK)
+    code, _ = _run(capsys, ["transfer", "--spec", "square.spec", "--max-iter", "5"])
+    assert code == 0
+    # one source and one target sequence of 5 iterates each
+    assert len(calls) == 10
 
 
 def test_transfer_broken_square_is_exit_3(workdir, capsys):

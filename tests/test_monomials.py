@@ -21,7 +21,8 @@ from entrolab import (
     pure_power_bounds,
 )
 
-from helpers import random_m_primary_ideal
+import entrolab.monomials as monomials
+from helpers import random_m_primary_ideal, standard_count_pointwise
 
 
 def test_divides():
@@ -191,6 +192,65 @@ def test_colength_matches_bruteforce_many_generators():
             ring = RingSpec(0, dim, minimalize([jgen if sum(jgen) else pure[0]], dim))
         assert colength(ideal, ring) == colength_bruteforce(ideal, ring)
         checked += 1
+
+
+def _random_quotient(rng, dim):
+    gens = [tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(3)]
+    return [g for g in gens if sum(g)]
+
+
+def test_colength_three_counts_agree():
+    # cell sum, column-by-column box enumeration and the point-by-point box
+    rng = random.Random(4404)
+    cases = []
+    for k in range(80):
+        dim = 1 + k % 4
+        gens = random_m_primary_ideal(rng, dim, 6 if dim < 4 else 4, 5)
+        cases.append((dim, gens, _random_quotient(rng, dim) if k % 8 >= 4 else []))
+    ties = [
+        (2, [(5, 0), (0, 5), (2, 3)], []),
+        (3, [(4, 0, 0), (0, 4, 0), (0, 0, 2), (1, 2, 1)], [(3, 1, 0)]),
+        (4, [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)], [(1, 1, 1, 1)]),
+    ]
+    past_box = [
+        (2, [(3, 0), (0, 6), (2, 2)], [(5, 5), (1, 9)]),
+        (2, [(4, 0), (0, 3), (3, 1)], [(2, 0)]),
+        (3, [(2, 0, 0), (0, 7, 0), (0, 0, 3), (0, 8, 1)], [(6, 6, 6)]),
+    ]
+    units = [(1, [(0,)], []), (2, [(0, 0)], [(1, 1)]), (3, [(0, 0, 0)], [])]
+    for dim, gens, quotient in ties:
+        sides = pure_power_bounds(minimalize(gens + quotient, dim))
+        assert sorted(sides)[-1] == sorted(sides)[-2]
+    for dim, gens, quotient in past_box:
+        sides = pure_power_bounds(minimalize(gens + quotient, dim))
+        assert any(g[i] >= sides[i] for g in gens + quotient for i in range(dim)
+                   if sum(g) > g[i])
+    for dim, gens, quotient in cases + ties + past_box + units:
+        ring = RingSpec(0, dim, minimalize(quotient, dim))
+        ideal = minimalize(gens, dim)
+        expected = standard_count_pointwise(gens + quotient, dim)
+        assert colength(ideal, ring) == expected, (gens, quotient)
+        assert colength_bruteforce(ideal, ring) == expected, (gens, quotient)
+    for dim, gens, quotient in units:
+        assert standard_count_pointwise(gens + quotient, dim) == 0
+
+
+def test_colength_bruteforce_is_independent_of_the_cell_sum(monkeypatch):
+    rng = random.Random(31)
+    cases = []
+    for k in range(40):
+        dim = 1 + k % 4
+        ring = RingSpec(0, dim, minimalize(_random_quotient(rng, dim) if k % 2 else [], dim))
+        ideal = minimalize(random_m_primary_ideal(rng, dim, 5, 4), dim)
+        cases.append((ideal, ring, colength(ideal, ring)))
+
+    def engine(*args):
+        raise AssertionError("the oracle called the cell-sum engine")
+
+    for name in ("_cell_sum", "_divisor_tables", "_divisor_mask"):
+        monkeypatch.setattr(monomials, name, engine)
+    for ideal, ring, expected in cases:
+        assert colength_bruteforce(ideal, ring) == expected
 
 
 def test_colength_on_quotient_reduces_to_ambient_sum():
