@@ -26,21 +26,9 @@ from .errors import (
     SpecError,
     SquareCommutationError,
 )
-from .monomials import (
-    MonomialIdeal,
-    colength,
-    colength_bruteforce,
-    ideal_sum,
-    pure_power_bounds,
-)
-from .endos import image_ideal, iterate
-from .koszul import (
-    build_koszul,
-    generator_profile,
-    h0_length,
-    homology_lengths,
-    pullback,
-)
+from .monomials import _pure_powers, colength, colength_bruteforce
+from .endos import compose, image_ideal
+from .koszul import pullback_homology
 from .entropy import (
     diagonal_closed_form,
     estimate_limit,
@@ -63,9 +51,9 @@ EXIT_VERDICT = 4
 
 @dataclass
 class RunReport:
-    command: str
-    digest: str
-    columns: list[str]
+    command: str = ""
+    digest: str = ""
+    columns: list[str] = field(default_factory=list)
     rows: list[list[str]] = field(default_factory=list)
     notices: list[str] = field(default_factory=list)
     footer: list[tuple[str, ...]] = field(default_factory=list)
@@ -150,42 +138,59 @@ def _t_values(raw: str) -> list[float]:
     return values
 
 
+def _is_frobenius(ring, mono_map) -> bool:
+    """The map raises every variable to the power p, the characteristic."""
+    p = ring.characteristic
+    return p > 0 and mono_map.is_diagonal() and set(_diagonal(mono_map)) == {p}
+
+
+def _diagonal(mono_map) -> list[int]:
+    return [row[i] for i, row in enumerate(mono_map.matrix)]
+
+
+def _determinant(mono_map) -> int:
+    """|det| of a diagonal or monomial matrix: the product of the one
+    positive entry of each row."""
+    return math.prod(max(row) for row in mono_map.matrix)
+
+
 def _prediction(spec) -> tuple[str, float] | None:
     ring, mono_map = spec.ring, spec.map
-    p = ring.characteristic
-    if p and mono_map.is_diagonal() and all(
-        mono_map.matrix[i][i] == p for i in range(ring.dim_ambient)
-    ):
-        return "frobenius", frobenius_prediction(ring, p)
+    if _is_frobenius(ring, mono_map):
+        return "frobenius", frobenius_prediction(ring, ring.characteristic)
     if ring.regular and mono_map.is_diagonal():
-        diag = [mono_map.matrix[i][i] for i in range(ring.dim_ambient)]
-        return "diagonal", diagonal_closed_form(diag)
+        return "diagonal", diagonal_closed_form(_diagonal(mono_map))
     if ring.regular and mono_map.is_monomial_matrix():
-        det = 1
-        for row in mono_map.matrix:
-            det *= max(row)
-        return "monomial-matrix", math.log(det)
+        return "monomial-matrix", math.log(_determinant(mono_map))
     return None
 
 
-def _box_volume(ideal: MonomialIdeal, ring) -> int | None:
-    bounds = pure_power_bounds(ideal_sum(ideal, ring.quotient))
-    return None if bounds is None else math.prod(bounds)
-
-
-def _oracle_lengths_verdict(ring, mono_map, ideal, n_max, name):
+def _oracle_lengths_verdict(seq):
+    """Check the lengths of the sequence by column-by-column box
+    enumeration, from n = 1 while the box holds at most BRUTE_BOX_CAP
+    monomials."""
+    ring = seq.map.ring
+    power = seq.map
     checked = 0
-    for n in range(1, n_max + 1):
-        image = image_ideal(iterate(mono_map, n), ideal)
-        volume = _box_volume(image, ring)
-        if volume is None or volume > BRUTE_BOX_CAP:
+    for row in seq.rows:
+        if row.n > 1:
+            power = compose(seq.map, power)
+        image = image_ideal(power, seq.ideal_used)
+        # the length is finite, so ideal and quotient hold a pure power
+        # of every variable
+        bounds = _pure_powers(
+            image.generators + ring.quotient.generators, ring.dim_ambient
+        )
+        if math.prod(bounds) > BRUTE_BOX_CAP:
             break
-        if colength(image, ring) != colength_bruteforce(image, ring):
-            return (name, False, f"box enumeration disagrees at n = {n}")
-        checked = n
+        if colength_bruteforce(image, ring) != row.length:
+            return ("oracle-colength", False,
+                    f"box enumeration disagrees at n = {row.n}")
+        checked = row.n
     if checked:
-        return (name, True, f"box enumeration agrees for n <= {checked}")
-    return (name, True, "box too large at n = 1; cross-check skipped")
+        return ("oracle-colength", True,
+                f"box enumeration agrees for n <= {checked}")
+    return ("oracle-colength", True, "box too large at n = 1; cross-check skipped")
 
 
 def _cmd_entropy(args, spec) -> RunReport:
@@ -193,19 +198,8 @@ def _cmd_entropy(args, spec) -> RunReport:
     seq = local_entropy_sequence(
         spec.ring, spec.map, spec.reference_ideal(), args.max_iter
     )
-    report = RunReport(
-        command="", digest="", columns=["n", "length", "log_length", "a_n"]
-    )
-    for row in seq.rows:
-        log_len = int_log(row.length)
-        report.rows.append(
-            [
-                str(row.n),
-                str(row.length),
-                _fmt(log_len * scale),
-                _fmt(row.log_average * scale),
-            ]
-        )
+    report = RunReport()
+    _fill_sequence_rows(report, seq, scale)
     if args.max_iter >= 3:
         est = estimate_limit(seq)
         report.footer.append(("slope", _fmt(est.estimate * scale)))
@@ -215,12 +209,7 @@ def _cmd_entropy(args, spec) -> RunReport:
     if pred is not None:
         report.footer.append(("prediction", pred[0], _fmt(pred[1] * scale)))
     if args.oracle:
-        ideal = spec.reference_ideal() or spec.ring.maximal_ideal()
-        report.verdicts.append(
-            _oracle_lengths_verdict(
-                spec.ring, spec.map, ideal, args.max_iter, "oracle-colength"
-            )
-        )
+        report.verdicts.append(_oracle_lengths_verdict(seq))
     return report
 
 
@@ -229,89 +218,58 @@ def _profile_item(profile) -> tuple[str, ...]:
 
 
 def _fill_sandwich_rows(report: RunReport, reports, scale: float):
-    """The t/n/lower/upper/gap rows, the h_loc footer and the sandwich
-    verdict of the regular-ring bound tables."""
-    report.columns = ["t", "n", "lower_logavg", "upper_logavg", "gap_bound"]
+    """The rows of the bound tables: t/n/lower/upper/gap with the h_loc
+    footer and the sandwich verdict, or t/n/lower alone when the ring is
+    not regular and the reports carry no upper bound."""
+    upper = reports[0].h_loc_reference is not None
+    report.columns = ["t", "n", "lower_logavg"]
+    if upper:
+        report.columns += ["upper_logavg", "gap_bound"]
     problems: list[str] = []
     for rep in reports:
         problems += sandwich_violations(rep)
         for row in rep.rows:
-            report.rows.append(
-                [
-                    _fmt(rep.t),
-                    str(row.n),
-                    _fmt(row.lower_logavg * scale),
+            cells = [_fmt(rep.t), str(row.n), _fmt(row.lower_logavg * scale)]
+            if upper:
+                cells += [
                     _fmt(row.upper_logavg * scale),
                     _fmt(row.gap_bound * scale),
                 ]
-            )
-    report.footer.append(("h_loc", _fmt(reports[0].h_loc_reference * scale)))
-    report.verdicts.append(
-        ("sandwich", not problems, problems[0] if problems else
-         "lower <= upper and gap within bound at every n")
-    )
+            report.rows.append(cells)
+    if upper:
+        report.footer.append(("h_loc", _fmt(reports[0].h_loc_reference * scale)))
+        report.verdicts.append(
+            ("sandwich", not problems, problems[0] if problems else
+             "lower <= upper and gap within bound at every n")
+        )
 
 
 def _cmd_delta(args, spec) -> RunReport:
     scale = _log_scale(args.log_base)
     ring = spec.ring
-    x = spec.koszul_sequence() or [
-        g for g in ring.maximal_ideal().generators
-    ]
-    report = RunReport(command="", digest="", columns=[])
-    if ring.regular:
-        reports = sandwich(ring, spec.map, x, args.t, args.max_iter)
-        report.footer.append(_profile_item(reports[0].profile))
-        _fill_sandwich_rows(report, reports, scale)
-    else:
+    x = spec.sequence or ring.maximal_ideal().generators
+    reports = sandwich(ring, spec.map, x, args.t, args.max_iter)
+    report = RunReport()
+    if not ring.regular:
         report.notices.append(
             "ring is not regular: the upper tower-count bound is not "
             "certified; reporting the lower bound only"
         )
-        base = build_koszul(ring, x)
-        profile = generator_profile(base)
-        peak_log = int_log(profile.peak)
-        report.columns = ["t", "n", "lower_logavg"]
-        h0_logs = []
-        for n in range(1, args.max_iter + 1):
-            pulled = pullback(base, iterate(spec.map, n))
-            h0_logs.append(int_log(h0_length(pulled)))
-        for t in args.t:
-            shift = peak_log + profile.width * abs(t)
-            for n in range(1, args.max_iter + 1):
-                report.rows.append(
-                    [
-                        _fmt(t),
-                        str(n),
-                        _fmt((h0_logs[n - 1] - shift) / n * scale),
-                    ]
-                )
-        report.footer.append(_profile_item(profile))
+    report.footer.append(_profile_item(reports[0].profile))
+    _fill_sandwich_rows(report, reports, scale)
     if args.oracle:
-        report.verdicts.append(
-            _oracle_lengths_verdict(
-                ring,
-                spec.map,
-                MonomialIdeal(tuple(x), ring.dim_ambient),
-                args.max_iter,
-                "oracle-colength",
-            )
-        )
+        report.verdicts.append(_oracle_lengths_verdict(reports[0].lower_sequence))
     return report
 
 
 def _cmd_koszul(args, spec) -> RunReport:
     scale = _log_scale(args.log_base)
-    if spec.koszul_sequence() is None:
+    if spec.sequence is None:
         raise SpecError("sequence field is required for the koszul command")
-    complex_ = build_koszul(spec.ring, spec.koszul_sequence())
-    if args.pullback_iter:
-        complex_ = pullback(complex_, iterate(spec.map, args.pullback_iter))
-    lengths = homology_lengths(complex_)
-    profile = generator_profile(complex_, lengths)
-    report = RunReport(
-        command="", digest="", columns=["degree", "length", "log_length"]
+    complex_, lengths, profile = pullback_homology(
+        spec.ring, spec.sequence, spec.map, args.pullback_iter
     )
+    report = RunReport(columns=["degree", "length", "log_length"])
     for degree in range(-complex_.m, 1):
         value = lengths.length(degree)
         log_txt = _fmt(int_log(value) * scale) if value else ""
@@ -344,9 +302,7 @@ def _cmd_transfer(args, spec) -> RunReport:
     scale = _log_scale(args.log_base)
     square = spec.square()
     result = transfer_check(square, args.max_iter, args.tolerance)
-    report = RunReport(
-        command="", digest="", columns=["ring", "n", "length", "a_n"]
-    )
+    report = RunReport(columns=["ring", "n", "length", "a_n"])
     for label, seq in (
         ("source", result.source_sequence),
         ("target", result.target_sequence),
@@ -369,11 +325,8 @@ def _verify_diagonal(args, spec, report, scale):
         raise HypothesisError("verify diagonal requires a regular ring")
     if not mono_map.is_diagonal():
         raise HypothesisError("verify diagonal requires a diagonal map")
-    diag = [mono_map.matrix[i][i] for i in range(ring.dim_ambient)]
-    predicted = diagonal_closed_form(diag)
-    growth = 1
-    for e in diag:
-        growth *= e
+    predicted = diagonal_closed_form(_diagonal(mono_map))
+    growth = _determinant(mono_map)
     seq = local_entropy_sequence(ring, mono_map, None, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
     exact = all(row.length == growth ** row.n for row in seq.rows)
@@ -401,9 +354,7 @@ def _verify_monomial_matrix(args, spec, report, scale):
             "verify monomial-matrix requires exactly one positive entry in "
             "every row and column"
         )
-    det = 1
-    for row in mono_map.matrix:
-        det *= max(row)
+    det = _determinant(mono_map)
     seq = local_entropy_sequence(ring, mono_map, None, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
     exact = all(row.length == det ** row.n for row in seq.rows)
@@ -426,11 +377,7 @@ def _verify_frobenius(args, spec, report, scale):
     p = ring.characteristic
     if not p:
         raise HypothesisError("verify frobenius requires positive characteristic")
-    expected = tuple(
-        tuple(p if i == j else 0 for j in range(ring.dim_ambient))
-        for i in range(ring.dim_ambient)
-    )
-    if mono_map.matrix != expected:
+    if not _is_frobenius(ring, mono_map):
         raise HypothesisError(
             "verify frobenius requires the map raising every variable to "
             f"the power {p}"
@@ -488,7 +435,7 @@ def _verify_sandwich(args, spec, report, scale):
     ring = spec.ring
     if not ring.regular:
         raise HypothesisError("verify sandwich requires a regular ring")
-    x = spec.koszul_sequence() or [g for g in ring.maximal_ideal().generators]
+    x = spec.sequence or ring.maximal_ideal().generators
     reports = sandwich(ring, spec.map, x, args.t, args.max_iter)
     _fill_sandwich_rows(report, reports, scale)
 
@@ -533,12 +480,14 @@ def _fill_sequence_rows(report: RunReport, seq, scale: float):
 
 def _cmd_verify(args, spec) -> RunReport:
     scale = _log_scale(args.log_base)
-    report = RunReport(command="", digest="", columns=["n"])
+    report = RunReport()
     _SUITES[args.suite](args, spec, report, scale)
     return report
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so one serves every call
     parser = argparse.ArgumentParser(
         prog="entrolab",
         description=(
@@ -592,12 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, tolerance=True)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves the parser unchanged, so one serves every call
-    return build_parser()
 
 
 _DISPATCH = {

@@ -34,13 +34,7 @@ from .endos import (
     is_finite_length,
     iterate,
 )
-from .koszul import (
-    GeneratorProfile,
-    build_koszul,
-    generator_profile,
-    h0_length,
-    pullback,
-)
+from .koszul import GeneratorProfile, build_koszul, generator_profile
 
 _LN2 = math.log(2)
 
@@ -95,7 +89,7 @@ class LimitEstimate:
 class SandwichRow:
     n: int
     lower_logavg: float
-    upper_logavg: float
+    upper_logavg: float | None  # None: not certified on a non-regular ring
     gap_bound: float
 
 
@@ -104,13 +98,17 @@ class SandwichReport:
     """Per-t table of lower/upper complexity bounds in log-average form.
 
     Row invariants: lower_logavg <= upper_logavg, and their gap is at most
-    (log(peak) + width*|t|)/n.
+    (log(peak) + width*|t|)/n.  On a non-regular ring the rows carry the
+    lower bound only, and ``h_loc_reference`` is None too.
+    ``lower_sequence`` holds the lower tower counts: the colengths of the
+    iterate images of the ideal the Koszul sequence generates.
     """
 
     t: float
     rows: tuple[SandwichRow, ...]
     profile: GeneratorProfile
-    h_loc_reference: float
+    h_loc_reference: float | None
+    lower_sequence: EntropySequence
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,7 @@ def complexity_upper_bound(ring: RingSpec, phi: MonomialMap, n: int) -> int:
 
 
 def _lower_bound_log(profile: GeneratorProfile, h0_len: int, t: float) -> float:
-    return int_log(h0_len) - int_log(profile.peak) - profile.width * abs(t)
+    return int_log(h0_len) - (int_log(profile.peak) + profile.width * abs(t))
 
 
 def complexity_lower_bound(
@@ -242,44 +240,52 @@ def sandwich(
     """Per-t tables sandwiching the pullback functor entropy between the
     log averages of the certified lower and upper tower counts.
 
-    The ring must be regular and the sequence must generate an ideal of
-    finite colength; the generator profile comes from the Koszul complex
-    on the sequence, the upper bound from the maximal ideal.
+    The sequence must generate, with the quotient, an ideal of finite
+    colength; the generator profile comes from the Koszul complex on it.
+    H^0 of its n-th pullback is the ring modulo the n-th iterate image of
+    that ideal, so the lower tower count at n is that colength.  The upper
+    bound, the colength of the n-th iterate image of the maximal ideal, is
+    certified only over a regular ring; on any other ring the rows carry
+    the lower bound only.
     """
-    if not ring.regular:
-        raise NotRegularError("sandwich requires a regular ring")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     base = build_koszul(ring, sequence)
     profile = generator_profile(base)
-    reference_seq = local_entropy_sequence(ring, phi, None, n_max)
-    if n_max >= 3:
-        h_ref = estimate_limit(reference_seq).estimate
-    else:
-        h_ref = reference_seq.rows[-1].log_average
-    peak_log = int_log(profile.peak)
-    h0_logs = []
-    for n in range(1, n_max + 1):
-        pulled = pullback(base, iterate(phi, n))
-        h0_logs.append(int_log(h0_length(pulled)))
-    # the upper tower count at n is the colength of the n-th iterate image
-    # of the maximal ideal: row n of the reference sequence
-    upper_logs = [int_log(row.length) for row in reference_seq.rows]
+    lower_seq = local_entropy_sequence(
+        ring, phi, MonomialIdeal(base.sequence, ring.dim_ambient), n_max
+    )
+    upper = [None] * n_max
+    h_ref = None
+    if ring.regular:
+        if lower_seq.ideal_used == ring.maximal_ideal():
+            reference_seq = lower_seq
+        else:
+            reference_seq = local_entropy_sequence(ring, phi, None, n_max)
+        if n_max >= 3:
+            h_ref = estimate_limit(reference_seq).estimate
+        else:
+            h_ref = reference_seq.rows[-1].log_average
+        upper = [row.log_average for row in reference_seq.rows]
     reports = []
     for t in t_values:
-        shift = peak_log + profile.width * abs(t)
+        shift = int_log(profile.peak) + profile.width * abs(t)
         rows = tuple(
             SandwichRow(
-                n=n,
-                lower_logavg=(h0_logs[n - 1] - shift) / n,
-                upper_logavg=upper_logs[n - 1] / n,
-                gap_bound=shift / n,
+                n=row.n,
+                lower_logavg=_lower_bound_log(profile, row.length, t) / row.n,
+                upper_logavg=upper[row.n - 1],
+                gap_bound=shift / row.n,
             )
-            for n in range(1, n_max + 1)
+            for row in lower_seq.rows
         )
         reports.append(
             SandwichReport(
-                t=float(t), rows=rows, profile=profile, h_loc_reference=h_ref
+                t=float(t),
+                rows=rows,
+                profile=profile,
+                h_loc_reference=h_ref,
+                lower_sequence=lower_seq,
             )
         )
     return reports
@@ -289,9 +295,12 @@ def sandwich_violations(
     report: SandwichReport, tol: float = 1e-9
 ) -> list[str]:
     """Messages for any row breaking the sandwich invariants; empty when
-    the report is consistent.  A NaN anywhere in a row breaks both."""
+    the report is consistent.  A NaN anywhere in a row breaks both.  Rows
+    without an upper bound have nothing to check."""
     problems = []
     for row in report.rows:
+        if row.upper_logavg is None:
+            continue
         if not row.lower_logavg <= row.upper_logavg + tol:
             problems.append(
                 f"t={report.t} n={row.n}: lower bound {row.lower_logavg!r} "

@@ -33,7 +33,7 @@ from .monomials import (
     ideal_sum,
     pure_power_bounds,
 )
-from .endos import MonomialMap, apply_to_monomial, is_finite_length
+from .endos import MonomialMap, apply_to_monomial, is_finite_length, iterate
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -306,3 +306,16 @@ def generator_profile(
         raise ValueError("zero complex has no generator profile")
     width = max(-k for k, v in lengths.lengths.items() if v > 0)
     return GeneratorProfile(peak=peak, width=width)
+
+
+def pullback_homology(
+    ring: RingSpec, sequence, phi: MonomialMap, n: int
+) -> tuple[KoszulComplex, HomologyLengths, GeneratorProfile]:
+    """The Koszul complex on the sequence pulled back along the n-th
+    iterate of phi (the complex itself when n is 0), with its cohomology
+    lengths and generator profile."""
+    complex_ = build_koszul(ring, sequence)
+    if n:
+        complex_ = pullback(complex_, iterate(phi, n))
+    lengths = homology_lengths(complex_)
+    return complex_, lengths, generator_profile(complex_, lengths)

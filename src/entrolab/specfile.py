@@ -48,10 +48,7 @@ _FIELDS = (
 class SpecFile:
     """Parsed and validated specification file."""
 
-    characteristic: int
     variables: tuple[str, ...]
-    quotient: tuple[tuple[int, ...], ...]
-    map_columns: tuple[tuple[int, ...], ...]
     ideal: tuple[tuple[int, ...], ...] | None
     sequence: tuple[tuple[int, ...], ...] | None
     source_variables: tuple[str, ...] | None
@@ -65,9 +62,6 @@ class SpecFile:
             return None
         return MonomialIdeal(self.ideal, self.ring.dim_ambient)
 
-    def koszul_sequence(self) -> tuple[tuple[int, ...], ...] | None:
-        return self.sequence
-
     def has_square(self) -> bool:
         return self.source_variables is not None
 
@@ -78,7 +72,7 @@ class SpecFile:
                 "are missing"
             )
         source_ring = RingSpec.polynomial(
-            self.characteristic, len(self.source_variables)
+            self.ring.characteristic, len(self.source_variables)
         )
         psi = MonomialMap.from_columns(self.source_map, source_ring)
         return TransferSquare(source_ring, self.ring, self.xi, psi, self.map)
@@ -240,10 +234,7 @@ def parse_spec(path: str) -> SpecFile:
             )
 
     return SpecFile(
-        characteristic=characteristic,
         variables=variables,
-        quotient=quotient,
-        map_columns=map_columns,
         ideal=ideal,
         sequence=sequence,
         source_variables=source_variables,

@@ -1,6 +1,8 @@
 """Command-line behavior: golden outputs, determinism, exit codes."""
 
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import random
@@ -222,11 +224,84 @@ def test_delta_regular_sandwich(workdir, capsys):
 def test_delta_non_regular_is_lower_only(workdir, capsys):
     (workdir / "cross2.spec").write_text(CROSS_FROB2)
     code, out = _run(
-        capsys, ["delta", "--spec", "cross2.spec", "--max-iter", "3", "--t=0"]
+        capsys,
+        ["delta", "--spec", "cross2.spec", "--max-iter", "3", "--t=-1,0,1",
+         "--oracle"],
     )
     assert code == 0
-    assert "# notice\tring is not regular" in out
-    assert "upper_logavg" not in out
+    expected = "\n".join(
+        [
+            "# command\tdelta --spec cross2.spec --max-iter 3 --t=-1,0,1 --oracle",
+            _digest_line(CROSS_FROB2),
+            "# notice\tring is not regular: the upper tower-count bound is not "
+            "certified; reporting the lower bound only",
+            "t\tn\tlower_logavg",
+            "-1\t1\t0.0986122886681",
+            "-1\t2\t0.472955074528",
+            "-1\t3\t0.569350067034",
+            "0\t1\t1.09861228867",
+            "0\t2\t0.972955074528",
+            "0\t3\t0.902683400367",
+            "1\t1\t0.0986122886681",
+            "1\t2\t0.472955074528",
+            "1\t3\t0.569350067034",
+            "# profile\tmax_length=1\twidth=1",
+            "# verdict\toracle-colength\tPASS\tbox enumeration agrees for n <= 3",
+            "",
+        ]
+    )
+    assert out == expected
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of a library function through every module-level
+    name that binds it, the way ``from .x import y`` copies it."""
+    calls = []
+    original = getattr(entrolab.monomials, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("entrolab")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_tower_counts_are_computed_once(capsys, monkeypatch):
+    spec = str(Path(__file__).parent.parent / "specs" / "diagonal235.ring")
+    built = []
+    init = entrolab.koszul.KoszulComplex.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(entrolab.koszul.KoszulComplex, "__init__", counted_init)
+    assert main(["delta", "--spec", spec, "--max-iter", "8"]) == 0
+    # the base complex only: the lower counts come from colengths
+    assert len(built) == 1
+
+    colengths = _count_calls(monkeypatch, "colength")
+    assert main(["entropy", "--spec", spec, "--max-iter", "6", "--oracle"]) == 0
+    # one per row: the oracle checks the lengths the sequence holds
+    assert len(colengths) == 6
+    assert "# verdict\toracle-colength\tPASS" in capsys.readouterr().out
+
+
+def test_traced_layers_resolve():
+    # bench/run.py --trace 1 wraps these names; each must still exist
+    path = Path(__file__).parent.parent / "bench" / "tracing.py"
+    loader = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(tracing)
+    for _, module, attribute in tracing.TRACED:
+        target = importlib.import_module(f"entrolab.{module}")
+        for part in attribute.split("."):
+            target = getattr(target, part)
+        assert callable(target), (module, attribute)
 
 
 def test_exit_code_2_on_malformed_input(workdir, capsys):

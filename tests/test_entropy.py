@@ -22,13 +22,20 @@ from entrolab import (
     estimate_limit,
     frobenius_prediction,
     int_log,
+    iterate,
     local_entropy_sequence,
     minimalize,
     sandwich,
     sandwich_violations,
     transfer_check,
 )
-from entrolab.koszul import GeneratorProfile
+from entrolab.koszul import (
+    GeneratorProfile,
+    build_koszul,
+    generator_profile,
+    h0_length,
+    pullback,
+)
 
 R2 = RingSpec.polynomial(0, 2)
 R3 = RingSpec.polynomial(0, 3)
@@ -161,10 +168,27 @@ def test_sandwich_identity_map():
 
 
 def test_sandwich_requires_regular():
+    # the upper bound requires a regular ring: elsewhere the rows are
+    # lower-only, and the lower bound is still log(h0 of the n-th
+    # pullback) less the profile shift, over n
     quotient = RingSpec(3, 2, minimalize({(1, 1)}))
-    with pytest.raises(NotRegularError):
-        sandwich(quotient, MonomialMap.frobenius(quotient),
-                 [(1, 0), (0, 1)], [0.0], 4)
+    frob = MonomialMap.frobenius(quotient)
+    x = [(1, 0), (0, 2)]
+    reports = sandwich(quotient, frob, x, [-1.0, 0.5], 4)
+    base = build_koszul(quotient, x)
+    profile = generator_profile(base)
+    for rep in reports:
+        assert rep.h_loc_reference is None
+        assert not sandwich_violations(rep)
+        assert [row.n for row in rep.rows] == [1, 2, 3, 4]
+        for row in rep.rows:
+            h0 = h0_length(pullback(base, iterate(frob, row.n)))
+            shift = int_log(profile.peak) + profile.width * abs(rep.t)
+            assert row.upper_logavg is None
+            assert row.lower_logavg == (int_log(h0) - shift) / row.n
+            assert row.gap_bound == shift / row.n
+    # k[X,Y]/(XY, X^(3^n), Y^(2*3^n)) has length 3^(n+1) - 1
+    assert [r.length for r in reports[0].lower_sequence.rows] == [8, 26, 80, 242]
 
 
 def test_sandwich_monotone_chain_random():
@@ -189,7 +213,7 @@ def test_sandwich_violations_flag_nan_rows():
         SandwichRow(1, 0.0, nan, 0.0),
         SandwichRow(1, 0.0, 0.0, nan),
     ):
-        report = SandwichReport(nan, (row,), profile, 0.0)
+        report = SandwichReport(nan, (row,), profile, 0.0, _fake_sequence([1]))
         assert sandwich_violations(report)
 
 

@@ -299,7 +299,7 @@ def test_pullback_rank_work_independent_of_n(monkeypatch):
     spec = parse_spec(
         str(Path(__file__).parent.parent / "specs" / "frobenius_cross.ring")
     )
-    base = build_koszul(spec.ring, spec.koszul_sequence())
+    base = build_koszul(spec.ring, spec.sequence)
     calls = []
 
     def counted(rows, characteristic):

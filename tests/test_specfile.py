@@ -25,10 +25,10 @@ sequence [1,0] [0,1]
 
 def test_parse_full(tmp_path):
     spec = parse_spec(_write(tmp_path, FULL))
-    assert spec.characteristic == 3
+    assert spec.ring.characteristic == 3
     assert spec.variables == ("X", "Y")
-    assert spec.quotient == ((1, 1),)
-    assert spec.map_columns == ((3, 0), (0, 3))
+    assert spec.ring.quotient.generators == ((1, 1),)
+    assert spec.map.columns == ((3, 0), (0, 3))
     assert spec.ideal == ((2, 0), (0, 2))
     assert spec.sequence == ((1, 0), (0, 1))
     assert not spec.ring.regular
@@ -41,13 +41,13 @@ def test_parse_regular_defaults(tmp_path):
     spec = parse_spec(_write(tmp_path, "characteristic 0\nvariables X\nmap [2]\n"))
     assert spec.ring.regular
     assert spec.reference_ideal() is None
-    assert spec.koszul_sequence() is None
+    assert spec.sequence is None
 
 
 def test_comments_and_blank_lines(tmp_path):
     text = "\n# header\ncharacteristic 0  # inline\n\nvariables X Y\nmap [2,0] [0,3]\n"
     spec = parse_spec(_write(tmp_path, text))
-    assert spec.characteristic == 0
+    assert spec.ring.characteristic == 0
 
 
 @pytest.mark.parametrize(
