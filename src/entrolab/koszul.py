@@ -7,19 +7,22 @@ subsets of {1..m}; the differential drops one element at a time with the
 sign (-1)^(position of the dropped index inside the sorted subset).  Each
 multidegree v carries a finite complex of vector spaces over the prime
 field (or the rationals in characteristic 0) whose matrices have entries
-0 and +-1, and its cohomology is computed with exact ranks, never floating
-point.  A slice depends only on how v compares with the basis shifts and
-the shifted quotient generators, so the cohomology lengths are summed over
-the cells that these breakpoints cut, one slice per cell.  A slice's active
-basis is a divisor bitmask, and each complex ranks every distinct active set
-once, so rank work grows with the distinct active sets, not with the cells.
+0 and +-1, j of them in each column of the degree -j differential.  Its
+cohomology comes from exact ranks, never floating point: one sparse
+integer elimination, fed rows straight from the differential table, serves
+every characteristic.  A slice depends only on how v compares with the
+basis shifts and the shifted quotient generators, so the cohomology
+lengths are summed over the cells that these breakpoints cut, one slice
+per cell.  A slice's active basis is a divisor bitmask, and each complex
+ranks every distinct active set once, so rank work grows with the
+distinct active sets, not with the cells.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 from .errors import NotFiniteLengthError
 from .monomials import (
@@ -36,59 +39,39 @@ from .monomials import (
 from .endos import MonomialMap, apply_to_monomial, is_finite_length, iterate
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    mat = [[x % p for x in row] for row in rows]
-    nr, nc = len(mat), len(mat[0])
-    rank = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        top = mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(rank + 1, nr):
-            f = mat[r][col]
-            if f:
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], top)]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+def exact_rank(rows: list[dict[int, int]], characteristic: int) -> int:
+    """Rank over the prime field of the given characteristic (the
+    rationals when it is 0) of the integer matrix whose rows are given
+    sparse, as dicts {column: entry}.
+
+    Each row is reduced against the pivot rows kept so far, keyed by their
+    highest column, as a*row - b*pivot, and is then taken mod p, or divided
+    by the gcd of its entries in characteristic 0, so every step is exact
+    integer arithmetic; a row left nonzero becomes a new pivot.  Entries
+    may be zero, and the given rows are not modified."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _normalized(row, characteristic)
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, b = pivot[lead], row[lead]
+            combo = {c: a * x for c, x in row.items()}
+            for c, y in pivot.items():
+                combo[c] = combo.get(c, 0) - b * y
+            row = _normalized(combo, characteristic)
+    return len(pivots)
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    # fraction-free elimination over the integers; all divisions are exact
-    mat = [list(row) for row in rows]
-    nr, nc = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot = mat[rank][col]
-        for r in range(rank + 1, nr):
-            f = mat[r][col]
-            mat[r][col] = 0
-            for c in range(col + 1, nc):
-                mat[r][c] = (pivot * mat[r][c] - f * mat[rank][c]) // prev
-        prev = pivot
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def exact_rank(rows: list[list[int]], characteristic: int) -> int:
-    """Rank of an integer matrix over the prime field of the given
-    characteristic (the rationals when it is 0)."""
-    if not rows or not rows[0]:
-        return 0
-    if characteristic:
-        return _rank_mod_p(rows, characteristic)
-    return _rank_bareiss(rows)
+def _normalized(row: dict[int, int], p: int) -> dict[int, int]:
+    # the nonzero entries, mod p, or divided by their gcd when p is 0
+    if p:
+        return {c: x % p for c, x in row.items() if x % p}
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items() if x}
 
 
 @dataclass
@@ -221,20 +204,16 @@ class KoszulComplex:
             acts.append([si for si in range(len(level)) if active >> si & 1])
             active >>= len(level)
         ranks = [0] * (m + 2)
-        char = self.ring.characteristic
         for j in range(1, m + 1):
-            cols = acts[j]
-            rows = acts[j - 1]
-            if not cols or not rows:
+            if not acts[j] or not acts[j - 1]:
                 continue
-            rowpos = {si: r for r, si in enumerate(rows)}
-            mat = [[0] * len(cols) for _ in rows]
-            for c, si in enumerate(cols):
-                for tgt, sign, _ in self.diff[j][si]:
-                    r = rowpos.get(tgt)
-                    if r is not None:
-                        mat[r][c] = sign
-            ranks[j] = exact_rank(mat, char)
+            # the transposed differential: one sparse row per active source
+            targets = set(acts[j - 1])
+            rows = [
+                {t: sign for t, sign, _ in self.diff[j][si] if t in targets}
+                for si in acts[j]
+            ]
+            ranks[j] = exact_rank(rows, self.ring.characteristic)
         return {-j: len(acts[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)}
 
 

@@ -103,7 +103,7 @@ def rank_over_gfp(rows, p):
     return rank
 
 
-def _oracle_rank(rows, characteristic):
+def oracle_rank(rows, characteristic):
     if not rows or not rows[0]:
         return 0
     if characteristic:
@@ -149,7 +149,7 @@ def koszul_slice_oracle(characteristic, quotient_gens, sequence, v):
                 r = targets.get(reduced)
                 if r is not None:
                     mat[r][c] = (-1) ** pos
-        ranks[j] = _oracle_rank(mat, characteristic)
+        ranks[j] = oracle_rank(mat, characteristic)
     return {
         -j: len(active[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)
     }

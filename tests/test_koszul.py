@@ -27,6 +27,7 @@ from helpers import (
     dd_product_terms,
     koszul_homology_oracle,
     koszul_slice_oracle,
+    oracle_rank,
     random_monomial_sequence,
 )
 
@@ -35,12 +36,35 @@ CROSS = RingSpec(0, 2, minimalize({(1, 1)}))  # k[X,Y]/(XY)
 
 
 def test_exact_rank_depends_on_characteristic():
-    mat = [[1, 1], [1, -1]]
-    assert exact_rank(mat, 0) == 2
-    assert exact_rank(mat, 3) == 2
-    assert exact_rank(mat, 2) == 1
-    assert exact_rank([[0, 0], [0, 0]], 0) == 0
+    # rows are sparse, {column: entry}; the dense matrix [[1, 1], [1, -1]]
+    rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    assert exact_rank(rows, 0) == 2
+    assert exact_rank(rows, 3) == 2
+    assert exact_rank(rows, 2) == 1
+    assert exact_rank([{0: 0, 1: 0}, {}], 0) == 0
     assert exact_rank([], 5) == 0
+
+
+def test_exact_rank_matches_dense_oracles_random():
+    rng = random.Random(6060)
+    for trial in range(400):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        rows = []
+        for _ in range(nrows):
+            pick = rng.random()
+            if pick < 0.1 or not ncols:
+                rows.append({})
+            elif pick < 0.2 and rows:
+                rows.append(dict(rng.choice(rows)))
+            else:
+                cols = rng.sample(range(ncols), rng.randint(1, ncols))
+                rows.append({c: rng.randint(-3, 5) for c in cols})
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        snapshot = [dict(row) for row in rows]
+        for char in (0, 2, 3, 5, 7):
+            expected = oracle_rank(dense, char)
+            assert exact_rank(rows, char) == expected, (trial, rows, char)
+            assert rows == snapshot
 
 
 def test_build_ranks():
@@ -203,6 +227,73 @@ def test_cell_sum_matches_oracle_on_twice_the_region_random():
             char, ring.quotient.generators, complex_.sequence, box
         )
         assert lengths.lengths == oracle
+
+
+def test_long_sequences_match_oracle():
+    # m = 7..9 in 2 and 3 variables, char 0 and primes, with and without a
+    # quotient
+    rng = random.Random(7979)
+    cases = [
+        (2, 0, False, 7),
+        (2, 0, True, 8),
+        (2, 3, False, 9),
+        (2, 3, True, 8),
+        (3, 0, False, 7),
+        (3, 0, True, 7),
+        (3, 2, False, 8),
+        (3, 5, True, 9),
+    ]
+    for dim, char, quotient, m in cases:
+        ring = RingSpec.polynomial(char, dim)
+        if quotient:
+            ring = RingSpec(char, dim, minimalize([(1,) * dim]))
+        seq = random_monomial_sequence(rng, dim, m, max_exp=1)
+        complex_ = build_koszul(ring, seq)
+        lengths = homology_lengths(complex_)
+        oracle = koszul_homology_oracle(
+            char, ring.quotient.generators, complex_.sequence, lengths.region
+        )
+        assert lengths.lengths == oracle, (dim, char, quotient, seq)
+
+
+# the 6-vertex real projective plane, and five orders of its vertices such
+# that every vertex outside a triangle lies above the whole triangle in one
+RP2_TRIANGLES = [
+    (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 4, 5), (2, 3, 5), (3, 4, 5),
+]
+RP2_ORDERS = [
+    (2, 1, 4, 5, 3, 0),
+    (4, 3, 0, 5, 2, 1),
+    (1, 0, 3, 2, 5, 4),
+    (4, 0, 5, 1, 2, 3),
+    (3, 2, 0, 4, 1, 5),
+]
+
+
+def test_torsion_slice_depends_on_characteristic():
+    # entry i weighs 2^(rank of i) in each order, so at v = the sum of all
+    # entries every subset is present and the sets killed by the quotient
+    # generators v - (sum over a triangle) are exactly the faces of RP^2;
+    # the pure powers beyond v make the ideal m-primary and kill nothing at
+    # v.  The slice is the reduced homology of RP^2 shifted by one: zero
+    # over Q and F_3, one dimension in degrees -3 and -4 over F_2
+    seq = [tuple(2 ** order.index(i) for order in RP2_ORDERS) for i in range(6)]
+    v = tuple(map(sum, zip(*seq)))
+    killers = [
+        tuple(map(sum, zip(*(w for i, w in enumerate(seq) if i not in tri))))
+        for tri in RP2_TRIANGLES
+    ]
+    powers = [
+        tuple(v[c] + 1 if k == c else 0 for k in range(5)) for c in range(5)
+    ]
+    expected = {char: {-j: 0 for j in range(7)} for char in (0, 2, 3)}
+    expected[2].update({-3: 1, -4: 1})
+    for char, dims in expected.items():
+        ring = RingSpec(char, 5, minimalize(killers + powers))
+        complex_ = build_koszul(ring, seq)
+        assert complex_.slice_dims(v) == dims
+        assert dims == koszul_slice_oracle(char, ring.quotient.generators, seq, v)
 
 
 def test_frobenius_cross_pullback_closed_form():
