@@ -16,7 +16,8 @@ from .monomials import (
     MonomialIdeal,
     RingSpec,
     Vec,
-    contains,
+    _divisor_mask,
+    _divisor_tables,
     ideal_sum,
     is_m_primary,
 )
@@ -62,9 +63,10 @@ class MonomialMap:
                 raise ValueError(
                     f"map column {j + 1} is zero (not a local endomorphism)"
                 )
-        quotient = self.ring.quotient
-        for g in quotient.generators:
-            if not contains(quotient, _matvec(rows, g)):
+        quotient = self.ring.quotient.generators
+        tables = _divisor_tables(quotient)
+        for g in quotient:
+            if not _divisor_mask(tables, _matvec(rows, g)):
                 raise ValueError(
                     f"map is not well defined on the quotient: the image of "
                     f"generator {g} leaves the quotient ideal"
@@ -163,7 +165,7 @@ def image_ideal(phi: MonomialMap, ideal: MonomialIdeal) -> MonomialIdeal:
         raise DimensionMismatchError(
             "ideal and map live in different variable counts"
         )
-    images = tuple(apply_to_monomial(phi, g) for g in ideal.generators)
+    images = tuple(_matvec(phi.matrix, g) for g in ideal.generators)
     return MonomialIdeal(images, ideal.ambient_dim)
 
 

@@ -117,11 +117,18 @@ def contains(ideal: MonomialIdeal, v: Vec) -> bool:
 
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """The ideal generated by both generating sets, minimalized."""
+    """The ideal generated by both generating sets, minimalized.
+
+    When one operand is the zero ideal the other is returned as it is:
+    ideals are frozen and already minimal."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
             f"cannot add ideals in {a.ambient_dim} and {b.ambient_dim} variables"
         )
+    if b.is_zero:
+        return a
+    if a.is_zero:
+        return b
     return MonomialIdeal(a.generators + b.generators, a.ambient_dim)
 
 
@@ -293,19 +300,35 @@ def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:
     """Number of standard monomials of ideal + quotient, i.e. the k-dimension
     of the ring modulo the ideal.
 
-    Whether a monomial is standard depends only on comparisons with the
-    generator coordinates, so the count is a cell sum over the grid those
-    coordinates cut; a corner is standard when its divisor mask over the
-    generators is empty.  A standard unbounded cell means infinite colength
-    and raises NotFiniteLengthError.
+    Above a point of the first d - 1 axes the standard monomials form an
+    initial segment of the last axis, whose length is the least last
+    coordinate among the generators whose first d - 1 coordinates (their
+    feet) divide the point.  That column height depends only on
+    comparisons with the feet, so the count is a cell sum over the grid
+    the feet cut in d - 1 axes.  The generators are sorted by last
+    coordinate, so the height at a corner is read off the lowest set bit
+    of its divisor mask over the feet.  An empty mask (an unbounded
+    column) or an unbounded cell of nonzero height means infinite
+    colength and raises NotFiniteLengthError.
     """
-    gens = ideal_sum(ideal, ring.quotient).generators
+    gens = sorted(ideal_sum(ideal, ring.quotient).generators, key=lambda g: g[-1])
+    heights = [g[-1] for g in gens]
+    feet = [g[:-1] for g in gens]
     breakpoints = [
-        sorted({0, *(g[i] for g in gens)}) for i in range(ring.dim_ambient)
+        sorted({0, *(f[i] for f in feet)}) for i in range(ring.dim_ambient - 1)
     ]
-    tables = _divisor_tables(gens)
-    count = _cell_sum(breakpoints, lambda v: {"standard": not _divisor_mask(tables, v)})
-    return count.get("standard", 0)
+    tables = _divisor_tables(feet)
+
+    def column(corner):
+        mask = _divisor_mask(tables, corner)
+        if not mask:
+            raise NotFiniteLengthError(
+                f"not of finite length: the column above {corner} is an "
+                f"unbounded cell of standard monomials"
+            )
+        return {"standard": heights[(mask & -mask).bit_length() - 1]}
+
+    return _cell_sum(breakpoints, column).get("standard", 0)
 
 
 def colength_bruteforce(ideal: MonomialIdeal, ring: RingSpec) -> int:

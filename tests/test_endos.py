@@ -14,6 +14,7 @@ from entrolab import (
     colength,
     colength_bruteforce,
     compose,
+    divides,
     image_ideal,
     is_finite_length,
     is_m_primary,
@@ -163,6 +164,37 @@ def test_map_validation():
             MonomialMap.diagonal((2, 2), R2),
             MonomialMap.diagonal((2, 2), RingSpec.polynomial(2, 2)),
         )
+
+
+def test_well_definedness_matches_quadratic_definition():
+    # accepted iff every quotient generator's image is divided by some
+    # quotient generator
+    rng = random.Random(808)
+    accepted = rejected = 0
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        gens = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(1, 4))]
+        gens = [g for g in gens if sum(g)] or [(1,) * d]
+        ring = RingSpec(0, d, minimalize(gens, d))
+        cols = [tuple(rng.randint(0, 2) for _ in range(d)) for _ in range(d)]
+        if not all(sum(c) for c in cols):
+            continue
+        images = [
+            tuple(sum(cols[j][i] * g[j] for j in range(d)) for i in range(d))
+            for g in ring.quotient.generators
+        ]
+        expected = all(
+            any(divides(h, image) for h in ring.quotient.generators)
+            for image in images
+        )
+        if expected:
+            MonomialMap.from_columns(cols, ring)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match="not well defined"):
+                MonomialMap.from_columns(cols, ring)
+            rejected += 1
+    assert accepted > 30 and rejected > 30
 
 
 def test_transfer_square_checks():

@@ -110,6 +110,19 @@ def test_ideal_sum():
     ).generators == ((0, 3), (1, 1), (3, 0))
 
 
+def test_ideal_sum_with_zero_returns_the_other_operand():
+    a = minimalize({(2, 0), (1, 1), (0, 3)})
+    zero = MonomialIdeal((), 2)
+    assert ideal_sum(a, zero) is a
+    assert ideal_sum(zero, a) is a
+    assert ideal_sum(zero, zero).is_zero
+    b = minimalize({(0, 1)})
+    assert ideal_sum(a, b).generators == ((0, 1), (2, 0))
+    assert ideal_sum(b, a).generators == ((0, 1), (2, 0))
+    with pytest.raises(DimensionMismatchError):
+        ideal_sum(a, MonomialIdeal((), 3))
+
+
 def test_pure_power_bounds():
     assert pure_power_bounds(minimalize({(2, 0), (0, 3)})) == (2, 3)
     assert pure_power_bounds(minimalize({(2, 0), (1, 1)})) is None
@@ -251,6 +264,88 @@ def test_colength_bruteforce_is_independent_of_the_cell_sum(monkeypatch):
         monkeypatch.setattr(monomials, name, engine)
     for ideal, ring, expected in cases:
         assert colength_bruteforce(ideal, ring) == expected
+
+
+def _antichain(rng, dim, count, side):
+    """``count`` generators with distinct coordinates on every axis, below
+    the pure powers of exponent ``side``: ascending on the first axis and
+    descending on the last, so no generator divides another."""
+    axes = [rng.sample(range(1, side), count) for _ in range(dim)]
+    axes[0].sort()
+    axes[-1].sort(reverse=True)
+    pure = [tuple(side if j == i else 0 for j in range(dim)) for i in range(dim)]
+    return MonomialIdeal(tuple(zip(*axes)) + tuple(pure), dim)
+
+
+# (dim, count, side, quotient generators); the oracle's box is side^dim
+ANTICHAINS = [
+    (2, 1000, 1050, 0),
+    (3, 120, 126, 2),
+    (4, 30, 32, 1),
+]
+
+
+def test_colength_matches_bruteforce_on_wide_antichains():
+    for dim, count, side, extra in ANTICHAINS:
+        rng = random.Random(dim)
+        ideal = _antichain(rng, dim, count, side)
+        assert len(ideal.generators) == count + dim
+        quotient = [tuple(rng.randrange(1, side) for _ in range(dim)) for _ in range(extra)]
+        ring = RingSpec(0, dim, minimalize(quotient, dim))
+        assert colength(ideal, ring) == colength_bruteforce(ideal, ring), dim
+
+
+def test_colength_work_is_one_mask_per_column(monkeypatch):
+    # a return to the walk over all d axes would need about g^d masks
+    cases = [
+        (ideal, RingSpec.polynomial(0, ideal.ambient_dim))
+        for ideal in [_antichain(random.Random(dim), dim, count, side)
+                      for dim, count, side, _ in ANTICHAINS]
+        + [minimalize({(7,), (9,)}), minimalize({(3, 0), (0, 4), (1, 1)})]
+    ]
+    calls = 0
+    mask = monomials._divisor_mask
+
+    def counted(tables, v):
+        nonlocal calls
+        calls += 1
+        return mask(tables, v)
+
+    monkeypatch.setattr(monomials, "_divisor_mask", counted)
+    for ideal, ring in cases:
+        calls = 0
+        colength(ideal, ring)
+        g, d = len(ideal.generators), ideal.ambient_dim
+        assert 0 < calls <= (g + 1) ** (d - 1), (d, g, calls)
+
+
+def test_colength_edge_cases():
+    line = RingSpec.polynomial(0, 1)
+    assert colength(minimalize({(5,), (7,)}), line) == 5
+    assert colength(minimalize({(5,)}), RingSpec(0, 1, minimalize({(3,)}))) == 3
+    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+        colength(MonomialIdeal((), 1), line)
+    # an ideal containing 1 leaves no standard monomial
+    assert colength(minimalize({(0, 0, 0), (2, 0, 1)}), RingSpec.polynomial(0, 3)) == 0
+    assert colength(minimalize({(0, 0)}), RingSpec(0, 2, minimalize({(1, 1)}))) == 0
+    plane = RingSpec.polynomial(0, 2)
+    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+        colength(MonomialIdeal((), 2), RingSpec(0, 2, minimalize({(1, 1)})))
+    # no pure power of the last variable: the column above X^0 has no top
+    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+        colength(minimalize({(2, 0), (1, 3)}), plane)
+    # no pure power of the first variable: columns past X^3 have height 1
+    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+        colength(minimalize({(0, 2), (3, 1)}), plane)
+    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+        colength(minimalize({(0, 0, 2), (0, 4, 0), (1, 1, 1)}), RingSpec.polynomial(0, 3))
+    # ideal + quotient is not minimal as given: the quotient's (1, 0)
+    # divides (3, 0) and (1, 1), and then appears on both sides
+    ring = RingSpec(0, 2, minimalize({(1, 0)}))
+    ideal = minimalize({(3, 0), (0, 4), (2, 2), (1, 1)})
+    assert colength(ideal, ring) == 4
+    assert colength(ideal, ring) == colength_bruteforce(ideal, ring)
+    assert colength(minimalize({(1, 0), (0, 3)}), ring) == 3
 
 
 def test_colength_on_quotient_reduces_to_ambient_sum():
