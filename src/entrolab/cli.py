@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -98,15 +97,6 @@ def _render_json(report: RunReport) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _digest(path: str) -> str:
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise SpecError(f"cannot read spec file {path}: {exc}") from None
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
 def _log_scale(base: str) -> float:
     return {"e": 1.0, "2": 1.0 / math.log(2), "10": 1.0 / math.log(10)}[base]
 
@@ -168,7 +158,9 @@ def _prediction(spec) -> tuple[str, float] | None:
 def _oracle_lengths_verdict(seq):
     """Check the lengths of the sequence by column-by-column box
     enumeration, from n = 1 while the box holds at most BRUTE_BOX_CAP
-    monomials."""
+    monomials.  The images come from composed powers of the map, not
+    from the sequence's image-by-image iteration, so the check stays
+    independent of it."""
     ring = seq.map.ring
     power = seq.map
     checked = 0
@@ -558,7 +550,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        digest = _digest(args.spec)
         spec = parse_spec(args.spec)
         report = _DISPATCH[args.command](args, spec)
     except (
@@ -574,7 +565,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     report.command = shlex.join(argv)
-    report.digest = digest
+    report.digest = spec.digest
     rendered = (
         _render_json(report) if args.format == "report" else _render_tsv(report)
     )

@@ -9,6 +9,7 @@ no matter how fast the exponents grow.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotFiniteLengthError
@@ -34,7 +35,7 @@ def _matmul(a, b) -> Matrix:
 
 
 def _matvec(a, v: Vec) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
 @dataclass(frozen=True)

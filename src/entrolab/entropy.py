@@ -29,7 +29,6 @@ from .endos import (
     MonomialMap,
     TransferSquare,
     check_square,
-    compose,
     image_ideal,
     is_finite_length,
     iterate,
@@ -133,7 +132,8 @@ def local_entropy_sequence(
     n = 1..n_max, with their log averages.
 
     The reference ideal defaults to the maximal ideal; any ideal primary
-    to it yields the same growth rate.
+    to it yields the same growth rate.  The n-th image is phi applied to
+    the minimal generators of the (n-1)-th, so no power of phi is built.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -150,11 +150,10 @@ def local_entropy_sequence(
             "reference ideal is not primary to the maximal ideal"
         )
     rows = []
-    power = phi
+    image = ideal
     for n in range(1, n_max + 1):
-        if n > 1:
-            power = compose(phi, power)
-        length = colength(image_ideal(power, ideal), ring)
+        image = image_ideal(phi, image)
+        length = colength(image, ring)
         rows.append(EntropyRow(n, length, int_log(length) / n))
     return EntropySequence(tuple(rows), ideal, phi)
 

@@ -20,8 +20,8 @@ Vec = tuple[int, ...]
 
 
 def _check_vec(v, ambient_dim: int | None = None) -> Vec:
-    vec = tuple(int(e) for e in v)
-    if any(e < 0 for e in vec):
+    vec = tuple(map(int, v))
+    if min(vec, default=0) < 0:
         raise ValueError(f"exponent vector {vec} has a negative entry")
     if ambient_dim is not None and len(vec) != ambient_dim:
         raise DimensionMismatchError(

@@ -22,6 +22,7 @@ the offending line.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 
@@ -46,7 +47,8 @@ _FIELDS = (
 
 @dataclass
 class SpecFile:
-    """Parsed and validated specification file."""
+    """Parsed and validated specification file; ``digest`` is the SHA-256
+    of its bytes."""
 
     variables: tuple[str, ...]
     ideal: tuple[tuple[int, ...], ...] | None
@@ -56,6 +58,7 @@ class SpecFile:
     xi: tuple[tuple[int, ...], ...] | None
     ring: RingSpec
     map: MonomialMap
+    digest: str
 
     def reference_ideal(self) -> MonomialIdeal | None:
         if self.ideal is None:
@@ -108,15 +111,17 @@ def _parse_vectors(payload: str, line_no: int, field: str):
 
 
 def parse_spec(path: str) -> SpecFile:
-    """Read, parse and validate a specification file.
+    """Read, parse and validate a specification file.  The file is read
+    once, so ``digest`` hashes exactly the bytes parsed.
 
     Raises SpecError with a line-anchored message on any defect, including
     violations of the ring and map invariants.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw_lines = handle.read().splitlines()
-    except OSError as exc:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        raw_lines = data.decode("utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from None
 
     fields: dict[str, tuple[int, str]] = {}
@@ -242,4 +247,5 @@ def parse_spec(path: str) -> SpecFile:
         xi=xi,
         ring=ring,
         map=mono_map,
+        digest="sha256:" + hashlib.sha256(data).hexdigest(),
     )

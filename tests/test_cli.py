@@ -311,6 +311,40 @@ def test_exit_code_2_on_malformed_input(workdir, capsys):
     capsys.readouterr()
 
 
+def test_spec_file_is_opened_once_per_run(workdir, capsys, monkeypatch):
+    # the `# input` digest hashes the very bytes that are parsed
+    text = CROSS_FROB2 + "# trailing comment\n"
+    (workdir / "cross.spec").write_text(text)
+    digest = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    opened = []
+    real_open = open
+
+    def counted_open(file, *args, **kwargs):
+        if str(file).endswith("cross.spec"):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted_open)
+    for argv in (
+        ["entropy", "--max-iter", "4", "--oracle"],
+        ["delta", "--max-iter", "3"],
+        ["koszul", "--pullback-iter", "1", "--format", "report"],
+    ):
+        opened.clear()
+        code, out = _run(capsys, argv[:1] + ["--spec", "cross.spec"] + argv[1:])
+        assert code == 0, argv
+        assert len(opened) == 1, argv
+        assert digest in out, argv
+
+
+def test_non_utf8_spec_exits_2(workdir, capsys):
+    (workdir / "latin1.spec").write_bytes(DIAG.encode() + b"# caf\xe9\n")
+    assert main(["entropy", "--spec", "latin1.spec"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot read spec file latin1.spec" in captured.err
+
+
 def test_exit_code_3_on_hypothesis_failure(workdir, capsys):
     (workdir / "collapse.spec").write_text(
         "characteristic 0\nvariables X Y\nmap [1,1] [1,1]\n"

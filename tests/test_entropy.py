@@ -16,19 +16,27 @@ from entrolab import (
     SandwichRow,
     SquareCommutationError,
     TransferSquare,
+    colength,
+    colength_bruteforce,
     complexity_lower_bound,
     complexity_upper_bound,
     diagonal_closed_form,
     estimate_limit,
     frobenius_prediction,
+    ideal_sum,
+    image_ideal,
     int_log,
+    is_finite_length,
     iterate,
     local_entropy_sequence,
     minimalize,
+    pure_power_bounds,
     sandwich,
     sandwich_violations,
     transfer_check,
 )
+import entrolab.entropy as entropy_module
+from entrolab.cli import BRUTE_BOX_CAP
 from entrolab.koszul import (
     GeneratorProfile,
     build_koszul,
@@ -36,6 +44,7 @@ from entrolab.koszul import (
     h0_length,
     pullback,
 )
+from helpers import random_m_primary_ideal
 
 R2 = RingSpec.polynomial(0, 2)
 R3 = RingSpec.polynomial(0, 3)
@@ -103,6 +112,103 @@ def test_sequence_nonnegative_random():
             ring, MonomialMap.diagonal(exps, ring), None, 5
         )
         assert all(r.log_average >= 0 for r in seq.rows)
+
+
+def _random_sequence_case(rng, dim, with_quotient, twin_columns):
+    """A random finite-length map and a non-maximal reference ideal.
+
+    The map starts as a monomial matrix on permuted axes.  With a quotient
+    some columns gain an entry off their axis, ``twin_columns`` makes two
+    columns equal (a non-injective map), and the quotient holds a pure
+    power of every axis that no column image is a pure power of, plus
+    random extras."""
+    while True:
+        perm = rng.sample(range(dim), dim)
+        cols = [
+            [rng.randint(1, 3) if t == perm[k] else 0 for t in range(dim)]
+            for k in range(dim)
+        ]
+        if with_quotient:
+            for col in cols:
+                if rng.random() < 0.4:
+                    col[rng.randrange(dim)] += rng.randint(1, 2)
+            if twin_columns:
+                i, j = rng.sample(range(dim), 2)
+                cols[j] = cols[i]
+        cols = [tuple(col) for col in cols]
+        pure = {t for c in cols for t in range(dim) if c[t] == sum(c)}
+        quotient = [
+            tuple(rng.randint(2, 3) if s == t else 0 for s in range(dim))
+            for t in range(dim) if t not in pure
+        ]
+        if with_quotient:
+            extras = [tuple(rng.randint(0, 3) for _ in range(dim))
+                      for _ in range(rng.randint(1, 2))]
+            quotient += [g for g in extras if sum(g)]
+        ring = RingSpec(rng.choice((0, 2, 3)), dim, minimalize(quotient, dim))
+        try:
+            phi = MonomialMap.from_columns(cols, ring)
+        except ValueError:  # not well defined on the quotient
+            continue
+        if not is_finite_length(phi):
+            continue
+        ideal = minimalize(random_m_primary_ideal(rng, dim, 3, 2), dim)
+        if ideal != ring.maximal_ideal():
+            return ring, phi, ideal
+
+
+def test_sequence_matches_the_definition_random():
+    # row n is the colength of the image of the reference ideal under the
+    # n-th composed power, and box enumeration agrees where the box is small
+    rng = random.Random(8128)
+    brute = twins = diagonal = 0
+    for k in range(48):
+        dim = 1 + k % 4
+        twin_columns = dim > 1 and k % 3 == 0
+        ring, phi, ideal = _random_sequence_case(
+            rng, dim, k // 4 % 2 == 1 or twin_columns, twin_columns
+        )
+        seq = local_entropy_sequence(ring, phi, ideal, 8)
+        assert [r.n for r in seq.rows] == list(range(1, 9))
+        for row in seq.rows:
+            image = image_ideal(iterate(phi, row.n), ideal)
+            assert row.length == colength(image, ring), (phi, ideal, row.n)
+            bounds = pure_power_bounds(ideal_sum(image, ring.quotient))
+            if math.prod(bounds) <= BRUTE_BOX_CAP:
+                assert row.length == colength_bruteforce(image, ring)
+                brute += 1
+        twins += twin_columns
+        diagonal += phi.is_diagonal()
+    assert brute > 100 and twins == 12 and diagonal < 24
+
+
+def test_sequence_builds_no_map_power(monkeypatch):
+    ring = RingSpec(3, 2, minimalize({(1, 1)}))
+    phi = MonomialMap.from_columns([(0, 2), (3, 0)], ring)  # X -> Y^2, Y -> X^3
+    ideal = minimalize({(3, 0), (1, 1), (0, 2)})
+    built, mapped = [], []
+    post_init = MonomialMap.__post_init__
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_image_ideal(psi, source):
+        mapped.append((psi, source))
+        return image_ideal(psi, source)
+
+    monkeypatch.setattr(MonomialMap, "__post_init__", counted_post_init)
+    monkeypatch.setattr(entropy_module, "image_ideal", counted_image_ideal)
+    for n_max in (1, 6, 12):
+        built.clear()
+        mapped.clear()
+        seq = local_entropy_sequence(ring, phi, ideal, n_max)
+        assert built == []
+        assert len(mapped) == n_max
+        # each step maps the previous image by phi itself
+        assert all(psi is phi for psi, _ in mapped)
+        assert mapped[0][1] is ideal
+        assert len(seq.rows) == n_max
 
 
 def test_estimate_limit_exact_geometric():

@@ -8,6 +8,7 @@ import pytest
 from entrolab import (
     DimensionMismatchError,
     MonomialIdeal,
+    MonomialMap,
     NotFiniteLengthError,
     RingSpec,
     colength,
@@ -15,6 +16,7 @@ from entrolab import (
     contains,
     divides,
     ideal_sum,
+    image_ideal,
     is_m_primary,
     krull_dimension,
     minimalize,
@@ -121,6 +123,38 @@ def test_ideal_sum_with_zero_returns_the_other_operand():
     assert ideal_sum(b, a).generators == ((0, 1), (2, 0))
     with pytest.raises(DimensionMismatchError):
         ideal_sum(a, MonomialIdeal((), 3))
+
+
+def test_exponent_vector_validation():
+    # every generator of an ideal, and every ring quotient a map checks
+    # well-definedness against, passes the same entry and length checks
+    for bad in ((1, -1), (-2, 0), (0, -1, 4)):
+        with pytest.raises(ValueError) as info:
+            MonomialIdeal(((2, 0), bad), 2)
+        assert str(info.value) == f"exponent vector {bad} has a negative entry"
+        assert not isinstance(info.value, DimensionMismatchError)
+        with pytest.raises(ValueError, match="has a negative entry"):
+            RingSpec(0, 2, MonomialIdeal((bad,), 2))
+    for bad in ((1,), (1, 2, 3), ()):
+        with pytest.raises(DimensionMismatchError) as info:
+            MonomialIdeal(((2, 0), bad), 2)
+        assert str(info.value) == (
+            f"exponent vector {bad} has length {len(bad)}, expected 2"
+        )
+        with pytest.raises(DimensionMismatchError):
+            contains(minimalize({(2, 0)}), bad)
+    # entries go through int(), so the stored generators are exact ints
+    ideal = MonomialIdeal(((True, 2.0), ("3", 0), (0, 5)), 2)
+    assert ideal.generators == ((0, 5), (1, 2), (3, 0))
+    assert all(type(e) is int for g in ideal.generators for e in g)
+    with pytest.raises(ValueError):
+        MonomialIdeal((("x", 1),), 2)
+    ring = RingSpec(0, 2, MonomialIdeal(((1.0, "1"),), 2))
+    phi = MonomialMap.diagonal((2, 3), ring)
+    image = image_ideal(phi, ideal)
+    assert image.generators == ((0, 15), (2, 6), (6, 0))
+    assert all(type(e) is int for g in image.generators for e in g)
+    assert ring.quotient.generators == ((1, 1),)
 
 
 def test_pure_power_bounds():
