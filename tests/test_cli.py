@@ -360,23 +360,55 @@ def test_exit_code_3_on_hypothesis_failure(workdir, capsys):
     capsys.readouterr()
 
 
+SEQUENCE_6N = [
+    "n\tlength\tlog_length\ta_n",
+    "1\t6\t1.79175946923\t1.79175946923",
+    "2\t36\t3.58351893846\t1.79175946923",
+    "3\t216\t5.37527840768\t1.79175946923",
+    "4\t1296\t7.16703787691\t1.79175946923",
+    "5\t7776\t8.95879734614\t1.79175946923",
+    "6\t46656\t10.7505568154\t1.79175946923",
+    "7\t279936\t12.5423162846\t1.79175946923",
+    "8\t1679616\t14.3340757538\t1.79175946923",
+]
+
+
 def test_verify_diagonal(workdir, capsys):
     (workdir / "diag23.spec").write_text(DIAG)
     code, out = _run(capsys, ["verify", "diagonal", "--spec", "diag23.spec"])
     assert code == 0
-    assert "# verdict\texact-lengths\tPASS" in out
-    assert "# verdict\tlog-averages\tPASS" in out
-    assert "# verdict\tslope\tPASS" in out
+    expected = "\n".join(
+        [
+            "# command\tverify diagonal --spec diag23.spec",
+            _digest_line(DIAG),
+            *SEQUENCE_6N,
+            "# prediction\tdiagonal\t1.79175946923",
+            "# verdict\texact-lengths\tPASS\tlength_n == 6^n for every n",
+            "# verdict\tlog-averages\tPASS\tmax |a_n - predicted| = 2.220e-16",
+            "# verdict\tslope\tPASS\t|slope - predicted| = 2.220e-16",
+            "",
+        ]
+    )
+    assert out == expected
 
 
 def test_verify_monomial_matrix(workdir, capsys):
-    (workdir / "swap.spec").write_text(
-        "characteristic 0\nvariables X Y\nmap [0,2] [3,0]\n"
-    )
+    swap = "characteristic 0\nvariables X Y\nmap [0,2] [3,0]\n"
+    (workdir / "swap.spec").write_text(swap)
     code, out = _run(capsys, ["verify", "monomial-matrix", "--spec", "swap.spec"])
     assert code == 0
-    assert "# verdict\tdeterminant-lengths\tPASS\tlength_n == 6^n" in out
-    assert "# verdict\tslope\tPASS" in out
+    expected = "\n".join(
+        [
+            "# command\tverify monomial-matrix --spec swap.spec",
+            _digest_line(swap),
+            *SEQUENCE_6N,
+            "# prediction\tmonomial-matrix\t1.79175946923",
+            "# verdict\tdeterminant-lengths\tPASS\tlength_n == 6^n for every n",
+            "# verdict\tslope\tPASS\t|slope - log det| = 2.220e-16",
+            "",
+        ]
+    )
+    assert out == expected
 
 
 def test_verify_frobenius_on_quotient(workdir, capsys):
@@ -384,7 +416,55 @@ def test_verify_frobenius_on_quotient(workdir, capsys):
     (workdir / "frob.spec").write_text(spec)
     code, out = _run(capsys, ["verify", "frobenius", "--spec", "frob.spec"])
     assert code == 0
-    assert "# verdict\tslope\tPASS\tpredicted 1.09861228867" in out
+    expected = "\n".join(
+        [
+            "# command\tverify frobenius --spec frob.spec",
+            _digest_line(spec),
+            "n\tlength\tlog_length\ta_n",
+            "1\t5\t1.60943791243\t1.60943791243",
+            "2\t17\t2.83321334406\t1.41660667203",
+            "3\t53\t3.97029191355\t1.32343063785",
+            "4\t161\t5.08140436498\t1.27035109125",
+            "5\t485\t6.18414889094\t1.23682977819",
+            "6\t1457\t7.2841348062\t1.2140224677",
+            "7\t4373\t8.38320455141\t1.1976006502",
+            "8\t13121\t9.48196927911\t1.18524615989",
+            "# prediction\tfrobenius\t1.09861228867",
+            "# verdict\tslope\tPASS\tpredicted 1.09861228867; "
+            "|slope - predicted| = 2.091e-07 < 1e-06",
+            "",
+        ]
+    )
+    assert out == expected
+
+
+def test_entropy_prediction_prefers_frobenius(capsys):
+    # the squaring map on F_2[X,Y] is also diagonal on a regular ring; the
+    # footer names the Frobenius prediction
+    spec = Path(__file__).parent.parent / "specs" / "frobenius_square.ring"
+    code, out = _run(capsys, ["entropy", "--spec", str(spec)])
+    assert code == 0
+    expected = "\n".join(
+        [
+            f"# command\tentropy --spec {spec}",
+            _digest_line(spec.read_text()),
+            "n\tlength\tlog_length\ta_n",
+            "1\t4\t1.38629436112\t1.38629436112",
+            "2\t16\t2.77258872224\t1.38629436112",
+            "3\t64\t4.15888308336\t1.38629436112",
+            "4\t256\t5.54517744448\t1.38629436112",
+            "5\t1024\t6.9314718056\t1.38629436112",
+            "6\t4096\t8.31776616672\t1.38629436112",
+            "7\t16384\t9.70406052784\t1.38629436112",
+            "8\t65536\t11.090354889\t1.38629436112",
+            "# slope\t1.38629436112",
+            "# slope_method\tleast-squares",
+            "# last_a_n\t1.38629436112",
+            "# prediction\tfrobenius\t1.38629436112",
+            "",
+        ]
+    )
+    assert out == expected
 
 
 def test_verify_ideal_independence(workdir, capsys):
