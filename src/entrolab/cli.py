@@ -17,14 +17,9 @@ import shlex
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .errors import (
-    HypothesisError,
-    NotFiniteLengthError,
-    NotRegularError,
-    SpecError,
-    SquareCommutationError,
-)
+from .errors import HypothesisError, SpecError
 from .monomials import _pure_powers, colength, colength_bruteforce
 from .endos import compose, image_ideal
 from .koszul import pullback_homology
@@ -128,12 +123,6 @@ def _t_values(raw: str) -> list[float]:
     return values
 
 
-def _is_frobenius(ring, mono_map) -> bool:
-    """The map raises every variable to the power p, the characteristic."""
-    p = ring.characteristic
-    return p > 0 and mono_map.is_diagonal() and set(_diagonal(mono_map)) == {p}
-
-
 def _diagonal(mono_map) -> list[int]:
     return [row[i] for i, row in enumerate(mono_map.matrix)]
 
@@ -144,14 +133,61 @@ def _determinant(mono_map) -> int:
     return math.prod(max(row) for row in mono_map.matrix)
 
 
+class _ClosedForm(NamedTuple):
+    """A closed form for the growth rate: its hypotheses as (test, what
+    "verify <suite> requires"), the predicted rate, the name of the
+    verdict that length_n == |det|^n (None: no exact lengths), and the
+    (name, tolerance, detail) of each verdict on a gap to the rate."""
+
+    requires: tuple[tuple[Callable, str], ...]
+    rate: Callable
+    lengths_verdict: str | None
+    verdicts: tuple[tuple[str, float, str], ...]
+
+
+_REGULAR = (lambda ring, f: ring.regular, "a regular ring")
+
+# the order matters: entropy's prediction footer names the first that holds
+_CLOSED_FORMS = {
+    "frobenius": _ClosedForm(
+        ((lambda ring, f: ring.characteristic > 0, "positive characteristic"),
+         (lambda ring, f: f.is_diagonal()
+          and set(_diagonal(f)) == {ring.characteristic},
+          "the map raising every variable to the power {p}")),
+        lambda ring, f: frobenius_prediction(ring, ring.characteristic),
+        None,
+        (("slope", 1e-6,
+          "predicted {predicted}; |slope - predicted| = {gap:.3e} < 1e-06"),),
+    ),
+    "diagonal": _ClosedForm(
+        (_REGULAR, (lambda ring, f: f.is_diagonal(), "a diagonal map")),
+        lambda ring, f: diagonal_closed_form(_diagonal(f)),
+        "exact-lengths",
+        (("log-averages", 1e-9, "max |a_n - predicted| = {gap:.3e}"),
+         ("slope", 1e-9, "|slope - predicted| = {gap:.3e}")),
+    ),
+    "monomial-matrix": _ClosedForm(
+        (_REGULAR, (lambda ring, f: f.is_monomial_matrix(),
+                    "exactly one positive entry in every row and column")),
+        lambda ring, f: math.log(_determinant(f)),
+        "determinant-lengths",
+        (("slope", 1e-9, "|slope - log det| = {gap:.3e}"),),
+    ),
+}
+
+
+def _unmet(form: _ClosedForm, spec) -> str | None:
+    """What the first failing hypothesis of ``form`` requires, or None."""
+    for holds, requirement in form.requires:
+        if not holds(spec.ring, spec.map):
+            return requirement.format(p=spec.ring.characteristic)
+    return None
+
+
 def _prediction(spec) -> tuple[str, float] | None:
-    ring, mono_map = spec.ring, spec.map
-    if _is_frobenius(ring, mono_map):
-        return "frobenius", frobenius_prediction(ring, ring.characteristic)
-    if ring.regular and mono_map.is_diagonal():
-        return "diagonal", diagonal_closed_form(_diagonal(mono_map))
-    if ring.regular and mono_map.is_monomial_matrix():
-        return "monomial-matrix", math.log(_determinant(mono_map))
+    for name, form in _CLOSED_FORMS.items():
+        if _unmet(form, spec) is None:
+            return name, form.rate(spec.ring, spec.map)
     return None
 
 
@@ -185,12 +221,10 @@ def _oracle_lengths_verdict(seq):
     return ("oracle-colength", True, "box too large at n = 1; cross-check skipped")
 
 
-def _cmd_entropy(args, spec) -> RunReport:
-    scale = _log_scale(args.log_base)
+def _entropy(args, spec, report: RunReport, scale: float):
     seq = local_entropy_sequence(
         spec.ring, spec.map, spec.reference_ideal(), args.max_iter
     )
-    report = RunReport()
     _fill_sequence_rows(report, seq, scale)
     if args.max_iter >= 3:
         est = estimate_limit(seq)
@@ -202,7 +236,6 @@ def _cmd_entropy(args, spec) -> RunReport:
         report.footer.append(("prediction", pred[0], _fmt(pred[1] * scale)))
     if args.oracle:
         report.verdicts.append(_oracle_lengths_verdict(seq))
-    return report
 
 
 def _profile_item(profile) -> tuple[str, ...]:
@@ -236,12 +269,10 @@ def _fill_sandwich_rows(report: RunReport, reports, scale: float):
         )
 
 
-def _cmd_delta(args, spec) -> RunReport:
-    scale = _log_scale(args.log_base)
+def _delta(args, spec, report: RunReport, scale: float):
     ring = spec.ring
     x = spec.sequence or ring.maximal_ideal().generators
     reports = sandwich(ring, spec.map, x, args.t, args.max_iter)
-    report = RunReport()
     if not ring.regular:
         report.notices.append(
             "ring is not regular: the upper tower-count bound is not "
@@ -251,17 +282,15 @@ def _cmd_delta(args, spec) -> RunReport:
     _fill_sandwich_rows(report, reports, scale)
     if args.oracle:
         report.verdicts.append(_oracle_lengths_verdict(reports[0].lower_sequence))
-    return report
 
 
-def _cmd_koszul(args, spec) -> RunReport:
-    scale = _log_scale(args.log_base)
+def _koszul(args, spec, report: RunReport, scale: float):
     if spec.sequence is None:
         raise SpecError("sequence field is required for the koszul command")
     complex_, lengths, profile = pullback_homology(
         spec.ring, spec.sequence, spec.map, args.pullback_iter
     )
-    report = RunReport(columns=["degree", "length", "log_length"])
+    report.columns = ["degree", "length", "log_length"]
     for degree in range(-complex_.m, 1):
         value = lengths.length(degree)
         log_txt = _fmt(int_log(value) * scale) if value else ""
@@ -270,7 +299,6 @@ def _cmd_koszul(args, spec) -> RunReport:
     report.footer.append(("region", ",".join(str(s) for s in lengths.region)))
     if args.oracle:
         report.verdicts.append(_oracle_slices_verdict(complex_, lengths))
-    return report
 
 
 def _oracle_slices_verdict(complex_, lengths):
@@ -290,11 +318,9 @@ def _oracle_slices_verdict(complex_, lengths):
             f"multidegrees of the region box {'agrees' if ok else 'disagrees'}")
 
 
-def _cmd_transfer(args, spec) -> RunReport:
-    scale = _log_scale(args.log_base)
-    square = spec.square()
-    result = transfer_check(square, args.max_iter, args.tolerance)
-    report = RunReport(columns=["ring", "n", "length", "a_n"])
+def _transfer(args, spec, report: RunReport, scale: float):
+    result = transfer_check(spec.square(), args.max_iter, args.tolerance)
+    report.columns = ["ring", "n", "length", "a_n"]
     for label, seq in (
         ("source", result.source_sequence),
         ("target", result.target_sequence),
@@ -308,82 +334,30 @@ def _cmd_transfer(args, spec) -> RunReport:
     report.footer.append(("tolerance", _fmt(args.tolerance)))
     report.footer.append(("agree", "yes" if result.agree else "no"))
     report.footer.append(("conclusion", result.conclusion))
-    return report
 
 
-def _verify_diagonal(args, spec, report, scale):
-    ring, mono_map = spec.ring, spec.map
-    if not ring.regular:
-        raise HypothesisError("verify diagonal requires a regular ring")
-    if not mono_map.is_diagonal():
-        raise HypothesisError("verify diagonal requires a diagonal map")
-    predicted = diagonal_closed_form(_diagonal(mono_map))
-    growth = _determinant(mono_map)
-    seq = local_entropy_sequence(ring, mono_map, None, args.max_iter)
+def _verify_closed_form(args, spec, report: RunReport, scale: float):
+    form = _CLOSED_FORMS[args.suite]
+    unmet = _unmet(form, spec)
+    if unmet is not None:
+        raise HypothesisError(f"verify {args.suite} requires {unmet}")
+    predicted = form.rate(spec.ring, spec.map)
+    seq = local_entropy_sequence(spec.ring, spec.map, None, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
-    exact = all(row.length == growth ** row.n for row in seq.rows)
-    report.verdicts.append(
-        ("exact-lengths", exact, f"length_n == {growth}^n for every n")
-    )
-    worst = max(abs(row.log_average - predicted) for row in seq.rows)
-    report.verdicts.append(
-        ("log-averages", worst < 1e-9, f"max |a_n - predicted| = {worst:.3e}")
-    )
-    est = estimate_limit(seq).estimate
-    report.verdicts.append(
-        ("slope", abs(est - predicted) < 1e-9,
-         f"|slope - predicted| = {abs(est - predicted):.3e}")
-    )
-    report.footer.append(("prediction", "diagonal", _fmt(predicted * scale)))
-
-
-def _verify_monomial_matrix(args, spec, report, scale):
-    ring, mono_map = spec.ring, spec.map
-    if not ring.regular:
-        raise HypothesisError("verify monomial-matrix requires a regular ring")
-    if not mono_map.is_monomial_matrix():
-        raise HypothesisError(
-            "verify monomial-matrix requires exactly one positive entry in "
-            "every row and column"
+    if form.lengths_verdict is not None:
+        growth = _determinant(spec.map)
+        exact = all(row.length == growth ** row.n for row in seq.rows)
+        report.verdicts.append(
+            (form.lengths_verdict, exact, f"length_n == {growth}^n for every n")
         )
-    det = _determinant(mono_map)
-    seq = local_entropy_sequence(ring, mono_map, None, args.max_iter)
-    _fill_sequence_rows(report, seq, scale)
-    exact = all(row.length == det ** row.n for row in seq.rows)
-    report.verdicts.append(
-        ("determinant-lengths", exact, f"length_n == {det}^n for every n")
-    )
-    est = estimate_limit(seq).estimate
-    predicted = math.log(det)
-    report.verdicts.append(
-        ("slope", abs(est - predicted) < 1e-9,
-         f"|slope - log det| = {abs(est - predicted):.3e}")
-    )
-    report.footer.append(
-        ("prediction", "monomial-matrix", _fmt(predicted * scale))
-    )
-
-
-def _verify_frobenius(args, spec, report, scale):
-    ring, mono_map = spec.ring, spec.map
-    p = ring.characteristic
-    if not p:
-        raise HypothesisError("verify frobenius requires positive characteristic")
-    if not _is_frobenius(ring, mono_map):
-        raise HypothesisError(
-            "verify frobenius requires the map raising every variable to "
-            f"the power {p}"
-        )
-    predicted = frobenius_prediction(ring, p)
-    seq = local_entropy_sequence(ring, mono_map, None, args.max_iter)
-    _fill_sequence_rows(report, seq, scale)
-    est = estimate_limit(seq).estimate
-    report.verdicts.append(
-        ("slope", abs(est - predicted) < 1e-6,
-         f"predicted {_fmt(predicted * scale)}; |slope - predicted| = "
-         f"{abs(est - predicted):.3e} < 1e-06")
-    )
-    report.footer.append(("prediction", "frobenius", _fmt(predicted * scale)))
+    gaps = {
+        "log-averages": max(abs(row.log_average - predicted) for row in seq.rows),
+        "slope": abs(estimate_limit(seq).estimate - predicted),
+    }
+    for name, tolerance, detail in form.verdicts:
+        report.verdicts.append((name, gaps[name] < tolerance, detail.format(
+            gap=gaps[name], predicted=_fmt(predicted * scale))))
+    report.footer.append(("prediction", args.suite, _fmt(predicted * scale)))
 
 
 def _verify_ideal_independence(args, spec, report, scale):
@@ -395,24 +369,16 @@ def _verify_ideal_independence(args, spec, report, scale):
         )
     seq_q = local_entropy_sequence(ring, mono_map, ideal, args.max_iter)
     seq_m = local_entropy_sequence(ring, mono_map, None, args.max_iter)
-    for row_q, row_m in zip(seq_q.rows, seq_m.rows):
-        report.rows.append(
-            [
-                str(row_q.n),
-                str(row_q.length),
-                _fmt(row_q.log_average * scale),
-                str(row_m.length),
-                _fmt(row_m.log_average * scale),
-            ]
-        )
+    report.rows += [
+        [str(row_q.n), str(row_q.length), _fmt(row_q.log_average * scale),
+         str(row_m.length), _fmt(row_m.log_average * scale)]
+        for row_q, row_m in zip(seq_q.rows, seq_m.rows)
+    ]
     report.columns = ["n", "length_q", "a_n_q", "length_m", "a_n_m"]
     est_q = estimate_limit(seq_q).estimate
     est_m = estimate_limit(seq_m).estimate
-    envelope = (
-        2
-        * max(int_log(colength(ideal, ring)), int_log(colength(ring.maximal_ideal(), ring)))
-        / args.max_iter
-    )
+    lengths = (colength(ideal, ring), colength(ring.maximal_ideal(), ring))
+    envelope = 2 * max(map(int_log, lengths)) / args.max_iter
     gap = abs(est_q - est_m)
     report.verdicts.append(
         ("slopes-agree", gap <= envelope + 1e-9,
@@ -433,8 +399,7 @@ def _verify_sandwich(args, spec, report, scale):
 
 
 def _verify_transfer(args, spec, report, scale):
-    square = spec.square()
-    result = transfer_check(square, args.max_iter, args.tolerance)
+    result = transfer_check(spec.square(), args.max_iter, args.tolerance)
     report.columns = ["quantity", "value"]
     report.rows.append(["source_estimate", _fmt(result.source_estimate * scale)])
     report.rows.append(["target_estimate", _fmt(result.target_estimate * scale)])
@@ -447,34 +412,25 @@ def _verify_transfer(args, spec, report, scale):
     report.footer.append(("conclusion", result.conclusion))
 
 
-_SUITES = {
-    "diagonal": _verify_diagonal,
-    "monomial-matrix": _verify_monomial_matrix,
-    "frobenius": _verify_frobenius,
-    "ideal-independence": _verify_ideal_independence,
-    "sandwich": _verify_sandwich,
-    "transfer": _verify_transfer,
-}
-
-
 def _fill_sequence_rows(report: RunReport, seq, scale: float):
     report.columns = ["n", "length", "log_length", "a_n"]
-    for row in seq.rows:
-        report.rows.append(
-            [
-                str(row.n),
-                str(row.length),
-                _fmt(int_log(row.length) * scale),
-                _fmt(row.log_average * scale),
-            ]
-        )
+    report.rows += [
+        [str(row.n), str(row.length), _fmt(int_log(row.length) * scale),
+         _fmt(row.log_average * scale)]
+        for row in seq.rows
+    ]
 
 
-def _cmd_verify(args, spec) -> RunReport:
-    scale = _log_scale(args.log_base)
-    report = RunReport()
-    _SUITES[args.suite](args, spec, report, scale)
-    return report
+_HANDLERS = {
+    ("entropy", None): _entropy,
+    ("delta", None): _delta,
+    ("koszul", None): _koszul,
+    ("transfer", None): _transfer,
+    **{("verify", suite): _verify_closed_form for suite in _CLOSED_FORMS},
+    ("verify", "ideal-independence"): _verify_ideal_independence,
+    ("verify", "sandwich"): _verify_sandwich,
+    ("verify", "transfer"): _verify_transfer,
+}
 
 
 @functools.cache
@@ -487,6 +443,7 @@ def _parser() -> argparse.ArgumentParser:
             "reports for monomial endomorphisms of monomial quotient rings."
         ),
     )
+    parser.set_defaults(suite=None)  # handlers are keyed by (command, suite)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, *, t=False, oracle="", tolerance=False):
@@ -526,22 +483,15 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     sp = sub.add_parser("verify", help="verdict suites with stated tolerances")
-    sp.add_argument("suite", choices=sorted(_SUITES))
+    sp.add_argument(
+        "suite", choices=sorted(suite for _, suite in _HANDLERS if suite)
+    )
     common(sp, t=True, tolerance=True)
 
     sp = sub.add_parser("transfer", help="compare growth across a commuting square")
     common(sp, tolerance=True)
 
     return parser
-
-
-_DISPATCH = {
-    "entropy": _cmd_entropy,
-    "delta": _cmd_delta,
-    "koszul": _cmd_koszul,
-    "verify": _cmd_verify,
-    "transfer": _cmd_transfer,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -551,13 +501,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         spec = parse_spec(args.spec)
-        report = _DISPATCH[args.command](args, spec)
-    except (
-        NotFiniteLengthError,
-        NotRegularError,
-        SquareCommutationError,
-        HypothesisError,
-    ) as exc:
+        report = RunReport()
+        _HANDLERS[args.command, args.suite](
+            args, spec, report, _log_scale(args.log_base)
+        )
+    except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ValueError as exc:

@@ -115,7 +115,6 @@ class TransferReport:
     target_estimate: float
     source_estimate: float
     agree: bool
-    tolerance: float
     shared_value: float | None
     conclusion: str
     source_sequence: EntropySequence
@@ -139,8 +138,6 @@ def local_entropy_sequence(
         raise ValueError("n_max must be >= 1")
     if phi.ring != ring:
         raise ValueError("map does not act on the given ring")
-    if not is_finite_length(phi):
-        raise NotFiniteLengthError("endomorphism is not of finite length")
     if ideal is None:
         ideal = ring.maximal_ideal()
     if any(sum(g) == 0 for g in ideal.generators):
@@ -149,10 +146,16 @@ def local_entropy_sequence(
         raise NotFiniteLengthError(
             "reference ideal is not primary to the maximal ideal"
         )
+    # the ideal lies in and is primary to the maximal ideal m modulo the
+    # quotient J, so phi(ideal) + J and phi(m) + J have the same radical:
+    # phi is of finite length iff the first image is primary to m
+    image = image_ideal(phi, ideal)
+    if not is_m_primary(ideal_sum(image, ring.quotient)):
+        raise NotFiniteLengthError("endomorphism is not of finite length")
     rows = []
-    image = ideal
     for n in range(1, n_max + 1):
-        image = image_ideal(phi, image)
+        if n > 1:
+            image = image_ideal(phi, image)
         length = colength(image, ring)
         rows.append(EntropyRow(n, length, int_log(length) / n))
     return EntropySequence(tuple(rows), ideal, phi)
@@ -375,7 +378,6 @@ def transfer_check(
         target_estimate=target_est,
         source_estimate=source_est,
         agree=agree,
-        tolerance=tolerance,
         shared_value=shared,
         conclusion=conclusion,
         source_sequence=source_seq,

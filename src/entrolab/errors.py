@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: the hypothesis-style failures
-(NotFiniteLengthError, NotRegularError, SquareCommutationError,
-HypothesisError) -> 3, SpecError and any other ValueError -> 2.
+Every failed hypothesis is a HypothesisError: the finiteness, regularity
+and commutation failures subclass it, and the CLI maps the one base onto
+exit code 3.  HypothesisError is a ValueError, and SpecError and any other
+ValueError map onto exit code 2.
 """
 
 
@@ -10,24 +11,24 @@ class DimensionMismatchError(ValueError):
     """Operands live in polynomial rings with different variable counts."""
 
 
-class NotFiniteLengthError(ValueError):
+class HypothesisError(ValueError):
+    """The input does not satisfy a hypothesis of the computation asked
+    for (e.g. 'verify diagonal' on a non-diagonal map)."""
+
+
+class NotFiniteLengthError(HypothesisError):
     """A finiteness hypothesis fails: a quotient has infinite length, an
     endomorphism is not of finite length, or a sequence is not primary to
     the maximal ideal."""
 
 
-class NotRegularError(ValueError):
+class NotRegularError(HypothesisError):
     """An operation that is only valid over a regular ring was invoked on a
     proper quotient."""
 
 
-class SquareCommutationError(ValueError):
+class SquareCommutationError(HypothesisError):
     """A transfer square does not commute."""
-
-
-class HypothesisError(ValueError):
-    """A verification suite was pointed at input that does not satisfy the
-    suite's hypothesis (e.g. 'verify diagonal' on a non-diagonal map)."""
 
 
 class SpecError(ValueError):

@@ -30,15 +30,6 @@ def _check_vec(v, ambient_dim: int | None = None) -> Vec:
     return vec
 
 
-def divides(u: Vec, v: Vec) -> bool:
-    """True iff X^u divides X^v, i.e. u <= v componentwise."""
-    if len(u) != len(v):
-        raise DimensionMismatchError(
-            f"cannot compare exponent vectors of lengths {len(u)} and {len(v)}"
-        )
-    return all(a <= b for a, b in zip(u, v))
-
-
 def _divisor_tables(vectors) -> tuple:
     """Tables answering "which of ``vectors`` divide X^v" for any v.
 
@@ -108,12 +99,6 @@ def minimalize(gens, ambient_dim: int | None = None) -> MonomialIdeal:
             raise ValueError("ambient_dim is required for an empty generating set")
         ambient_dim = len(gens[0])
     return MonomialIdeal(tuple(gens), ambient_dim)
-
-
-def contains(ideal: MonomialIdeal, v: Vec) -> bool:
-    """Monomial membership: X^v lies in the ideal iff some generator divides v."""
-    v = _check_vec(v, ideal.ambient_dim)
-    return any(divides(g, v) for g in ideal.generators)
 
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

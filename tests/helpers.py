@@ -42,6 +42,11 @@ def random_monomial_sequence(rng, dim, length, max_exp=3):
     return seq
 
 
+def divides(u, v) -> bool:
+    """True iff X^u divides X^v: u <= v componentwise."""
+    return all(a <= b for a, b in zip(u, v))
+
+
 def standard_count_pointwise(gens, dim):
     """Number of monomials divisible by none of ``gens``: every point of
     the box cut out by the least pure powers is tested against every
@@ -54,7 +59,7 @@ def standard_count_pointwise(gens, dim):
         assert powers, f"variable {i} has no pure power"
         bounds.append(min(powers))
     return sum(
-        not any(all(a <= b for a, b in zip(g, v)) for g in gens)
+        not any(divides(g, v) for g in gens)
         for v in itertools.product(*(range(b) for b in bounds))
     )
 

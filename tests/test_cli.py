@@ -14,6 +14,14 @@ import pytest
 
 import entrolab
 import entrolab.cli
+from entrolab import (
+    DimensionMismatchError,
+    HypothesisError,
+    NotFiniteLengthError,
+    NotRegularError,
+    SpecError,
+    SquareCommutationError,
+)
 from entrolab.cli import main
 
 DIAG = "characteristic 0\nvariables X Y\nmap [2,0] [0,3]\n"
@@ -358,6 +366,56 @@ def test_exit_code_3_on_hypothesis_failure(workdir, capsys):
     )
     assert main(["verify", "diagonal", "--spec", "swap.spec"]) == 3
     capsys.readouterr()
+
+
+def test_unit_reference_ideal_exits_2_before_finiteness(workdir, capsys):
+    # the reference ideal is validated before the map's finiteness, so a
+    # unit ideal is malformed input (exit 2) even for a map that is not of
+    # finite length; with a proper ideal that map still exits 3
+    collapse = "characteristic 0\nvariables X Y\nmap [1,1] [1,1]\n"
+    (workdir / "unit.spec").write_text(collapse + "ideal [0,0]\n")
+    assert main(["entropy", "--spec", "unit.spec"]) == 2
+    assert "error: reference ideal must be proper" in capsys.readouterr().err
+    (workdir / "proper.spec").write_text(collapse + "ideal [2,0] [0,1]\n")
+    assert main(["entropy", "--spec", "proper.spec"]) == 3
+    assert "error: endomorphism is not of finite length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (HypothesisError, 3),
+        (NotFiniteLengthError, 3),
+        (NotRegularError, 3),
+        (SquareCommutationError, 3),
+        (SpecError, 2),
+        (DimensionMismatchError, 2),
+        (ValueError, 2),
+    ],
+)
+def test_handler_errors_map_to_exit_codes(workdir, capsys, monkeypatch, error, code):
+    def failing(args, spec, report, scale):
+        raise error("raised by the handler")
+
+    for key in entrolab.cli._HANDLERS:
+        monkeypatch.setitem(entrolab.cli._HANDLERS, key, failing)
+    (workdir / "square.spec").write_text(SQUARE_OK)
+    for argv in (["entropy"], ["koszul"], ["verify", "frobenius"],
+                 ["verify", "transfer"], ["transfer"]):
+        assert main(argv + ["--spec", "square.spec"]) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: raised by the handler\n"
+
+
+def test_hypothesis_error_hierarchy():
+    # one base for exit 3, itself a ValueError
+    for error in (NotFiniteLengthError, NotRegularError, SquareCommutationError):
+        assert issubclass(error, HypothesisError)
+    assert issubclass(HypothesisError, ValueError)
+    for error in (SpecError, DimensionMismatchError):
+        assert issubclass(error, ValueError)
+        assert not issubclass(error, HypothesisError)
 
 
 SEQUENCE_6N = [

@@ -14,7 +14,6 @@ from entrolab import (
     colength,
     colength_bruteforce,
     compose,
-    divides,
     image_ideal,
     is_finite_length,
     is_m_primary,
@@ -22,6 +21,8 @@ from entrolab import (
     iterate,
     minimalize,
 )
+
+from helpers import divides
 
 R2 = RingSpec.polynomial(0, 2)
 SWAP = MonomialMap.from_columns([(0, 2), (3, 0)], R2)  # X -> Y^2, Y -> X^3

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,7 @@ from entrolab import (
     sandwich_violations,
     transfer_check,
 )
+import entrolab.endos as endos_module
 import entrolab.entropy as entropy_module
 from entrolab.cli import BRUTE_BOX_CAP
 from entrolab.koszul import (
@@ -44,6 +46,7 @@ from entrolab.koszul import (
     h0_length,
     pullback,
 )
+from entrolab.specfile import parse_spec
 from helpers import random_m_primary_ideal
 
 R2 = RingSpec.polynomial(0, 2)
@@ -209,6 +212,36 @@ def test_sequence_builds_no_map_power(monkeypatch):
         assert all(psi is phi for psi, _ in mapped)
         assert mapped[0][1] is ideal
         assert len(seq.rows) == n_max
+
+
+def test_sequence_maps_each_ideal_once(monkeypatch):
+    # the finiteness test reads the first image instead of mapping the
+    # maximal ideal once more
+    path = Path(__file__).parent.parent / "specs" / "diagonal235.ring"
+    spec = parse_spec(str(path))
+    mapped = []
+
+    def counted_image_ideal(psi, source):
+        mapped.append(source)
+        return image_ideal(psi, source)
+
+    for module in (entropy_module, endos_module):
+        monkeypatch.setattr(module, "image_ideal", counted_image_ideal)
+    seq = local_entropy_sequence(spec.ring, spec.map, None, 6)
+    assert [row.length for row in seq.rows] == [30**n for n in range(1, 7)]
+    assert len(mapped) == 6
+    assert len(set(mapped)) == 6
+
+
+def test_sequence_unit_ideal_is_rejected_before_finiteness():
+    # the reference ideal is checked first: a unit ideal is malformed input
+    # even when the map is not of finite length
+    collapse = MonomialMap.from_columns([(1, 1), (1, 1)], R2)
+    with pytest.raises(ValueError, match="reference ideal must be proper") as info:
+        local_entropy_sequence(R2, collapse, minimalize({(0, 0)}), 3)
+    assert not isinstance(info.value, NotFiniteLengthError)
+    with pytest.raises(NotFiniteLengthError, match="not of finite length"):
+        local_entropy_sequence(R2, collapse, minimalize({(2, 0), (0, 1)}), 3)
 
 
 def test_estimate_limit_exact_geometric():
