@@ -271,7 +271,7 @@ def _fill_sandwich_rows(report: RunReport, reports, scale: float):
 
 def _delta(args, spec, report: RunReport, scale: float):
     ring = spec.ring
-    x = spec.sequence or ring.maximal_ideal().generators
+    x = ring.maximal_ideal().generators if spec.sequence is None else spec.sequence
     reports = sandwich(ring, spec.map, x, args.t, args.max_iter)
     if not ring.regular:
         report.notices.append(
@@ -393,7 +393,7 @@ def _verify_sandwich(args, spec, report, scale):
     ring = spec.ring
     if not ring.regular:
         raise HypothesisError("verify sandwich requires a regular ring")
-    x = spec.sequence or ring.maximal_ideal().generators
+    x = ring.maximal_ideal().generators if spec.sequence is None else spec.sequence
     reports = sandwich(ring, spec.map, x, args.t, args.max_iter)
     _fill_sandwich_rows(report, reports, scale)
 

@@ -33,7 +33,7 @@ from .endos import (
     is_finite_length,
     iterate,
 )
-from .koszul import GeneratorProfile, build_koszul, generator_profile
+from .koszul import GeneratorProfile, build_koszul, generator_profile, homology_lengths
 
 _LN2 = math.log(2)
 
@@ -253,7 +253,7 @@ def sandwich(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     base = build_koszul(ring, sequence)
-    profile = generator_profile(base)
+    profile = generator_profile(homology_lengths(base))
     lower_seq = local_entropy_sequence(
         ring, phi, MonomialIdeal(base.sequence, ring.dim_ambient), n_max
     )

@@ -3,25 +3,27 @@ multigraded cohomology lengths.
 
 The complex on monomials x_1, ..., x_m sits in cohomological degrees
 -m .. 0 with the free module in degree -j spanned by the j-element
-subsets of {1..m}; the differential drops one element at a time with the
-sign (-1)^(position of the dropped index inside the sorted subset).  Each
+subsets of {1..m}, each held as its bitmask s in [0, 2^m).  The
+differential drops one element at a time with the sign (-1)^(number of
+elements below it); it depends on m alone, so there is one table per m,
+checked to square to zero once, when it is first built.  Each
 multidegree v carries a finite complex of vector spaces over the prime
 field (or the rationals in characteristic 0) whose matrices have entries
-0 and +-1, j of them in each column of the degree -j differential.  Its
-cohomology comes from exact ranks, never floating point: one sparse
-integer elimination, fed rows straight from the differential table, serves
-every characteristic.  A slice depends only on how v compares with the
-basis shifts and the shifted quotient generators, so the cohomology
-lengths are summed over the cells that these breakpoints cut, one slice
-per cell.  A slice's active basis is a divisor bitmask, and each complex
-ranks every distinct active set once, so rank work grows with the
-distinct active sets, not with the cells.
+0 and +-1.  Its cohomology comes from exact ranks, never floating point:
+one sparse integer elimination, fed rows straight from the differential
+table, serves every characteristic.  A slice depends only on how v
+compares with the basis shifts and the shifted quotient generators, so
+the cohomology lengths are summed over the cells that these breakpoints
+cut, one slice per cell.  A slice's active basis is a divisor bitmask
+over the subset bitmasks, and each complex ranks every distinct active
+set once, so rank work grows with the distinct active sets, not with
+the cells.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import comb, gcd
 
 from .errors import NotFiniteLengthError
@@ -34,7 +36,7 @@ from .monomials import (
     _divisor_tables,
     colength,
     ideal_sum,
-    pure_power_bounds,
+    is_m_primary,
 )
 from .endos import MonomialMap, apply_to_monomial, is_finite_length, iterate
 
@@ -97,9 +99,33 @@ class GeneratorProfile:
     width: int
 
 
-# the m already checked to square to zero: both paths from a source to a
-# target drop the same pair {a, b}, so the check depends on m alone
-_DD_ZERO_CHECKED: set[int] = set()
+@cache
+def _differential(m: int) -> tuple:
+    """The signed differential of every Koszul complex on m entries: entry
+    s lists (s with bit i cleared, sign) for each bit i of s, the sign
+    being (-1)^(number of bits of s below i).  Checked once per m."""
+    table = tuple(
+        tuple(
+            (s ^ 1 << i, -1 if (s & ((1 << i) - 1)).bit_count() % 2 else 1)
+            for i in range(m)
+            if s >> i & 1
+        )
+        for s in range(1 << m)
+    )
+    return _checked(table)
+
+
+def _checked(table) -> tuple:
+    # the two paths from s to s less {a, b} carry the same monomial weight,
+    # the shift of {a, b}, so d^2 = 0 is a condition on the signs alone
+    for entries in table:
+        acc: dict[int, int] = {}
+        for mid, s1 in entries:
+            for target, s2 in table[mid]:
+                acc[target] = acc.get(target, 0) + s1 * s2
+        if any(acc.values()):
+            raise AssertionError("differential does not square to zero")
+    return table
 
 
 class KoszulComplex:
@@ -114,69 +140,28 @@ class KoszulComplex:
             raise NotFiniteLengthError(
                 "sequence entries must lie in the maximal ideal"
             )
-        if pure_power_bounds(generated) is None:
+        if not is_m_primary(generated):
             raise NotFiniteLengthError(
                 "sequence does not generate an ideal of finite colength"
             )
         self.ring = ring
         self.sequence = seq
         self.m = len(seq)
-        self._build_tables()
-        if self.m not in _DD_ZERO_CHECKED:
-            self._verify_dd_zero()
-            _DD_ZERO_CHECKED.add(self.m)
-
-    def _build_tables(self):
-        m = self.m
-        d = self.ring.dim_ambient
-        self.levels = [
-            list(itertools.combinations(range(m), j)) for j in range(m + 1)
-        ]
-        index = [
-            {subset: i for i, subset in enumerate(level)} for level in self.levels
-        ]
-        self.shifts = [
-            [
-                tuple(sum(self.sequence[i][c] for i in subset) for c in range(d))
-                for subset in level
-            ]
-            for level in self.levels
-        ]
-        # diff[j][source index] = [(target index at level j-1, sign, dropped i)]
-        self.diff = [[] for _ in range(m + 1)]
-        for j in range(1, m + 1):
-            table = []
-            for subset in self.levels[j]:
-                entries = []
-                for pos, i in enumerate(subset):
-                    target = subset[:pos] + subset[pos + 1:]
-                    sign = 1 if pos % 2 == 0 else -1
-                    entries.append((index[j - 1][target], sign, i))
-                table.append(entries)
-            self.diff[j] = table
-        # subset k of the flat list is active at v iff v >= shift_k and no
-        # quotient generator g has v >= shift_k + g
-        flat = [shift for level in self.shifts for shift in level]
-        self._present = _divisor_tables(flat)
+        self.diff = _differential(self.m)
+        # shifts[s] is the exponent of the product of the entries in s
+        self.shifts = [(0,) * ring.dim_ambient]
+        for s in range(1, 1 << self.m):
+            low = s & -s
+            entry = seq[low.bit_length() - 1]
+            self.shifts.append(tuple(map(sum, zip(self.shifts[s ^ low], entry))))
+        # subset s is active at v iff v >= shifts[s] and no quotient
+        # generator g has v >= shifts[s] + g
+        self._present = _divisor_tables(self.shifts)
         self._killed = [
-            _divisor_tables([tuple(map(sum, zip(s, g))) for s in flat])
-            for g in self.ring.quotient.generators
+            _divisor_tables([tuple(map(sum, zip(s, g))) for s in self.shifts])
+            for g in ring.quotient.generators
         ]
         self._slices: dict[int, dict[int, int]] = {}
-
-    def _verify_dd_zero(self):
-        for j in range(2, self.m + 1):
-            acc: dict[tuple, int] = {}
-            for src in range(len(self.levels[j])):
-                for mid, s1, i1 in self.diff[j][src]:
-                    for tgt, s2, i2 in self.diff[j - 1][mid]:
-                        w = tuple(
-                            a + b for a, b in zip(self.sequence[i1], self.sequence[i2])
-                        )
-                        key = (src, tgt, w)
-                        acc[key] = acc.get(key, 0) + s1 * s2
-            if any(acc.values()):
-                raise AssertionError("differential does not square to zero")
 
     def module_rank(self, degree: int) -> int:
         """Rank of the free module in the given cohomological degree."""
@@ -199,19 +184,18 @@ class KoszulComplex:
 
     def _active_dims(self, active: int) -> dict[int, int]:
         m = self.m
-        acts = []
-        for level in self.levels:
-            acts.append([si for si in range(len(level)) if active >> si & 1])
-            active >>= len(level)
+        acts: list[list[int]] = [[] for _ in range(m + 1)]
+        for s in range(1 << m):
+            if active >> s & 1:
+                acts[s.bit_count()].append(s)
         ranks = [0] * (m + 2)
         for j in range(1, m + 1):
             if not acts[j] or not acts[j - 1]:
                 continue
             # the transposed differential: one sparse row per active source
-            targets = set(acts[j - 1])
             rows = [
-                {t: sign for t, sign, _ in self.diff[j][si] if t in targets}
-                for si in acts[j]
+                {t: sign for t, sign in self.diff[s] if active >> t & 1}
+                for s in acts[j]
             ]
             ranks[j] = exact_rank(rows, self.ring.characteristic)
         return {-j: len(acts[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)}
@@ -251,10 +235,7 @@ def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
     d = complex_.ring.dim_ambient
     offsets = [(0,) * d, *complex_.ring.quotient.generators]
     cuts = [
-        tuple(map(sum, zip(shift, g)))
-        for level in complex_.shifts
-        for shift in level
-        for g in offsets
+        tuple(map(sum, zip(shift, g))) for shift in complex_.shifts for g in offsets
     ]
     breakpoints = [sorted({c[i] for c in cuts}) for i in range(d)]
     try:
@@ -274,12 +255,9 @@ def h0_length(complex_: KoszulComplex) -> int:
     return colength(ideal, complex_.ring)
 
 
-def generator_profile(
-    complex_: KoszulComplex, lengths: HomologyLengths | None = None
-) -> GeneratorProfile:
-    """Peak cohomology length and cohomological width of the complex."""
-    if lengths is None:
-        lengths = homology_lengths(complex_)
+def generator_profile(lengths: HomologyLengths) -> GeneratorProfile:
+    """Peak cohomology length and cohomological width of a complex, read
+    from its cohomology lengths."""
     peak = max(lengths.lengths.values(), default=0)
     if peak == 0:
         raise ValueError("zero complex has no generator profile")
@@ -297,4 +275,4 @@ def pullback_homology(
     if n:
         complex_ = pullback(complex_, iterate(phi, n))
     lengths = homology_lengths(complex_)
-    return complex_, lengths, generator_profile(complex_, lengths)
+    return complex_, lengths, generator_profile(lengths)

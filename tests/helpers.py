@@ -116,6 +116,14 @@ def oracle_rank(rows, characteristic):
     return rank_over_fractions(rows)
 
 
+def boundary_terms(subset):
+    """The Koszul boundary of a sorted subset: (the subset less its pos-th
+    element, (-1)^pos) for each position pos."""
+    return [
+        (subset[:pos] + subset[pos + 1:], (-1) ** pos) for pos in range(len(subset))
+    ]
+
+
 def koszul_slice_oracle(characteristic, quotient_gens, sequence, v):
     """Cohomology dimensions of the multidegree-v slice, recomputed from
     first principles."""
@@ -149,11 +157,10 @@ def koszul_slice_oracle(characteristic, quotient_gens, sequence, v):
             continue
         mat = [[0] * len(sources) for _ in targets]
         for c, subset in enumerate(sources):
-            for pos, i in enumerate(subset):
-                reduced = subset[:pos] + subset[pos + 1:]
+            for reduced, sign in boundary_terms(subset):
                 r = targets.get(reduced)
                 if r is not None:
-                    mat[r][c] = (-1) ** pos
+                    mat[r][c] = sign
         ranks[j] = oracle_rank(mat, characteristic)
     return {
         -j: len(active[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)
@@ -174,18 +181,12 @@ def koszul_homology_oracle(characteristic, quotient_gens, sequence, box):
 def dd_product_terms(complex_):
     """Symbolic double-differential terms of a complex: map from
     (source subset, target subset, exponent vector) to the accumulated
-    coefficient.  All values must be zero."""
+    coefficient, subsets as bitmasks.  The two dropped entries multiply to
+    the shift of the subset source ^ target.  All values must be zero."""
     acc = {}
-    for j in range(2, complex_.m + 1):
-        for src_idx, subset in enumerate(complex_.levels[j]):
-            for mid, s1, i1 in complex_.diff[j][src_idx]:
-                for tgt, s2, i2 in complex_.diff[j - 1][mid]:
-                    w = tuple(
-                        a + b
-                        for a, b in zip(
-                            complex_.sequence[i1], complex_.sequence[i2]
-                        )
-                    )
-                    key = (subset, complex_.levels[j - 2][tgt], w)
-                    acc[key] = acc.get(key, 0) + s1 * s2
+    for src, entries in enumerate(complex_.diff):
+        for mid, s1 in entries:
+            for tgt, s2 in complex_.diff[mid]:
+                key = (src, tgt, complex_.shifts[src ^ tgt])
+                acc[key] = acc.get(key, 0) + s1 * s2
     return acc

@@ -261,6 +261,29 @@ def test_delta_non_regular_is_lower_only(workdir, capsys):
     assert out == expected
 
 
+def test_empty_sequence_line_is_the_empty_sequence(workdir, capsys):
+    # an empty sequence line is the empty sequence, as for koszul, and not
+    # the variables, which stand in only when the line is absent
+    (workdir / "cube.spec").write_text(
+        "characteristic 2\nvariables X\nquotient [3]\nmap [2]\nsequence\n"
+    )
+    code, out = _run(capsys, ["delta", "--spec", "cube.spec", "--max-iter", "2"])
+    assert code == 0
+    lines = out.splitlines()
+    assert "# profile\tmax_length=3\twidth=0" in lines
+    rows = lines[lines.index("t\tn\tlower_logavg") + 1:-1]
+    assert len(rows) == 6 and all(row.endswith("\t0") for row in rows)
+
+    (workdir / "plane.spec").write_text(DIAG + "sequence\n")
+    for argv in (["delta"], ["verify", "sandwich"], ["koszul"]):
+        assert main(argv + ["--spec", "plane.spec"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sequence does not generate an ideal of finite colength" in (
+            captured.err
+        )
+
+
 def _count_calls(monkeypatch, name):
     """Count the calls of a library function through every module-level
     name that binds it, the way ``from .x import y`` copies it."""

@@ -44,6 +44,7 @@ from entrolab.koszul import (
     build_koszul,
     generator_profile,
     h0_length,
+    homology_lengths,
     pullback,
 )
 from entrolab.specfile import parse_spec
@@ -315,7 +316,7 @@ def test_sandwich_requires_regular():
     x = [(1, 0), (0, 2)]
     reports = sandwich(quotient, frob, x, [-1.0, 0.5], 4)
     base = build_koszul(quotient, x)
-    profile = generator_profile(base)
+    profile = generator_profile(homology_lengths(base))
     for rep in reports:
         assert rep.h_loc_reference is None
         assert not sandwich_violations(rep)

@@ -21,9 +21,11 @@ from entrolab import (
     minimalize,
     pullback,
 )
+from entrolab.cli import main
 from entrolab.specfile import parse_spec
 
 from helpers import (
+    boundary_terms,
     dd_product_terms,
     koszul_homology_oracle,
     koszul_slice_oracle,
@@ -125,7 +127,7 @@ def test_regular_sequence_concentration():
         expected = colength(minimalize(seq, dim), ring)
         assert lengths.length(0) == expected
         assert all(lengths.length(-j) == 0 for j in range(1, dim + 1))
-        profile = generator_profile(complex_, lengths)
+        profile = generator_profile(lengths)
         assert profile.width == 0 and profile.peak == expected
 
 
@@ -133,7 +135,7 @@ def test_cross_ring_homology():
     complex_ = build_koszul(CROSS, [(1, 0), (0, 1)])
     lengths = homology_lengths(complex_)
     assert lengths.lengths == {0: 1, -1: 1, -2: 0}
-    profile = generator_profile(complex_, lengths)
+    profile = generator_profile(lengths)
     assert (profile.peak, profile.width) == (1, 1)
     assert h0_length(complex_) == 1
 
@@ -363,26 +365,42 @@ def test_slice_dims_match_oracle_random_with_repeats():
             assert complex_.slice_dims(v) == expected
 
 
-def test_dd_zero_check_runs_once_per_m(monkeypatch):
-    build_tables = koszul.KoszulComplex._build_tables
-
-    def corrupted(self):
-        build_tables(self)
-        target, sign, dropped = self.diff[2][0][0]
-        self.diff[2][0][0] = (target, -sign, dropped)
-
-    monkeypatch.setattr(koszul, "_DD_ZERO_CHECKED", set())
-    monkeypatch.setattr(koszul.KoszulComplex, "_build_tables", corrupted)
+def test_dd_zero_check_runs_once_per_m(monkeypatch, capsys):
+    table = [list(entries) for entries in koszul._differential(3)]
+    target, sign = table[0b011][0]
+    table[0b011][0] = (target, -sign)
     with pytest.raises(AssertionError, match="square to zero"):
-        build_koszul(R2, [(1, 0), (0, 1), (1, 1)])
-    # a sound complex records m = 3; the check then skips that m
-    monkeypatch.setattr(koszul.KoszulComplex, "_build_tables", build_tables)
-    build_koszul(R2, [(1, 0), (0, 1), (1, 1)])
-    assert koszul._DD_ZERO_CHECKED == {3}
-    monkeypatch.setattr(koszul.KoszulComplex, "_build_tables", corrupted)
-    build_koszul(R2, [(2, 0), (0, 2), (1, 1)])
-    with pytest.raises(AssertionError, match="square to zero"):
-        build_koszul(R2, [(1, 0), (0, 1), (1, 1), (2, 2)])
+        koszul._checked(table)
+    # a pullback sweep on one spec builds and checks one table, for its m
+    checked, original = [], koszul._checked
+
+    def counted(table):
+        checked.append(len(table))
+        return original(table)
+
+    monkeypatch.setattr(koszul, "_checked", counted)
+    koszul._differential.cache_clear()
+    path = str(Path(__file__).parent.parent / "specs" / "frobenius_cross.ring")
+    for n in range(1, 13):
+        assert main(["koszul", "--spec", path, "--pullback-iter", str(n)]) == 0
+    capsys.readouterr()
+    assert koszul._differential.cache_info().misses == 1
+    assert checked == [2 ** 2]
+
+
+def test_differential_signs_match_oracle():
+    # entry s drops each bit i of s with (-1)^(its position in the sorted
+    # subset), the convention of the slice oracle
+    for m in range(7):
+        table = koszul._differential(m)
+        assert len(table) == 2 ** m
+        for s, entries in enumerate(table):
+            subset = tuple(i for i in range(m) if s >> i & 1)
+            expected = [
+                (sum(1 << i for i in reduced), sign)
+                for reduced, sign in boundary_terms(subset)
+            ]
+            assert list(entries) == expected
 
 
 def test_pullback_rank_work_independent_of_n(monkeypatch):
@@ -408,9 +426,8 @@ def test_pullback_rank_work_independent_of_n(monkeypatch):
 
 def test_generator_profile_examples():
     k = build_koszul(R2, [(1, 0), (0, 1)])
-    assert generator_profile(k) == generator_profile(k, homology_lengths(k))
-    profile = generator_profile(k)
+    profile = generator_profile(homology_lengths(k))
     assert (profile.peak, profile.width) == (1, 0)
     k2 = build_koszul(R2, [(2, 0), (0, 3)])
-    profile2 = generator_profile(k2)
+    profile2 = generator_profile(homology_lengths(k2))
     assert (profile2.peak, profile2.width) == (6, 0)
