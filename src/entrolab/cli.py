@@ -157,7 +157,7 @@ _CLOSED_FORMS = {
         lambda ring, f: frobenius_prediction(ring, ring.characteristic),
         None,
         (("slope", 1e-6,
-          "predicted {predicted}; |slope - predicted| = {gap:.3e} < 1e-06"),),
+          "predicted {predicted}; |slope - predicted| = {gap:.3e} {cmp} 1e-06"),),
     ),
     "diagonal": _ClosedForm(
         (_REGULAR, (lambda ring, f: f.is_diagonal(), "a diagonal map")),
@@ -354,10 +354,12 @@ def _verify_closed_form(args, spec, report: RunReport, scale: float):
         "log-averages": max(abs(row.log_average - predicted) for row in seq.rows),
         "slope": abs(estimate_limit(seq).estimate - predicted),
     }
+    shown = _fmt(predicted * scale)
     for name, tolerance, detail in form.verdicts:
-        report.verdicts.append((name, gaps[name] < tolerance, detail.format(
-            gap=gaps[name], predicted=_fmt(predicted * scale))))
-    report.footer.append(("prediction", args.suite, _fmt(predicted * scale)))
+        ok = gaps[name] < tolerance
+        report.verdicts.append((name, ok, detail.format(
+            gap=gaps[name], predicted=shown, cmp="<" if ok else ">=")))
+    report.footer.append(("prediction", args.suite, shown))
 
 
 def _verify_ideal_independence(args, spec, report, scale):
@@ -377,8 +379,7 @@ def _verify_ideal_independence(args, spec, report, scale):
     report.columns = ["n", "length_q", "a_n_q", "length_m", "a_n_m"]
     est_q = estimate_limit(seq_q).estimate
     est_m = estimate_limit(seq_m).estimate
-    lengths = (colength(ideal, ring), colength(ring.maximal_ideal(), ring))
-    envelope = 2 * max(map(int_log, lengths)) / args.max_iter
+    envelope = 2 * int_log(colength(ideal, ring)) / args.max_iter
     gap = abs(est_q - est_m)
     report.verdicts.append(
         ("slopes-agree", gap <= envelope + 1e-9,

@@ -11,20 +11,21 @@ multidegree v carries a finite complex of vector spaces over the prime
 field (or the rationals in characteristic 0) whose matrices have entries
 0 and +-1.  Its cohomology comes from exact ranks, never floating point:
 one sparse integer elimination, fed rows straight from the differential
-table, serves every characteristic.  A slice depends only on how v
-compares with the basis shifts and the shifted quotient generators, so
-the cohomology lengths are summed over the cells that these breakpoints
-cut, one slice per cell.  A slice's active basis is a divisor bitmask
-over the subset bitmasks, and each complex ranks every distinct active
-set once, so rank work grows with the distinct active sets, not with
-the cells.
+table, serves every characteristic.  Subset S is active at v iff
+X^(v - shift_S) is a standard monomial, so a slice depends only on how v
+compares with the shifts and the shifted quotient generators, and the
+cohomology lengths are summed over the cells these breakpoints cut.  The
+active basis is a divisor bitmask read from one table over the shifts,
+built when the complex is first ranked; each distinct active set is
+ranked once, so rank work grows with those sets, not with the cells.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cache
-from math import comb, gcd
+from functools import cache, cached_property
+from math import gcd
 
 from .errors import NotFiniteLengthError
 from .monomials import (
@@ -35,10 +36,9 @@ from .monomials import (
     _divisor_mask,
     _divisor_tables,
     colength,
-    ideal_sum,
     is_m_primary,
 )
-from .endos import MonomialMap, apply_to_monomial, is_finite_length, iterate
+from .endos import MonomialMap, apply_to_monomial, iterate
 
 
 def exact_rank(rows: list[dict[int, int]], characteristic: int) -> int:
@@ -129,13 +129,15 @@ def _checked(table) -> tuple:
 
 
 class KoszulComplex:
-    """Strictly perfect complex built from a monomial sequence; see
-    ``build_koszul``."""
+    """The Koszul complex on monomials in the maximal ideal that generate,
+    with the quotient, an ideal of finite colength.  Construction only
+    validates them; the shifts and their divisor table are built the first
+    time a slice is ranked.  The differential is checked to square to zero."""
 
     def __init__(self, ring: RingSpec, sequence):
         seq = tuple(tuple(int(e) for e in w) for w in sequence)
         # building the ideal checks every entry's length and sign
-        generated = ideal_sum(MonomialIdeal(seq, ring.dim_ambient), ring.quotient)
+        generated = MonomialIdeal(seq + ring.quotient.generators, ring.dim_ambient)
         if any(sum(w) == 0 for w in seq):
             raise NotFiniteLengthError(
                 "sequence entries must lie in the maximal ideal"
@@ -148,35 +150,31 @@ class KoszulComplex:
         self.sequence = seq
         self.m = len(seq)
         self.diff = _differential(self.m)
-        # shifts[s] is the exponent of the product of the entries in s
-        self.shifts = [(0,) * ring.dim_ambient]
-        for s in range(1, 1 << self.m):
-            low = s & -s
-            entry = seq[low.bit_length() - 1]
-            self.shifts.append(tuple(map(sum, zip(self.shifts[s ^ low], entry))))
-        # subset s is active at v iff v >= shifts[s] and no quotient
-        # generator g has v >= shifts[s] + g
-        self._present = _divisor_tables(self.shifts)
-        self._killed = [
-            _divisor_tables([tuple(map(sum, zip(s, g))) for s in self.shifts])
-            for g in ring.quotient.generators
-        ]
         self._slices: dict[int, dict[int, int]] = {}
 
-    def module_rank(self, degree: int) -> int:
-        """Rank of the free module in the given cohomological degree."""
-        if -self.m <= degree <= 0:
-            return comb(self.m, -degree)
-        return 0
+    @cached_property
+    def shifts(self) -> list[Vec]:
+        # shifts[s] = shifts[s less its lowest bit] + that bit's entry
+        shifts = [(0,) * self.ring.dim_ambient]
+        for s in range(1, 1 << self.m):
+            entry = self.sequence[(s & -s).bit_length() - 1]
+            shifts.append(tuple(map(sum, zip(shifts[s & s - 1], entry))))
+        return shifts
+
+    @cached_property
+    def _present(self) -> tuple:
+        return _divisor_tables(self.shifts)
 
     def slice_dims(self, v: Vec) -> dict[int, int]:
         """Cohomology dimensions of the multidegree-v slice, keyed by
         cohomological degree, in a fresh dict; independent of any other
-        slice.  The active basis is the divisor mask of the shifts less those
-        of the shifted quotient generators, ranked once per mask and cached."""
-        active = _divisor_mask(self._present, v)
-        for killed in self._killed:
-            active &= ~_divisor_mask(killed, v)
+        slice.  S is active iff shift_S <= v and shift_S <= v - g for no
+        quotient generator g.  Each active mask is ranked once and cached."""
+        present = self._present
+        active = _divisor_mask(present, v)
+        for g in self.ring.quotient.generators:
+            # _divisor_mask is 0 where v - g has a negative coordinate
+            active &= ~_divisor_mask(present, map(operator.sub, v, g))
         dims = self._slices.get(active)
         if dims is None:
             dims = self._slices[active] = self._active_dims(active)
@@ -201,36 +199,32 @@ class KoszulComplex:
         return {-j: len(acts[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)}
 
 
-def build_koszul(ring: RingSpec, sequence) -> KoszulComplex:
-    """Build the Koszul complex on a sequence of monomials in the maximal
-    ideal that generates, together with the quotient, an ideal of finite
-    colength.  The differential is checked to square to zero."""
-    return KoszulComplex(ring, sequence)
-
-
 def pullback(complex_: KoszulComplex, phi: MonomialMap) -> KoszulComplex:
     """Inverse image of the complex along phi: the Koszul complex on the
     image monomials.  For a strictly perfect complex this plain base change
     already represents the derived pullback."""
     if phi.ring != complex_.ring:
         raise ValueError("map acts on a different ring than the complex")
-    if not is_finite_length(phi):
+    images = tuple(apply_to_monomial(phi, w) for w in complex_.sequence)
+    # x + J contains a power m^k, so phi(x) + J contains (phi(m) + J)^k, and
+    # phi(x) lies in phi(m): phi(x) + J is m-primary iff phi is of finite
+    # length.  No image is a unit, since the columns of a map are nonzero.
+    try:
+        return KoszulComplex(complex_.ring, images)
+    except NotFiniteLengthError as exc:
         raise NotFiniteLengthError(
             "pullback requires an endomorphism of finite length"
-        )
-    images = tuple(apply_to_monomial(phi, w) for w in complex_.sequence)
-    return KoszulComplex(complex_.ring, images)
+        ) from exc
 
 
 def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
     """Exact length of every cohomology module, as a cell sum of slices.
 
-    Basis subset S is active in multidegree v exactly when v >= shift_S
-    and no quotient generator g has v >= shift_S + g, so the slice
-    cohomology is constant on the cells cut by these coordinates.  The
-    sequence and the quotient generate an ideal primary to the maximal
-    ideal, which kills the cohomology; every unbounded cell is therefore
-    acyclic, and a nonzero one is an internal fault (AssertionError).
+    Subset S is active at v iff X^(v - shift_S) is a standard monomial of
+    the ring, so slices are constant on the cells cut by the shifts and the
+    shifted quotient generators.  The generated ideal is m-primary and
+    kills the cohomology: every unbounded cell is acyclic, and a nonzero
+    one is an internal fault (AssertionError).
     """
     d = complex_.ring.dim_ambient
     offsets = [(0,) * d, *complex_.ring.quotient.generators]
@@ -271,7 +265,7 @@ def pullback_homology(
     """The Koszul complex on the sequence pulled back along the n-th
     iterate of phi (the complex itself when n is 0), with its cohomology
     lengths and generator profile."""
-    complex_ = build_koszul(ring, sequence)
+    complex_ = KoszulComplex(ring, sequence)
     if n:
         complex_ = pullback(complex_, iterate(phi, n))
     lengths = homology_lengths(complex_)

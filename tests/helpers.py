@@ -9,6 +9,7 @@ recomputed, and ranks come from a plain row-echelon pass over Fractions
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
 
@@ -190,3 +191,21 @@ def dd_product_terms(complex_):
                 key = (src, tgt, complex_.shifts[src ^ tgt])
                 acc[key] = acc.get(key, 0) + s1 * s2
     return acc
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` through every ``entrolab``
+    module-level name that binds it, the way ``from .x import y`` copies
+    it; returns the list of argument tuples, one per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("entrolab")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls

@@ -8,11 +8,11 @@ import random
 import time
 
 from entrolab import (
+    KoszulComplex,
     MonomialMap,
     RingSpec,
     SquareCommutationError,
     TransferSquare,
-    build_koszul,
     check_square,
     colength,
     colength_bruteforce,
@@ -154,7 +154,7 @@ def test_criterion_7_koszul_engine():
         else:
             ring = RingSpec.polynomial(char, dim)
         seq = random_monomial_sequence(rng, dim, rng.randint(dim, 4))
-        complex_ = build_koszul(ring, seq)
+        complex_ = KoszulComplex(ring, seq)
         assert not any(dd_product_terms(complex_).values())
 
     # concentration in degree zero for 50 random regular sequences
@@ -168,14 +168,14 @@ def test_criterion_7_koszul_engine():
             vec = [0] * dim
             vec[perm[i]] = rng.randint(1, 4)
             seq.append(tuple(vec))
-        complex_ = build_koszul(ring, seq)
+        complex_ = KoszulComplex(ring, seq)
         lengths = homology_lengths(complex_)
         assert lengths.length(0) == colength(minimalize(seq, dim), ring)
         assert all(lengths.length(-j) == 0 for j in range(1, dim + 1))
 
     # exact lengths against the per-multidegree rank oracle on a 2x region
     field_ring = RingSpec(2, 2, minimalize({(1, 1)}))
-    complex_ = build_koszul(field_ring, [(1, 0), (0, 1)])
+    complex_ = KoszulComplex(field_ring, [(1, 0), (0, 1)])
     lengths = homology_lengths(complex_)
     box = tuple(2 * s for s in lengths.region)
     oracle = koszul_homology_oracle(2, ((1, 1),), complex_.sequence, box)

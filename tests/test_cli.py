@@ -23,6 +23,7 @@ from entrolab import (
     SquareCommutationError,
 )
 from entrolab.cli import main
+from helpers import count_calls
 
 DIAG = "characteristic 0\nvariables X Y\nmap [2,0] [0,3]\n"
 CROSS_FROB2 = (
@@ -284,23 +285,6 @@ def test_empty_sequence_line_is_the_empty_sequence(workdir, capsys):
         )
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls of a library function through every module-level
-    name that binds it, the way ``from .x import y`` copies it."""
-    calls = []
-    original = getattr(entrolab.monomials, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("entrolab")
-                and getattr(module, name, None) is original):
-            monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_tower_counts_are_computed_once(capsys, monkeypatch):
     spec = str(Path(__file__).parent.parent / "specs" / "diagonal235.ring")
     built = []
@@ -315,7 +299,7 @@ def test_tower_counts_are_computed_once(capsys, monkeypatch):
     # the base complex only: the lower counts come from colengths
     assert len(built) == 1
 
-    colengths = _count_calls(monkeypatch, "colength")
+    colengths = count_calls(monkeypatch, entrolab.monomials, "colength")
     assert main(["entropy", "--spec", spec, "--max-iter", "6", "--oracle"]) == 0
     # one per row: the oracle checks the lengths the sequence holds
     assert len(colengths) == 6
@@ -517,6 +501,15 @@ def test_verify_frobenius_on_quotient(workdir, capsys):
         ]
     )
     assert out == expected
+    # four rows miss log 3 by more than the tolerance: the FAIL detail
+    # states the comparison that failed
+    argv = ["verify", "frobenius", "--spec", "frob.spec", "--max-iter", "4"]
+    code, out = _run(capsys, argv)
+    assert code == 4
+    assert out.splitlines()[-1] == (
+        "# verdict\tslope\tFAIL\tpredicted 1.09861228867; "
+        "|slope - predicted| = 1.398e-03 >= 1e-06"
+    )
 
 
 def test_entropy_prediction_prefers_frobenius(capsys):
@@ -548,12 +541,21 @@ def test_entropy_prediction_prefers_frobenius(capsys):
     assert out == expected
 
 
-def test_verify_ideal_independence(workdir, capsys):
+def test_verify_ideal_independence(workdir, capsys, monkeypatch):
     spec = "characteristic 0\nvariables X Y\nmap [2,0] [0,3]\nideal [2,0] [0,3]\n"
     (workdir / "ind.spec").write_text(spec)
     code, out = _run(capsys, ["verify", "ideal-independence", "--spec", "ind.spec"])
     assert code == 0
     assert "# verdict\tslopes-agree\tPASS" in out
+    # N rows per sequence plus the reference ideal's colength for the
+    # envelope; the maximal ideal's colength is 1 on every ring
+    cross = Path(__file__).parent.parent / "specs" / "frobenius_cross.ring"
+    colengths = count_calls(monkeypatch, entrolab.monomials, "colength")
+    argv = ["verify", "ideal-independence", "--spec", str(cross), "--max-iter", "6"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert "# verdict\tslopes-agree\tPASS" in out
+    assert len(colengths) == 2 * 6 + 1
 
 
 def test_verify_sandwich(workdir, capsys):

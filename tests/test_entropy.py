@@ -41,7 +41,7 @@ import entrolab.entropy as entropy_module
 from entrolab.cli import BRUTE_BOX_CAP
 from entrolab.koszul import (
     GeneratorProfile,
-    build_koszul,
+    KoszulComplex,
     generator_profile,
     h0_length,
     homology_lengths,
@@ -315,7 +315,7 @@ def test_sandwich_requires_regular():
     frob = MonomialMap.frobenius(quotient)
     x = [(1, 0), (0, 2)]
     reports = sandwich(quotient, frob, x, [-1.0, 0.5], 4)
-    base = build_koszul(quotient, x)
+    base = KoszulComplex(quotient, x)
     profile = generator_profile(homology_lengths(base))
     for rep in reports:
         assert rep.h_loc_reference is None

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
+import entrolab.endos as endos
 import entrolab.koszul as koszul
 from entrolab import (
     DimensionMismatchError,
+    KoszulComplex,
     MonomialMap,
     NotFiniteLengthError,
     RingSpec,
-    build_koszul,
     colength,
     exact_rank,
     generator_profile,
@@ -22,10 +23,12 @@ from entrolab import (
     pullback,
 )
 from entrolab.cli import main
+from entrolab.koszul import pullback_homology
 from entrolab.specfile import parse_spec
 
 from helpers import (
     boundary_terms,
+    count_calls,
     dd_product_terms,
     koszul_homology_oracle,
     koszul_slice_oracle,
@@ -69,24 +72,15 @@ def test_exact_rank_matches_dense_oracles_random():
             assert rows == snapshot
 
 
-def test_build_ranks():
-    k = build_koszul(R2, [(1, 0), (0, 1)])
-    assert [k.module_rank(d) for d in (-2, -1, 0)] == [1, 2, 1]
-    assert k.module_rank(1) == 0 and k.module_rank(-3) == 0
-    r3 = RingSpec.polynomial(0, 3)
-    k3 = build_koszul(r3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert [k3.module_rank(-j) for j in range(4)] == [1, 3, 3, 1]
-
-
 def test_build_requires_finite_colength():
     with pytest.raises(NotFiniteLengthError):
-        build_koszul(R2, [(1, 0)])
+        KoszulComplex(R2, [(1, 0)])
     with pytest.raises(NotFiniteLengthError):
-        build_koszul(R2, [(1, 0), (0, 0)])
+        KoszulComplex(R2, [(1, 0), (0, 0)])
     with pytest.raises(DimensionMismatchError):
-        build_koszul(R2, [(1, 0), (0, 1, 0)])
+        KoszulComplex(R2, [(1, 0), (0, 1, 0)])
     # (X, Y) + (XY) generates the maximal ideal, so this is accepted
-    build_koszul(CROSS, [(1, 0), (0, 1)])
+    KoszulComplex(CROSS, [(1, 0), (0, 1)])
 
 
 def _random_ring(rng, dim):
@@ -106,7 +100,7 @@ def test_dd_zero_random():
         ring = _random_ring(rng, dim)
         length = rng.randint(dim, 4)
         seq = random_monomial_sequence(rng, dim, length)
-        complex_ = build_koszul(ring, seq)
+        complex_ = KoszulComplex(ring, seq)
         assert not any(dd_product_terms(complex_).values())
 
 
@@ -122,7 +116,7 @@ def test_regular_sequence_concentration():
             vec = [0] * dim
             vec[perm[i]] = rng.randint(1, 4)
             seq.append(tuple(vec))
-        complex_ = build_koszul(ring, seq)
+        complex_ = KoszulComplex(ring, seq)
         lengths = homology_lengths(complex_)
         expected = colength(minimalize(seq, dim), ring)
         assert lengths.length(0) == expected
@@ -132,7 +126,7 @@ def test_regular_sequence_concentration():
 
 
 def test_cross_ring_homology():
-    complex_ = build_koszul(CROSS, [(1, 0), (0, 1)])
+    complex_ = KoszulComplex(CROSS, [(1, 0), (0, 1)])
     lengths = homology_lengths(complex_)
     assert lengths.lengths == {0: 1, -1: 1, -2: 0}
     profile = generator_profile(lengths)
@@ -142,7 +136,7 @@ def test_cross_ring_homology():
 
 def test_cross_ring_pullback_by_frobenius_square():
     field_ring = RingSpec(2, 2, minimalize({(1, 1)}))
-    base = build_koszul(field_ring, [(1, 0), (0, 1)])
+    base = KoszulComplex(field_ring, [(1, 0), (0, 1)])
     frob = MonomialMap.frobenius(field_ring)
     pulled = pullback(base, iterate(frob, 2))
     assert pulled.sequence == ((4, 0), (0, 4))
@@ -151,16 +145,20 @@ def test_cross_ring_pullback_by_frobenius_square():
     assert h0_length(pulled) == 7
 
 
-def test_pullback_requires_finite_length():
-    base = build_koszul(R2, [(1, 0), (0, 1)])
+def test_pullback_requires_finite_length(monkeypatch):
+    base = KoszulComplex(R2, [(1, 0), (0, 1)])
     collapse = MonomialMap.from_columns([(1, 1), (1, 1)], R2)
-    with pytest.raises(NotFiniteLengthError):
+    # the pulled-back complex's own validation is the finiteness test
+    checks = count_calls(monkeypatch, endos, "is_finite_length")
+    message = "^pullback requires an endomorphism of finite length$"
+    with pytest.raises(NotFiniteLengthError, match=message):
         pullback(base, collapse)
+    assert checks == []
 
 
 def test_pullback_functorial():
     rng = random.Random(55)
-    base = build_koszul(R2, [(2, 0), (1, 1), (0, 3)])
+    base = KoszulComplex(R2, [(2, 0), (1, 1), (0, 3)])
     for _ in range(10):
         exps_a = tuple(rng.randint(1, 3) for _ in range(2))
         exps_b = tuple(rng.randint(1, 3) for _ in range(2))
@@ -184,7 +182,7 @@ def test_h0_matches_homology_degree_zero():
         else:
             ring = RingSpec.polynomial(char, dim)
         seq = random_monomial_sequence(rng, dim, rng.randint(dim, 3))
-        complex_ = build_koszul(ring, seq)
+        complex_ = KoszulComplex(ring, seq)
         lengths = homology_lengths(complex_)
         assert lengths.length(0) == h0_length(complex_)
 
@@ -197,7 +195,7 @@ def test_homology_matches_bruteforce_oracle():
         (CROSS, [(2, 0), (0, 3)]),
     ]
     for ring, seq in cases:
-        complex_ = build_koszul(ring, seq)
+        complex_ = KoszulComplex(ring, seq)
         lengths = homology_lengths(complex_)
         box = tuple(2 * s for s in lengths.region)
         oracle = koszul_homology_oracle(
@@ -222,7 +220,7 @@ def test_cell_sum_matches_oracle_on_twice_the_region_random():
         seq = random_monomial_sequence(
             rng, dim, rng.randint(dim, dim + 2), max_exp=2
         )
-        complex_ = build_koszul(ring, seq)
+        complex_ = KoszulComplex(ring, seq)
         lengths = homology_lengths(complex_)
         box = tuple(2 * s for s in lengths.region)
         oracle = koszul_homology_oracle(
@@ -250,7 +248,7 @@ def test_long_sequences_match_oracle():
         if quotient:
             ring = RingSpec(char, dim, minimalize([(1,) * dim]))
         seq = random_monomial_sequence(rng, dim, m, max_exp=1)
-        complex_ = build_koszul(ring, seq)
+        complex_ = KoszulComplex(ring, seq)
         lengths = homology_lengths(complex_)
         oracle = koszul_homology_oracle(
             char, ring.quotient.generators, complex_.sequence, lengths.region
@@ -293,7 +291,7 @@ def test_torsion_slice_depends_on_characteristic():
     expected[2].update({-3: 1, -4: 1})
     for char, dims in expected.items():
         ring = RingSpec(char, 5, minimalize(killers + powers))
-        complex_ = build_koszul(ring, seq)
+        complex_ = KoszulComplex(ring, seq)
         assert complex_.slice_dims(v) == dims
         assert dims == koszul_slice_oracle(char, ring.quotient.generators, seq, v)
 
@@ -301,7 +299,7 @@ def test_torsion_slice_depends_on_characteristic():
 def test_frobenius_cross_pullback_closed_form():
     # F_3[X,Y]/(XY): H^0 = H^-1 = k[X,Y]/(XY, X^q, Y^q) of length 2q - 1
     ring = RingSpec(3, 2, minimalize({(1, 1)}))
-    base = build_koszul(ring, [(1, 0), (0, 1)])
+    base = KoszulComplex(ring, [(1, 0), (0, 1)])
     frob = MonomialMap.frobenius(ring)
     for n in range(1, 13):
         lengths = homology_lengths(pullback(base, iterate(frob, n)))
@@ -311,7 +309,7 @@ def test_frobenius_cross_pullback_closed_form():
 
 
 def test_slice_dims_independent_of_order():
-    complex_ = build_koszul(CROSS, [(1, 0), (0, 1)])
+    complex_ = KoszulComplex(CROSS, [(1, 0), (0, 1)])
     lengths = homology_lengths(complex_)
     cells = [
         (a, b) for a in range(lengths.region[0]) for b in range(lengths.region[1])
@@ -328,7 +326,7 @@ def test_slice_dims_independent_of_order():
 def test_slice_dims_match_oracle_pointwise():
     rng = random.Random(303)
     ring = RingSpec(5, 2, minimalize({(1, 2)}))
-    complex_ = build_koszul(ring, [(1, 0), (0, 1), (1, 1)])
+    complex_ = KoszulComplex(ring, [(1, 0), (0, 1), (1, 1)])
     for _ in range(60):
         v = (rng.randint(0, 6), rng.randint(0, 6))
         assert complex_.slice_dims(v) == koszul_slice_oracle(
@@ -349,7 +347,8 @@ def test_slice_dims_match_oracle_random_with_repeats():
         seq = random_monomial_sequence(
             rng, dim, rng.randint(dim, dim + 4), max_exp=2
         )
-        complex_ = build_koszul(ring, seq)
+        complex_ = KoszulComplex(ring, seq)
+        fresh = KoszulComplex(ring, seq)  # ranked through slice_dims alone
         region = homology_lengths(complex_).region
         points = [
             tuple(rng.randint(0, 2 * side + 1) for side in region)
@@ -361,8 +360,52 @@ def test_slice_dims_match_oracle_random_with_repeats():
             )
             dims = complex_.slice_dims(v)
             assert dims == expected
+            assert fresh.slice_dims(v) == expected
             dims[0] += 1  # the caller owns the returned dict
             assert complex_.slice_dims(v) == expected
+
+
+def _count_tables(monkeypatch):
+    # koszul's own binding only: ideal construction builds tables too
+    calls, original = [], koszul._divisor_tables
+
+    def counted(vectors):
+        calls.append(vectors)
+        return original(vectors)
+
+    monkeypatch.setattr(koszul, "_divisor_tables", counted)
+    return calls
+
+
+def test_divisor_table_built_once_when_first_ranked(monkeypatch):
+    # with 0 to 3 quotient generators a complex builds no table until it is
+    # ranked, then one table over its shifts, read at v and at each v - g
+    quotients = [(), ((1, 1),), ((2, 1), (1, 2)), ((3, 0), (1, 1), (0, 3))]
+    tables = _count_tables(monkeypatch)
+    for jgens in quotients:
+        ring = RingSpec(3, 2, minimalize(jgens, 2))
+        assert len(ring.quotient.generators) == len(jgens)
+        complex_ = KoszulComplex(ring, [(2, 0), (1, 1), (0, 3)])
+        assert tables == [] and "shifts" not in vars(complex_)
+        lengths = homology_lengths(complex_)
+        assert tables == [complex_.shifts]
+        assert homology_lengths(complex_) == lengths
+        assert len(tables) == 1
+        tables.clear()
+
+
+def test_pullback_homology_builds_one_divisor_table(monkeypatch):
+    # the base complex is only validated; the third pullback is ranked
+    spec = parse_spec(
+        str(Path(__file__).parent.parent / "specs" / "frobenius_cross.ring")
+    )
+    tables = _count_tables(monkeypatch)
+    complex_, lengths, _ = pullback_homology(
+        spec.ring, spec.sequence, spec.map, 3
+    )
+    assert complex_.sequence == ((27, 0), (0, 27))
+    assert lengths.lengths == {0: 53, -1: 53, -2: 0}
+    assert len(tables) == 1
 
 
 def test_dd_zero_check_runs_once_per_m(monkeypatch, capsys):
@@ -408,7 +451,7 @@ def test_pullback_rank_work_independent_of_n(monkeypatch):
     spec = parse_spec(
         str(Path(__file__).parent.parent / "specs" / "frobenius_cross.ring")
     )
-    base = build_koszul(spec.ring, spec.sequence)
+    base = KoszulComplex(spec.ring, spec.sequence)
     calls = []
 
     def counted(rows, characteristic):
@@ -425,9 +468,9 @@ def test_pullback_rank_work_independent_of_n(monkeypatch):
 
 
 def test_generator_profile_examples():
-    k = build_koszul(R2, [(1, 0), (0, 1)])
+    k = KoszulComplex(R2, [(1, 0), (0, 1)])
     profile = generator_profile(homology_lengths(k))
     assert (profile.peak, profile.width) == (1, 0)
-    k2 = build_koszul(R2, [(2, 0), (0, 3)])
+    k2 = KoszulComplex(R2, [(2, 0), (0, 3)])
     profile2 = generator_profile(homology_lengths(k2))
     assert (profile2.peak, profile2.width) == (6, 0)
