@@ -149,11 +149,20 @@ def koszul_slice_oracle(characteristic, quotient_gens, sequence, v):
             if standard(u):
                 level.append(subset)
         active.append(level)
+    return subset_complex_dims(characteristic, active)
 
+
+def subset_complex_dims(characteristic, levels):
+    """Cohomology dimensions, keyed by cohomological degree, of the
+    complex spanned by a family of subsets (a down-set less a down-set, so
+    d^2 = 0), a face outside the family reading as zero: ``levels[j]``
+    lists its sorted j-element subsets.  Every differential is ranked in
+    full."""
+    m = len(levels) - 1
     ranks = [0] * (m + 2)
     for j in range(1, m + 1):
-        sources = active[j]
-        targets = {s: i for i, s in enumerate(active[j - 1])}
+        sources = levels[j]
+        targets = {s: i for i, s in enumerate(levels[j - 1])}
         if not sources or not targets:
             continue
         mat = [[0] * len(sources) for _ in targets]
@@ -164,7 +173,7 @@ def koszul_slice_oracle(characteristic, quotient_gens, sequence, v):
                     mat[r][c] = sign
         ranks[j] = oracle_rank(mat, characteristic)
     return {
-        -j: len(active[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)
+        -j: len(levels[j]) - ranks[j] - ranks[j + 1] for j in range(m + 1)
     }
 
 

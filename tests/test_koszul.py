@@ -1,5 +1,6 @@
 """Koszul complex construction, pullback, and exact cohomology lengths."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from helpers import (
     koszul_slice_oracle,
     oracle_rank,
     random_monomial_sequence,
+    subset_complex_dims,
 )
 
 R2 = RingSpec.polynomial(0, 2)
@@ -271,7 +273,7 @@ RP2_ORDERS = [
 ]
 
 
-def test_torsion_slice_depends_on_characteristic():
+def test_torsion_slice_depends_on_characteristic(monkeypatch):
     # entry i weighs 2^(rank of i) in each order, so at v = the sum of all
     # entries every subset is present and the sets killed by the quotient
     # generators v - (sum over a triangle) are exactly the faces of RP^2;
@@ -289,11 +291,67 @@ def test_torsion_slice_depends_on_characteristic():
     ]
     expected = {char: {-j: 0 for j in range(7)} for char in (0, 2, 3)}
     expected[2].update({-3: 1, -4: 1})
+    ranks = count_calls(monkeypatch, koszul, "exact_rank")
     for char, dims in expected.items():
         ring = RingSpec(char, 5, minimalize(killers + powers))
         complex_ = KoszulComplex(ring, seq)
+        ranks.clear()
         assert complex_.slice_dims(v) == dims
         assert dims == koszul_slice_oracle(char, ring.quotient.generators, seq, v)
+        # the matching leaves one critical cell in each of degrees -3 and -4,
+        # so d_4 is ranked; over Q and F_3 the Morse rank is 1 and there are
+        # more critical cells than the total length
+        (active,) = complex_._slices
+        criticals = _critical_count(active, 6)
+        assert criticals == 2 and len(ranks) == 1
+        assert criticals > sum(dims.values()) or char == 2
+
+
+def _critical_count(active, m):
+    # cells left unmatched when, for v = 0..m-1 in turn, each remaining S
+    # without v is paired with S + {v} if that remains too
+    cells = {s for s in range(1 << m) if active >> s & 1}
+    for v in range(m):
+        for s in sorted(cells):
+            if not s >> v & 1 and s | 1 << v in cells:
+                cells -= {s, s | 1 << v}
+    return len(cells)
+
+
+def _down_sets(m):
+    # every family of subsets of {0..m-1} closed under taking subsets, as
+    # frozensets of sorted tuples; each subset comes after its faces
+    families = [frozenset()]
+    for size in range(m + 1):
+        for subset in itertools.combinations(range(m), size):
+            families += [
+                family | {subset}
+                for family in families
+                if all(face in family for face, _ in boundary_terms(subset))
+            ]
+    return families
+
+
+def test_morse_count_matches_full_ranks_on_relative_complexes():
+    # every slice is a down-set K less a down-set L inside it; for m <= 4
+    # check every such pair against ranks of the full differentials
+    counts = []
+    for m in range(5):
+        downs = _down_sets(m)
+        counts.append(len(downs))
+        families = {k - low for k in downs for low in downs if low <= k}
+        for char in (0, 2, 3):
+            # k[X]/(X) with m copies of X: the active mask alone matters
+            ring = RingSpec(char, 1, minimalize([(1,)]))
+            complex_ = KoszulComplex(ring, [(1,)] * m)
+            for family in families:
+                active = sum(1 << sum(1 << i for i in s) for s in family)
+                levels = [sorted(s for s in family if len(s) == j)
+                          for j in range(m + 1)]
+                assert complex_._active_dims(active) == subset_complex_dims(
+                    char, levels
+                ), (m, char, sorted(family))
+    assert counts == [2, 3, 6, 20, 168]  # the Dedekind numbers
 
 
 def test_frobenius_cross_pullback_closed_form():
@@ -447,24 +505,33 @@ def test_differential_signs_match_oracle():
 
 
 def test_pullback_rank_work_independent_of_n(monkeypatch):
-    # north-star cost model: the exponents grow like 3^n, the rank work must not
+    # north-star cost model: the exponents grow like 3^n, the work must not.
+    # Every slice is matched perfectly, so no rank is needed at any n, and
+    # the distinct active sets stay the same nine.
     spec = parse_spec(
         str(Path(__file__).parent.parent / "specs" / "frobenius_cross.ring")
     )
     base = KoszulComplex(spec.ring, spec.sequence)
-    calls = []
-
-    def counted(rows, characteristic):
-        calls.append(rows)
-        return exact_rank(rows, characteristic)
-
-    monkeypatch.setattr(koszul, "exact_rank", counted)
-    counts = []
+    calls = count_calls(monkeypatch, koszul, "exact_rank")
     for n in range(1, 13):
+        complex_ = pullback(base, iterate(spec.map, n))
+        homology_lengths(complex_)
+        assert (len(calls), len(complex_._slices)) == (0, 9), n
+
+
+def test_morse_matching_leaves_little_rank_work(monkeypatch):
+    # m = 10 over k[X,Y]: across its 160 distinct slices the matching leaves
+    # critical cells in adjacent degrees only 28 times
+    seq = [(1, 0), (0, 3), (0, 2), (0, 3), (3, 3), (3, 1), (0, 3), (0, 3),
+           (3, 0), (3, 2)]
+    expected = {0: 2, -1: 16, -2: 56, -3: 112, -4: 140, -5: 112, -6: 56,
+                -7: 16, -8: 2, -9: 0, -10: 0}
+    calls = count_calls(monkeypatch, koszul, "exact_rank")
+    for char in (0, 2, 3):
         calls.clear()
-        homology_lengths(pullback(base, iterate(spec.map, n)))
-        counts.append(len(calls))
-    assert counts == [counts[0]] * 12
+        lengths = homology_lengths(KoszulComplex(RingSpec.polynomial(char, 2), seq))
+        assert lengths.lengths == expected, char
+        assert len(calls) <= 28, (char, len(calls))
 
 
 def test_generator_profile_examples():
