@@ -10,19 +10,18 @@ checked to square to zero once, when it is first built.  Each
 multidegree v carries a finite complex of vector spaces over the prime
 field (or the rationals in characteristic 0) whose matrices have entries
 0 and +-1.  Subset S is active at v iff X^(v - shift_S) is a standard
-monomial, so a slice depends only on how v compares with the shifts and
-the shifted quotient generators, and the cohomology lengths are summed
-over the cells these breakpoints cut.  The active basis is a divisor
-bitmask read from one table over the shifts, built when the complex is
-first ranked, and each distinct active set is counted once.  A slice is
-Morse-matched first, by unit pivots on that bitmask; exact ranks (one
-sparse integer elimination for every characteristic, never floating
-point) run only where critical cells sit in adjacent degrees.
+monomial, so a slice depends only on which cuts shift_S + g divide X^v,
+for g = 0 and each quotient generator.  One divisor table over these
+cuts, built when the complex is first ranked, gives the cells, and the
+cohomology lengths are summed over them, each distinct active set counted
+once.  A slice is Morse-matched first, by unit pivots on its bitmask;
+exact ranks (one sparse integer elimination for every characteristic,
+never floating point) run only where critical cells sit in adjacent
+degrees.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
@@ -173,23 +172,32 @@ class KoszulComplex:
         return shifts
 
     @cached_property
-    def _present(self) -> tuple:
-        return _divisor_tables(self.shifts)
+    def _cuts(self) -> tuple:
+        # bit b * 2^m + s stands for shift_s + g_b, where g_0 = 0 and g_1, ...
+        # are the quotient generators: it divides X^v iff shift_s <= v - g_b
+        offsets = [(0,) * self.ring.dim_ambient, *self.ring.quotient.generators]
+        return _divisor_tables(
+            [tuple(map(sum, zip(s, g))) for g in offsets for s in self.shifts]
+        )
 
     def slice_dims(self, v: Vec) -> dict[int, int]:
         """Cohomology dimensions of the multidegree-v slice, keyed by
         cohomological degree, in a fresh dict; independent of any other
         slice.  S is active iff shift_S <= v and shift_S <= v - g for no
-        quotient generator g.  Each active mask is counted once and cached."""
-        present = self._present
-        active = _divisor_mask(present, v)
-        for g in self.ring.quotient.generators:
-            # _divisor_mask is 0 where v - g has a negative coordinate
-            active &= ~_divisor_mask(present, map(operator.sub, v, g))
+        quotient generator g: one bisection per variable in the cut table."""
+        return dict(self._cut_dims(_divisor_mask(self._cuts, v)))
+
+    def _cut_dims(self, mask: int) -> dict[int, int]:
+        # the active set is block 0 of the mask less the later blocks; each
+        # is counted once and cached
+        n, killed = 1 << self.m, 0
+        for block in range(n, mask.bit_length(), n):
+            killed |= mask >> block
+        active = mask & ~killed & (1 << n) - 1
         dims = self._slices.get(active)
         if dims is None:
             dims = self._slices[active] = self._active_dims(active)
-        return dict(dims)
+        return dims
 
     def _active_dims(self, active: int) -> dict[int, int]:
         """Cohomology dimensions of the slice on the active subsets, keyed
@@ -244,25 +252,21 @@ def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
     """Exact length of every cohomology module, as a cell sum of slices.
 
     Subset S is active at v iff X^(v - shift_S) is a standard monomial of
-    the ring, so slices are constant on the cells cut by the shifts and the
-    shifted quotient generators.  The generated ideal is m-primary and
-    kills the cohomology: every unbounded cell is acyclic, and a nonzero
-    one is an internal fault (AssertionError).
+    the ring, so a slice is a function of the divisor mask of the cuts
+    shift_S + g at v, and the lengths are one cell sum over the grid the
+    cuts cut, each distinct mask weighed once.  The generated ideal is
+    m-primary and kills the cohomology: every unbounded cell is acyclic,
+    and a nonzero one is an internal fault (AssertionError).
     """
-    d = complex_.ring.dim_ambient
-    offsets = [(0,) * d, *complex_.ring.quotient.generators]
-    cuts = [
-        tuple(map(sum, zip(shift, g))) for shift in complex_.shifts for g in offsets
-    ]
-    breakpoints = [sorted({c[i] for c in cuts}) for i in range(d)]
+    cuts = complex_._cuts
     try:
-        sums = _cell_sum(breakpoints, complex_.slice_dims)
+        sums = _cell_sum(cuts, complex_._cut_dims)
     except NotFiniteLengthError as exc:
         raise AssertionError(
             f"cohomology of an m-primary Koszul complex is {exc}"
         ) from None
     lengths = {-j: sums.get(-j, 0) for j in range(complex_.m + 1)}
-    return HomologyLengths(lengths, tuple(axis[-1] for axis in breakpoints))
+    return HomologyLengths(lengths, tuple(coords[-1] for coords, _ in cuts[1]))
 
 
 def h0_length(complex_: KoszulComplex) -> int:

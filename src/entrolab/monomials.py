@@ -9,7 +9,6 @@ ideal compare equal.  All lengths are exact Python integers.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -106,15 +105,17 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
     When one operand is the zero ideal the other is returned as it is:
     ideals are frozen and already minimal."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatchError(
-            f"cannot add ideals in {a.ambient_dim} and {b.ambient_dim} variables"
-        )
+    _check_same_dim(a.ambient_dim, b.ambient_dim)
     if b.is_zero:
         return a
     if a.is_zero:
         return b
     return MonomialIdeal(a.generators + b.generators, a.ambient_dim)
+
+
+def _check_same_dim(a: int, b: int) -> None:
+    if a != b:
+        raise DimensionMismatchError(f"cannot add ideals in {a} and {b} variables")
 
 
 def pure_power_bounds(ideal: MonomialIdeal) -> tuple[int, ...] | None:
@@ -250,34 +251,43 @@ class RingSpec:
         return MonomialIdeal(gens, self.dim_ambient)
 
 
-def _cell_sum(breakpoints, weigh) -> dict:
-    """Sum of volume * weigh(corner) over the cells of a grid.
+def _cell_sum(tables, weigh) -> dict:
+    """Sum of volume * weigh(mask) over the cells of the grid cut by the
+    vectors of the ``_divisor_tables`` result ``tables``.
 
-    ``breakpoints`` holds one sorted list per axis, each starting at 0; the
-    cells are the products of the half-open intervals between consecutive
-    breakpoints, and a cell past the last breakpoint of some axis is
-    unbounded.  ``weigh`` maps the lower corner of a cell to a dict of ints
-    and must be constant on every cell.  An unbounded cell of nonzero
-    weight makes the sum infinite and raises NotFiniteLengthError.
+    An axis is cut at its coordinates and at 0, where [0, first) divides
+    nothing; the cell past its last coordinate is unbounded.  A cell's mask
+    is the AND of its axes' prefix masks, so the walk goes axis by axis,
+    merging cells whose partial masks agree (later axes treat them alike),
+    and ``weigh`` maps each distinct final mask, once, to a dict of ints.
+    An unbounded cell of nonzero weight raises NotFiniteLengthError.
     """
-    widths = [
-        [hi - lo for lo, hi in zip(axis, axis[1:])] + [None] for axis in breakpoints
-    ]
-    totals: dict = {}
-    for corner, sides in zip(
-        itertools.product(*breakpoints), itertools.product(*widths)
-    ):
-        weights = weigh(corner)
-        if not any(weights.values()):
-            continue
-        if None in sides:
+    full, axes = tables
+    bounded, unbounded = {full: 1}, set()
+    for coords, masks in axes:
+        cells = list(zip(masks, map(operator.sub, coords[1:], coords)))
+        if coords[0]:
+            cells.append((0, coords[0]))
+        merged: dict = {}
+        for partial, volume in bounded.items():
+            for mask, width in cells:
+                key = partial & mask
+                merged[key] = merged.get(key, 0) + volume * width
+        unbounded = {p & masks[-1] for p in (*bounded, *unbounded)} | {
+            p & mask for p in unbounded for mask, _ in cells
+        }
+        bounded = merged
+    for mask in unbounded:
+        weights = weigh(mask)
+        if any(weights.values()):
             raise NotFiniteLengthError(
-                f"not of finite length: the unbounded cell at {corner} has "
-                f"nonzero weight {weights}"
+                f"not of finite length: an unbounded cell weighs {weights}"
             )
-        volume = math.prod(sides)
-        for key, w in weights.items():
-            totals[key] = totals.get(key, 0) + volume * w
+    totals: dict = {}
+    for mask, volume in bounded.items():
+        if mask not in unbounded:  # weighed above, and weighing 0
+            for key, w in weigh(mask).items():
+                totals[key] = totals.get(key, 0) + volume * w
     return totals
 
 
@@ -288,32 +298,27 @@ def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:
     Above a point of the first d - 1 axes the standard monomials form an
     initial segment of the last axis, whose length is the least last
     coordinate among the generators whose first d - 1 coordinates (their
-    feet) divide the point.  That column height depends only on
-    comparisons with the feet, so the count is a cell sum over the grid
-    the feet cut in d - 1 axes.  The generators are sorted by last
-    coordinate, so the height at a corner is read off the lowest set bit
-    of its divisor mask over the feet.  An empty mask (an unbounded
-    column) or an unbounded cell of nonzero height means infinite
-    colength and raises NotFiniteLengthError.
+    feet) divide the point.  That column height depends only on the divisor
+    mask over the feet, so the count is a cell sum over the grid the feet
+    cut in d - 1 axes.  The generators of ideal and quotient, minimal or
+    not (a generator divisible by another never sets a height), are sorted
+    by last coordinate, so a mask's height is read off its lowest set bit.
+    An empty mask (an unbounded column) or an unbounded cell of nonzero
+    height means infinite colength and raises NotFiniteLengthError.
     """
-    gens = sorted(ideal_sum(ideal, ring.quotient).generators, key=lambda g: g[-1])
+    _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
+    gens = sorted(ideal.generators + ring.quotient.generators, key=lambda g: g[-1])
     heights = [g[-1] for g in gens]
-    feet = [g[:-1] for g in gens]
-    breakpoints = [
-        sorted({0, *(f[i] for f in feet)}) for i in range(ring.dim_ambient - 1)
-    ]
-    tables = _divisor_tables(feet)
 
-    def column(corner):
-        mask = _divisor_mask(tables, corner)
+    def column(mask):
         if not mask:
             raise NotFiniteLengthError(
-                f"not of finite length: the column above {corner} is an "
-                f"unbounded cell of standard monomials"
+                "not of finite length: a column is an unbounded cell"
             )
         return {"standard": heights[(mask & -mask).bit_length() - 1]}
 
-    return _cell_sum(breakpoints, column).get("standard", 0)
+    feet = _divisor_tables([g[:-1] for g in gens])
+    return _cell_sum(feet, column).get("standard", 0)
 
 
 def colength_bruteforce(ideal: MonomialIdeal, ring: RingSpec) -> int:

@@ -9,7 +9,9 @@ recomputed, and ranks come from a plain row-echelon pass over Fractions
 from __future__ import annotations
 
 import itertools
+import math
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 
 
@@ -63,6 +65,35 @@ def standard_count_pointwise(gens, dim):
         not any(divides(g, v) for g in gens)
         for v in itertools.product(*(range(b) for b in bounds))
     )
+
+
+def cell_sum_pointwise(tables, weigh):
+    """Sum of volume * weigh(mask) over the cells of the grid that a divisor
+    table ``(full mask, [(sorted coordinates, prefix masks) per axis])``
+    cuts, cell by cell: the breakpoints of an axis are 0 and its
+    coordinates, and the mask of a cell is found by bisecting its lower
+    corner on every axis.  None when an unbounded cell has nonzero weight
+    (the sum is infinite)."""
+    full, axes = tables
+    breakpoints = [sorted({0, *coords}) for coords, _ in axes]
+    totals = {}
+    for corner in itertools.product(*breakpoints):
+        mask = full
+        for (coords, masks), x in zip(axes, corner):
+            t = bisect_right(coords, x)
+            mask &= masks[t - 1] if t else 0
+        sides = [
+            axis[axis.index(x) + 1] - x if x != axis[-1] else None
+            for axis, x in zip(breakpoints, corner)
+        ]
+        weights = weigh(mask)
+        if None in sides:
+            if any(weights.values()):
+                return None
+            continue
+        for key, w in weights.items():
+            totals[key] = totals.get(key, 0) + math.prod(sides) * w
+    return totals
 
 
 def rank_over_fractions(rows):

@@ -1,6 +1,7 @@
 """Koszul complex construction, pullback, and exact cohomology lengths."""
 
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -231,6 +232,72 @@ def test_cell_sum_matches_oracle_on_twice_the_region_random():
         assert lengths.lengths == oracle
 
 
+def _benchmark_shaped_case(rng, d, char, q):
+    """A ring, sequence and map shaped like the koszul-pullback jobs: q
+    quotient generators in at least two variables, pure powers and small
+    extras in the sequence, and Frobenius, a diagonal map or (on a regular
+    ring) a permuted diagonal map."""
+    while True:
+        gens = []
+        for _ in range(q):
+            v = [0] * d
+            for i in rng.sample(range(d), rng.randint(2, d)):
+                v[i] = rng.randint(1, 3)
+            gens.append(tuple(v))
+        ring = RingSpec(char, d, minimalize(gens, d))
+        if len(ring.quotient.generators) == q:
+            break
+    pure, extra = (3, 2) if d == 2 else (2, 1)
+    seq = [tuple(rng.randint(1, pure) if j == i else 0 for j in range(d))
+           for i in range(d)]
+    while len(seq) < d + rng.randint(0, 2 if d == 2 else 1):
+        v = tuple(rng.randint(0, extra) for _ in range(d))
+        if sum(v) and v not in seq:
+            seq.append(v)
+    rng.shuffle(seq)
+    if char and rng.random() < 0.4:
+        exps, perm = [char] * d, list(range(d))
+    else:
+        exps = [rng.randint(1, 3) for _ in range(d)]
+        if all(e == 1 for e in exps):
+            exps[rng.randrange(d)] = 2
+        perm = list(range(d))
+        if not q and rng.random() < 0.3:
+            while perm == sorted(perm):
+                rng.shuffle(perm)
+    columns = [tuple(exps[j] if i == perm[j] else 0 for i in range(d))
+               for j in range(d)]
+    return ring, seq, MonomialMap.from_columns(columns, ring)
+
+
+def _apply_power(columns, w, n):
+    # the n-th image of X^w, recomputed from the columns
+    for _ in range(n):
+        w = tuple(sum(w[j] * col[i] for j, col in enumerate(columns))
+                  for i in range(len(w)))
+    return w
+
+
+def test_every_degree_matches_oracle_on_benchmark_shaped_pullbacks():
+    # every degree of pullback_homology, not only H^0 and the alternating
+    # sum, over twice the region; cases too large for the oracle are drawn
+    # again
+    rng = random.Random(1717)
+    cases = list(itertools.product((2, 3), (0, 2, 3, 5), range(4)))
+    for k, (d, char, q) in enumerate(cases):
+        n = k % 3
+        while True:
+            ring, seq, phi = _benchmark_shaped_case(rng, d, char, q)
+            complex_, lengths, _ = pullback_homology(ring, seq, phi, n)
+            box = tuple(2 * side for side in lengths.region)
+            if math.prod(box) << len(seq) <= 12000:
+                break
+        pulled = [_apply_power(phi.columns, w, n) for w in seq]
+        assert list(complex_.sequence) == pulled
+        oracle = koszul_homology_oracle(char, ring.quotient.generators, pulled, box)
+        assert lengths.lengths == oracle, (ring, seq, phi.columns, n)
+
+
 def test_long_sequences_match_oracle():
     # m = 7..9 in 2 and 3 variables, char 0 and primes, with and without a
     # quotient
@@ -437,7 +504,8 @@ def _count_tables(monkeypatch):
 
 def test_divisor_table_built_once_when_first_ranked(monkeypatch):
     # with 0 to 3 quotient generators a complex builds no table until it is
-    # ranked, then one table over its shifts, read at v and at each v - g
+    # ranked, then one table over the 2^m (q + 1) cuts shift_S + g, for g = 0
+    # and each quotient generator, in blocks of 2^m
     quotients = [(), ((1, 1),), ((2, 1), (1, 2)), ((3, 0), (1, 1), (0, 3))]
     tables = _count_tables(monkeypatch)
     for jgens in quotients:
@@ -446,7 +514,12 @@ def test_divisor_table_built_once_when_first_ranked(monkeypatch):
         complex_ = KoszulComplex(ring, [(2, 0), (1, 1), (0, 3)])
         assert tables == [] and "shifts" not in vars(complex_)
         lengths = homology_lengths(complex_)
-        assert tables == [complex_.shifts]
+        cuts = [
+            (s[0] + g[0], s[1] + g[1])
+            for g in [(0, 0), *ring.quotient.generators]
+            for s in complex_.shifts
+        ]
+        assert tables == [cuts] and len(cuts) == 2 ** 3 * (len(jgens) + 1)
         assert homology_lengths(complex_) == lengths
         assert len(tables) == 1
         tables.clear()

@@ -1,5 +1,6 @@
 """Exponent-vector and monomial-ideal arithmetic."""
 
+import collections
 import itertools
 import random
 
@@ -22,7 +23,12 @@ from entrolab import (
 )
 
 import entrolab.monomials as monomials
-from helpers import divides, random_m_primary_ideal, standard_count_pointwise
+from helpers import (
+    cell_sum_pointwise,
+    divides,
+    random_m_primary_ideal,
+    standard_count_pointwise,
+)
 
 
 def test_minimalize_drops_redundant():
@@ -311,27 +317,99 @@ def test_colength_matches_bruteforce_on_wide_antichains():
 
 
 def test_colength_work_is_one_mask_per_column(monkeypatch):
-    # a return to the walk over all d axes would need about g^d masks
+    # one divisor table over the feet, no corner bisected, and one weighed
+    # mask per distinct column; a walk over all d axes would need about g^d
     cases = [
         (ideal, RingSpec.polynomial(0, ideal.ambient_dim))
         for ideal in [_antichain(random.Random(dim), dim, count, side)
                       for dim, count, side, _ in ANTICHAINS]
         + [minimalize({(7,), (9,)}), minimalize({(3, 0), (0, 4), (1, 1)})]
     ]
-    calls = 0
-    mask = monomials._divisor_mask
+    tables, weighed = [], []
+    divisor_tables, cell_sum = monomials._divisor_tables, monomials._cell_sum
 
-    def counted(tables, v):
-        nonlocal calls
-        calls += 1
-        return mask(tables, v)
+    def counted_tables(vectors):
+        tables.append(vectors)
+        return divisor_tables(vectors)
 
-    monkeypatch.setattr(monomials, "_divisor_mask", counted)
+    def bisected(tables, v):
+        raise AssertionError("colength bisected a corner")
+
+    def counted_sum(tables, weigh):
+        return cell_sum(tables, lambda mask: weighed.append(mask) or weigh(mask))
+
+    monkeypatch.setattr(monomials, "_divisor_tables", counted_tables)
+    monkeypatch.setattr(monomials, "_divisor_mask", bisected)
+    monkeypatch.setattr(monomials, "_cell_sum", counted_sum)
     for ideal, ring in cases:
-        calls = 0
+        tables.clear()
+        weighed.clear()
         colength(ideal, ring)
         g, d = len(ideal.generators), ideal.ambient_dim
-        assert 0 < calls <= (g + 1) ** (d - 1), (d, g, calls)
+        assert len(tables) == 1
+        assert 0 < len(weighed) <= (g + 1) ** (d - 1), (d, g, len(weighed))
+
+
+def test_colength_checks_the_dimension():
+    with pytest.raises(DimensionMismatchError, match="cannot add ideals in 2 and 3"):
+        colength(minimalize({(1, 0), (0, 1)}), RingSpec.polynomial(0, 3))
+
+
+def _nonzero(totals):
+    return {key: w for key, w in totals.items() if w}
+
+
+def test_cell_sum_matches_pointwise_sum_random():
+    # random tables on 1-4 axes, some with no vector at 0 on an axis; with
+    # a cap vector on every axis each unbounded cell of nonzero mask weighs
+    # 0, without them most sums are infinite.  The cells below the first
+    # coordinates have mask 0, which weighs 0 or not
+    rng = random.Random(1313)
+    outcomes = collections.Counter()
+    for k in range(240):
+        dim = 1 + k % 4
+        low = rng.choice((0, 0, 1, 2))
+        vectors = [
+            tuple(rng.randint(low, 6) for _ in range(dim))
+            for _ in range(rng.randint(0, 5))
+        ]
+        capped = k % 3 != 0
+        if capped:
+            vectors += [
+                tuple(7 if j == i else low for j in range(dim)) for i in range(dim)
+            ]
+        rng.shuffle(vectors)
+        caps = sum(1 << i for i, v in enumerate(vectors) if 7 in v)
+        tables = monomials._divisor_tables(vectors)
+        if not vectors:
+            tables = (0, [([0], [0])] * dim)
+
+        origin = rng.choice(({"a": 0, "b": 0}, {"a": 1, "b": 2}))
+
+        def weigh(mask):
+            if not mask:
+                return origin
+            if mask & caps:
+                return {"a": 0, "b": 0}
+            return {"a": (mask * 0x9E3779B1 >> 5) % 4 - 1, "b": mask.bit_count() % 3}
+
+        expected = cell_sum_pointwise(tables, weigh)
+        calls = collections.Counter()
+
+        def counted(mask):
+            calls[mask] += 1
+            return weigh(mask)
+
+        if expected is None:
+            with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+                monomials._cell_sum(tables, counted)
+        else:
+            assert _nonzero(monomials._cell_sum(tables, counted)) == _nonzero(expected)
+        assert max(calls.values()) == 1, vectors
+        outcomes[expected is None, capped, low > 0] += 1
+    # finite and infinite sums, with and without a first coordinate above 0
+    assert all(outcomes[infinite, not infinite, low] for infinite in (False, True)
+               for low in (False, True)), outcomes
 
 
 def test_colength_edge_cases():
