@@ -17,10 +17,10 @@ from .monomials import (
     MonomialIdeal,
     RingSpec,
     Vec,
+    _check_vec,
     _divisor_mask,
     _divisor_tables,
-    ideal_sum,
-    is_m_primary,
+    _pure_powers,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -171,11 +171,12 @@ def image_ideal(phi: MonomialMap, ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def is_finite_length(phi: MonomialMap) -> bool:
-    """True iff the extension of the maximal ideal is primary to it, i.e.
-    the closed fiber of phi is zero dimensional."""
+    """True iff the extension of the maximal ideal, generated by the
+    columns of the matrix, is primary to it modulo the quotient, i.e. the
+    closed fiber of phi is zero dimensional."""
     ring = phi.ring
-    image = image_ideal(phi, ring.maximal_ideal())
-    return is_m_primary(ideal_sum(ring.quotient, image))
+    gens = ring.quotient.generators + phi.columns
+    return _pure_powers(gens, ring.dim_ambient) is not None
 
 
 @dataclass(frozen=True)
@@ -219,10 +220,9 @@ class TransferSquare:
             if sum(c) == 0:
                 raise ValueError("joining map must send variables into the "
                                  "maximal ideal")
-        joined = ideal_sum(
-            self.target_ring.quotient, MonomialIdeal(cols, dt)
-        )
-        if not is_m_primary(joined):
+        for c in cols:  # exponent vectors: no negative entry
+            _check_vec(c)
+        if _pure_powers(self.target_ring.quotient.generators + cols, dt) is None:
             raise NotFiniteLengthError(
                 "joining map of the transfer square is not of finite length"
             )

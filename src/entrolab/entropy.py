@@ -20,14 +20,17 @@ from .errors import (
 from .monomials import (
     MonomialIdeal,
     RingSpec,
+    _check_same_dim,
+    _divisor_mask,
+    _pure_powers,
+    _standard_count,
     colength,
-    ideal_sum,
-    is_m_primary,
     krull_dimension,
 )
 from .endos import (
     MonomialMap,
     TransferSquare,
+    _matvec,
     check_square,
     image_ideal,
     is_finite_length,
@@ -131,8 +134,17 @@ def local_entropy_sequence(
     n = 1..n_max, with their log averages.
 
     The reference ideal defaults to the maximal ideal; any ideal primary
-    to it yields the same growth rate.  The n-th image is phi applied to
-    the minimal generators of the (n-1)-th, so no power of phi is built.
+    to it yields the same growth rate.  Each row maps the carried exponent
+    vectors by phi's matrix and counts the images with the quotient, so no
+    power of phi and no ideal is built.  The carried vectors start as the
+    minimal generators of the reference ideal.  On a quotient by J the
+    images that another image or a quotient generator divides are dropped
+    before the next row, read off the row's feet table: phi(J) lies in J,
+    so phi(I) + J = phi(I') + J whenever I + J = I' + J.  On a regular ring
+    nothing is dropped: there a finite-length phi is a monomial matrix (d
+    monomials generate an m-primary ideal only as pure powers of distinct
+    variables), which preserves and reflects divisibility, so the images
+    stay minimal and distinct.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -142,22 +154,33 @@ def local_entropy_sequence(
         ideal = ring.maximal_ideal()
     if any(sum(g) == 0 for g in ideal.generators):
         raise ValueError("reference ideal must be proper")
-    if not is_m_primary(ideal_sum(ideal, ring.quotient)):
+    _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
+    quotient = ring.quotient.generators
+    d = ring.dim_ambient
+    if _pure_powers(ideal.generators + quotient, d) is None:
         raise NotFiniteLengthError(
             "reference ideal is not primary to the maximal ideal"
         )
     # the ideal lies in and is primary to the maximal ideal m modulo the
     # quotient J, so phi(ideal) + J and phi(m) + J have the same radical:
-    # phi is of finite length iff the first image is primary to m
-    image = image_ideal(phi, ideal)
-    if not is_m_primary(ideal_sum(image, ring.quotient)):
+    # phi is of finite length iff the first images with J are primary to m
+    matrix = phi.matrix
+    vectors = [_matvec(matrix, g) for g in ideal.generators]
+    if _pure_powers([*vectors, *quotient], d) is None:
         raise NotFiniteLengthError("endomorphism is not of finite length")
     rows = []
     for n in range(1, n_max + 1):
         if n > 1:
-            image = image_ideal(phi, image)
-        length = colength(image, ring)
+            vectors = [_matvec(matrix, v) for v in vectors]
+        length, gens, feet = _standard_count(vectors, ring)
         rows.append(EntropyRow(n, length, int_log(length) / n))
+        if quotient and n < n_max:
+            # _divisor_mask stops at the d - 1 axes of the feet
+            vectors = [
+                g for k, g in enumerate(gens)
+                if not _divisor_mask(feet, g) & ((1 << k) - 1)
+                and g not in quotient
+            ]
     return EntropySequence(tuple(rows), ideal, phi)
 
 

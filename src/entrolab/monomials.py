@@ -291,23 +291,25 @@ def _cell_sum(tables, weigh) -> dict:
     return totals
 
 
-def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:
-    """Number of standard monomials of ideal + quotient, i.e. the k-dimension
-    of the ring modulo the ideal.
+def _standard_count(vectors, ring: RingSpec) -> tuple[int, list, tuple]:
+    """Number of standard monomials of the ideal that ``vectors`` and the
+    quotient generate, with the generators in the order counted and their
+    feet table.
 
     Above a point of the first d - 1 axes the standard monomials form an
     initial segment of the last axis, whose length is the least last
     coordinate among the generators whose first d - 1 coordinates (their
     feet) divide the point.  That column height depends only on the divisor
     mask over the feet, so the count is a cell sum over the grid the feet
-    cut in d - 1 axes.  The generators of ideal and quotient, minimal or
-    not (a generator divisible by another never sets a height), are sorted
-    by last coordinate, so a mask's height is read off its lowest set bit.
+    cut in d - 1 axes.  The generators, minimal or not (a generator
+    divisible by another never sets a height), are sorted colexicographically,
+    last coordinate first, so a mask's height is read off its lowest set
+    bit, and a generator divisible by another generator (or equal to an
+    earlier one) is exactly one whose feet mask has a bit below its own.
     An empty mask (an unbounded column) or an unbounded cell of nonzero
     height means infinite colength and raises NotFiniteLengthError.
     """
-    _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
-    gens = sorted(ideal.generators + ring.quotient.generators, key=lambda g: g[-1])
+    gens = sorted([*vectors, *ring.quotient.generators], key=lambda g: g[::-1])
     heights = [g[-1] for g in gens]
 
     def column(mask):
@@ -318,7 +320,17 @@ def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:
         return {"standard": heights[(mask & -mask).bit_length() - 1]}
 
     feet = _divisor_tables([g[:-1] for g in gens])
-    return _cell_sum(feet, column).get("standard", 0)
+    return _cell_sum(feet, column).get("standard", 0), gens, feet
+
+
+def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:
+    """Number of standard monomials of ideal + quotient, i.e. the k-dimension
+    of the ring modulo the ideal: one feet table and one cell sum over it
+    (see ``_standard_count``).  Raises NotFiniteLengthError when that
+    dimension is infinite.
+    """
+    _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
+    return _standard_count(ideal.generators, ring)[0]
 
 
 def colength_bruteforce(ideal: MonomialIdeal, ring: RingSpec) -> int:

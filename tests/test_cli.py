@@ -299,10 +299,10 @@ def test_tower_counts_are_computed_once(capsys, monkeypatch):
     # the base complex only: the lower counts come from colengths
     assert len(built) == 1
 
-    colengths = count_calls(monkeypatch, entrolab.monomials, "colength")
+    counts = count_calls(monkeypatch, entrolab.monomials, "_standard_count")
     assert main(["entropy", "--spec", spec, "--max-iter", "6", "--oracle"]) == 0
-    # one per row: the oracle checks the lengths the sequence holds
-    assert len(colengths) == 6
+    # one count per row: the oracle checks the lengths the sequence holds
+    assert len(counts) == 6
     assert "# verdict\toracle-colength\tPASS" in capsys.readouterr().out
 
 
@@ -547,15 +547,18 @@ def test_verify_ideal_independence(workdir, capsys, monkeypatch):
     code, out = _run(capsys, ["verify", "ideal-independence", "--spec", "ind.spec"])
     assert code == 0
     assert "# verdict\tslopes-agree\tPASS" in out
-    # N rows per sequence plus the reference ideal's colength for the
-    # envelope; the maximal ideal's colength is 1 on every ring
+    # one count per row of each sequence, plus the reference ideal's
+    # colength for the envelope (which counts once more); the maximal
+    # ideal's colength is 1 on every ring
     cross = Path(__file__).parent.parent / "specs" / "frobenius_cross.ring"
     colengths = count_calls(monkeypatch, entrolab.monomials, "colength")
+    counts = count_calls(monkeypatch, entrolab.monomials, "_standard_count")
     argv = ["verify", "ideal-independence", "--spec", str(cross), "--max-iter", "6"]
     code, out = _run(capsys, argv)
     assert code == 0
     assert "# verdict\tslopes-agree\tPASS" in out
-    assert len(colengths) == 2 * 6 + 1
+    assert len(colengths) == 1
+    assert len(counts) == 2 * 6 + len(colengths)
 
 
 def test_verify_sandwich(workdir, capsys):
@@ -598,15 +601,7 @@ def test_transfer_command_reports_chain_without_failing(workdir, capsys):
 
 
 def test_transfer_builds_each_sequence_once(workdir, capsys, monkeypatch):
-    calls = []
-    real = entrolab.monomials.colength
-
-    def counting(ideal, ring):
-        calls.append(ideal)
-        return real(ideal, ring)
-
-    for module in (entrolab.monomials, entrolab.entropy, entrolab.koszul, entrolab.cli):
-        monkeypatch.setattr(module, "colength", counting)
+    calls = count_calls(monkeypatch, entrolab.monomials, "_standard_count")
     (workdir / "square.spec").write_text(SQUARE_OK)
     code, _ = _run(capsys, ["transfer", "--spec", "square.spec", "--max-iter", "5"])
     assert code == 0

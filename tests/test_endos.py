@@ -210,6 +210,11 @@ def test_transfer_square_checks():
     phi = MonomialMap.diagonal((2, 3), R2)
     with pytest.raises(NotFiniteLengthError):
         TransferSquare(line, R2, ((0, 1),), psi, phi)
+    # the quotient may hold the pure powers the joining map lacks
+    target = RingSpec(0, 2, minimalize({(0, 2)}))
+    TransferSquare(line, target, ((1, 0),), psi, MonomialMap.diagonal((3, 1), target))
+    with pytest.raises(ValueError, match=r"\(-1, 2\) has a negative entry"):
+        TransferSquare(line, R2, ((-1, 2),), psi, phi)
 
     broken = TransferSquare(
         ring, ring, ((1, 0), (0, 1)), frob, MonomialMap.diagonal((2, 3), ring)

@@ -17,6 +17,7 @@ from entrolab import (
     SandwichRow,
     SquareCommutationError,
     TransferSquare,
+    apply_to_monomial,
     colength,
     colength_bruteforce,
     complexity_lower_bound,
@@ -38,6 +39,7 @@ from entrolab import (
 )
 import entrolab.endos as endos_module
 import entrolab.entropy as entropy_module
+import entrolab.monomials as monomials_module
 from entrolab.cli import BRUTE_BOX_CAP
 from entrolab.koszul import (
     GeneratorProfile,
@@ -48,7 +50,7 @@ from entrolab.koszul import (
     pullback,
 )
 from entrolab.specfile import parse_spec
-from helpers import random_m_primary_ideal
+from helpers import count_calls, random_m_primary_ideal
 
 R2 = RingSpec.polynomial(0, 2)
 R3 = RingSpec.polynomial(0, 3)
@@ -186,52 +188,154 @@ def test_sequence_matches_the_definition_random():
     assert brute > 100 and twins == 12 and diagonal < 24
 
 
+def _count_row_work(monkeypatch):
+    """Lists of the matrices the sequence maps by and of the argument
+    tuples of its row counts."""
+    matrices = []
+
+    def counted_matvec(matrix, v):
+        matrices.append(matrix)
+        return endos_module._matvec(matrix, v)
+
+    monkeypatch.setattr(entropy_module, "_matvec", counted_matvec)
+    return matrices, count_calls(monkeypatch, monomials_module, "_standard_count")
+
+
 def test_sequence_builds_no_map_power(monkeypatch):
     ring = RingSpec(3, 2, minimalize({(1, 1)}))
     phi = MonomialMap.from_columns([(0, 2), (3, 0)], ring)  # X -> Y^2, Y -> X^3
     ideal = minimalize({(3, 0), (1, 1), (0, 2)})
-    built, mapped = [], []
+    built = []
     post_init = MonomialMap.__post_init__
 
     def counted_post_init(self):
         built.append(self)
         post_init(self)
 
-    def counted_image_ideal(psi, source):
-        mapped.append((psi, source))
-        return image_ideal(psi, source)
-
     monkeypatch.setattr(MonomialMap, "__post_init__", counted_post_init)
-    monkeypatch.setattr(entropy_module, "image_ideal", counted_image_ideal)
+    matrices, counts = _count_row_work(monkeypatch)
     for n_max in (1, 6, 12):
         built.clear()
-        mapped.clear()
+        matrices.clear()
+        counts.clear()
         seq = local_entropy_sequence(ring, phi, ideal, n_max)
         assert built == []
-        assert len(mapped) == n_max
-        # each step maps the previous image by phi itself
-        assert all(psi is phi for psi, _ in mapped)
-        assert mapped[0][1] is ideal
+        assert len(counts) == n_max
+        # each row maps the vectors it counts by phi's own matrix, starting
+        # from the reference ideal
+        assert all(matrix is phi.matrix for matrix in matrices)
+        assert len(matrices) == sum(len(vectors) for vectors, _ in counts)
+        first = [apply_to_monomial(phi, g) for g in ideal.generators]
+        assert counts[0][0] == first
         assert len(seq.rows) == n_max
 
 
 def test_sequence_maps_each_ideal_once(monkeypatch):
-    # the finiteness test reads the first image instead of mapping the
+    # the finiteness test reads the first images instead of mapping the
     # maximal ideal once more
     path = Path(__file__).parent.parent / "specs" / "diagonal235.ring"
     spec = parse_spec(str(path))
-    mapped = []
-
-    def counted_image_ideal(psi, source):
-        mapped.append(source)
-        return image_ideal(psi, source)
-
-    for module in (entropy_module, endos_module):
-        monkeypatch.setattr(module, "image_ideal", counted_image_ideal)
+    image_ideals = count_calls(monkeypatch, endos_module, "image_ideal")
+    matrices, counts = _count_row_work(monkeypatch)
     seq = local_entropy_sequence(spec.ring, spec.map, None, 6)
     assert [row.length for row in seq.rows] == [30**n for n in range(1, 7)]
-    assert len(mapped) == 6
-    assert len(set(mapped)) == 6
+    assert image_ideals == []
+    assert len(counts) == 6
+    assert len({tuple(vectors) for vectors, _ in counts}) == 6
+    assert len(matrices) == 3 * 6
+
+
+def test_sequence_drops_divisible_images_on_quotients(monkeypatch):
+    # on a quotient by J the images that another image or J divides are
+    # dropped before the next row; the lengths still match the definition
+    ring = RingSpec(0, 2, minimalize({(2, 0)}))
+    phi = MonomialMap.from_columns([(1, 1), (0, 2)], ring)  # X -> XY, Y -> Y^2
+    seq = local_entropy_sequence(ring, phi, None, 8)
+    assert [r.length for r in seq.rows] == [2 ** (n + 1) - 1 for n in range(1, 9)]
+    _, counts = _count_row_work(monkeypatch)
+    rng = random.Random(2718)
+    cases = [(ring, phi, minimalize({(2, 0), (1, 1), (0, 2)}))]
+    cases += [
+        _random_sequence_case(rng, 2 + k % 3, True, k % 4 == 0)
+        for k in range(36)
+    ]
+    dropped = 0
+    for ring, phi, ideal in cases:
+        counts.clear()
+        seq = local_entropy_sequence(ring, phi, ideal, 6)
+        carried = [len(vectors) for vectors, _ in counts]
+        assert carried == sorted(carried, reverse=True)
+        dropped += carried[-1] < carried[0]
+        for row in seq.rows:
+            image = image_ideal(iterate(phi, row.n), ideal)
+            assert row.length == colength(image, ring), (phi, ideal, row.n)
+    assert dropped >= 20
+
+
+def test_regular_finite_length_maps_keep_images_minimal():
+    # on a regular ring the sequence drops nothing: a finite-length map is
+    # a monomial matrix, so the images of minimal generators under any
+    # iterate are minimal and distinct
+    rng = random.Random(4099)
+    finite = 0
+    for k in range(240):
+        dim = 1 + k % 4
+        ring = RingSpec.polynomial(0, dim)
+        cols = []
+        for _ in range(dim):
+            col = [0] * dim
+            if rng.random() < 0.8:
+                col[rng.randrange(dim)] = rng.randint(1, 3)
+            else:
+                col = [rng.randint(0, 2) for _ in range(dim)]
+                col[rng.randrange(dim)] += 1
+            cols.append(col)
+        phi = MonomialMap.from_columns(cols, ring)
+        if not is_finite_length(phi):
+            continue
+        assert phi.is_monomial_matrix()
+        finite += 1
+        ideal = minimalize(random_m_primary_ideal(rng, dim, 4, 3), dim)
+        for n in (1, 2, 3):
+            power = iterate(phi, n)
+            images = {apply_to_monomial(power, g) for g in ideal.generators}
+            assert len(images) == len(ideal.generators)
+            assert set(minimalize(images, dim).generators) == images
+    assert finite >= 60
+
+
+def test_sequence_row_work_is_one_table(monkeypatch):
+    # one feet table per row, the same number of ideals built whatever
+    # n_max, and never more carried vectors than reference generators
+    tables = count_calls(monkeypatch, monomials_module, "_divisor_tables")
+    ideals = []
+    post_init = monomials_module.MonomialIdeal.__post_init__
+
+    def counted_post_init(self):
+        ideals.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(
+        monomials_module.MonomialIdeal, "__post_init__", counted_post_init
+    )
+    _, counts = _count_row_work(monkeypatch)
+    rng = random.Random(31)
+    for k in range(16):
+        ring, phi, ideal = _random_sequence_case(
+            rng, 1 + k % 4, k % 2 == 1, False
+        )
+        for reference in (ideal, None):
+            gens = len((reference or ring.maximal_ideal()).generators)
+            built = set()
+            for n_max in (1, 4, 8):
+                tables.clear()
+                ideals.clear()
+                counts.clear()
+                local_entropy_sequence(ring, phi, reference, n_max)
+                built.add(len(ideals))
+                assert len(tables) == n_max + len(ideals)
+                assert all(len(vectors) <= gens for vectors, _ in counts)
+            assert built == {0 if reference else 1}
 
 
 def test_sequence_unit_ideal_is_rejected_before_finiteness():
