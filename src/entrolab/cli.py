@@ -447,7 +447,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.set_defaults(suite=None)  # handlers are keyed by (command, suite)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, t=False, oracle="", tolerance=False):
+    def common(sp, *, t=False, oracle="", tolerance=False, max_iter=True):
         sp.add_argument("--spec", required=True, help="ring specification file")
         sp.add_argument(
             "--format", choices=("tsv", "report"), default="tsv",
@@ -457,9 +457,10 @@ def _parser() -> argparse.ArgumentParser:
             "--log-base", choices=("e", "2", "10"), default="e",
             help="display base for logarithms (rescales display only)",
         )
-        sp.add_argument(
-            "--max-iter", type=_int_at_least(1), default=8, metavar="N"
-        )
+        if max_iter:
+            sp.add_argument(
+                "--max-iter", type=_int_at_least(1), default=8, metavar="N"
+            )
         if t:
             sp.add_argument(
                 "--t", type=_t_values, default="-1,0,1",
@@ -478,7 +479,8 @@ def _parser() -> argparse.ArgumentParser:
     common(sp, t=True, oracle=colength_oracle)
 
     sp = sub.add_parser("koszul", help="cohomology lengths of a Koszul complex")
-    common(sp, oracle="cross-check by summing every slice of the region box")
+    common(sp, oracle="cross-check by summing every slice of the region box",
+           max_iter=False)
     sp.add_argument(
         "--pullback-iter", type=_int_at_least(0), default=0, metavar="N"
     )

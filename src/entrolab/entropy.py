@@ -247,14 +247,6 @@ def _lower_bound_log(profile: GeneratorProfile, h0_len: int, t: float) -> float:
     return int_log(h0_len) - (int_log(profile.peak) + profile.width * abs(t))
 
 
-def complexity_lower_bound(
-    profile: GeneratorProfile, h0_len: int, t: float
-) -> float:
-    """Certified lower bound for the complexity of the n-th pullback of a
-    generator with the given profile: h0_len / (peak * e^(width*|t|))."""
-    return math.exp(_lower_bound_log(profile, h0_len, t))
-
-
 def sandwich(
     ring: RingSpec,
     phi: MonomialMap,

@@ -32,10 +32,11 @@ from .monomials import (
     RingSpec,
     Vec,
     _cell_sum,
+    _check_vec,
     _divisor_mask,
     _divisor_tables,
+    _pure_powers,
     colength,
-    is_m_primary,
 )
 from .endos import MonomialMap, apply_to_monomial, iterate
 
@@ -145,14 +146,13 @@ class KoszulComplex:
     time a slice is ranked.  The differential is checked to square to zero."""
 
     def __init__(self, ring: RingSpec, sequence):
-        seq = tuple(tuple(int(e) for e in w) for w in sequence)
-        # building the ideal checks every entry's length and sign
-        generated = MonomialIdeal(seq + ring.quotient.generators, ring.dim_ambient)
+        d = ring.dim_ambient
+        seq = tuple(_check_vec(w, d) for w in sequence)
         if any(sum(w) == 0 for w in seq):
             raise NotFiniteLengthError(
                 "sequence entries must lie in the maximal ideal"
             )
-        if not is_m_primary(generated):
+        if _pure_powers(seq + ring.quotient.generators, d) is None:
             raise NotFiniteLengthError(
                 "sequence does not generate an ideal of finite colength"
             )
@@ -254,17 +254,13 @@ def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
     Subset S is active at v iff X^(v - shift_S) is a standard monomial of
     the ring, so a slice is a function of the divisor mask of the cuts
     shift_S + g at v, and the lengths are one cell sum over the grid the
-    cuts cut, each distinct mask weighed once.  The generated ideal is
-    m-primary and kills the cohomology: every unbounded cell is acyclic,
-    and a nonzero one is an internal fault (AssertionError).
+    cuts cut, each distinct mask weighed once.  The cut shift_S + 0 for the
+    empty S is 0, and the generated ideal is m-primary and kills the
+    cohomology, so every unbounded cell is acyclic: the bounded cells hold
+    all of it.
     """
     cuts = complex_._cuts
-    try:
-        sums = _cell_sum(cuts, complex_._cut_dims)
-    except NotFiniteLengthError as exc:
-        raise AssertionError(
-            f"cohomology of an m-primary Koszul complex is {exc}"
-        ) from None
+    sums = _cell_sum(cuts, complex_._cut_dims)
     lengths = {-j: sums.get(-j, 0) for j in range(complex_.m + 1)}
     return HomologyLengths(lengths, tuple(coords[-1] for coords, _ in cuts[1]))
 

@@ -252,49 +252,38 @@ class RingSpec:
 
 
 def _cell_sum(tables, weigh) -> dict:
-    """Sum of volume * weigh(mask) over the cells of the grid cut by the
-    vectors of the ``_divisor_tables`` result ``tables``.
+    """Sum of volume * weigh(mask) over the bounded cells of the grid cut
+    by the vectors of the ``_divisor_tables`` result ``tables``.
 
-    An axis is cut at its coordinates and at 0, where [0, first) divides
-    nothing; the cell past its last coordinate is unbounded.  A cell's mask
-    is the AND of its axes' prefix masks, so the walk goes axis by axis,
-    merging cells whose partial masks agree (later axes treat them alike),
-    and ``weigh`` maps each distinct final mask, once, to a dict of ints.
-    An unbounded cell of nonzero weight raises NotFiniteLengthError.
+    An axis is cut at its coordinates; a cell's mask is the AND of its
+    axes' prefix masks, so the walk goes axis by axis, merging cells whose
+    partial masks agree (later axes treat them alike), and ``weigh`` maps
+    each distinct final mask, once, to a dict of ints.  The caller
+    guarantees that the sum is the sum over the whole orthant: the vectors
+    include the zero vector, so every axis starts at 0, and every cell
+    past an axis's last coordinate weighs nothing.
     """
     full, axes = tables
-    bounded, unbounded = {full: 1}, set()
+    volumes = {full: 1}
     for coords, masks in axes:
         cells = list(zip(masks, map(operator.sub, coords[1:], coords)))
-        if coords[0]:
-            cells.append((0, coords[0]))
         merged: dict = {}
-        for partial, volume in bounded.items():
+        for partial, volume in volumes.items():
             for mask, width in cells:
                 key = partial & mask
                 merged[key] = merged.get(key, 0) + volume * width
-        unbounded = {p & masks[-1] for p in (*bounded, *unbounded)} | {
-            p & mask for p in unbounded for mask, _ in cells
-        }
-        bounded = merged
-    for mask in unbounded:
-        weights = weigh(mask)
-        if any(weights.values()):
-            raise NotFiniteLengthError(
-                f"not of finite length: an unbounded cell weighs {weights}"
-            )
+        volumes = merged
     totals: dict = {}
-    for mask, volume in bounded.items():
-        if mask not in unbounded:  # weighed above, and weighing 0
-            for key, w in weigh(mask).items():
-                totals[key] = totals.get(key, 0) + volume * w
+    for mask, volume in volumes.items():
+        for key, w in weigh(mask).items():
+            totals[key] = totals.get(key, 0) + volume * w
     return totals
 
 
 def _standard_count(vectors, ring: RingSpec) -> tuple[int, list, tuple]:
     """Number of standard monomials of the ideal that ``vectors`` and the
     quotient generate, with the generators in the order counted and their
-    feet table.
+    feet table.  That ideal must hold a pure power of every variable.
 
     Above a point of the first d - 1 axes the standard monomials form an
     initial segment of the last axis, whose length is the least last
@@ -306,17 +295,14 @@ def _standard_count(vectors, ring: RingSpec) -> tuple[int, list, tuple]:
     last coordinate first, so a mask's height is read off its lowest set
     bit, and a generator divisible by another generator (or equal to an
     earlier one) is exactly one whose feet mask has a bit below its own.
-    An empty mask (an unbounded column) or an unbounded cell of nonzero
-    height means infinite colength and raises NotFiniteLengthError.
+    The pure power of X_d has the zero foot, and past the last coordinate
+    of an axis i < d the pure power of X_i divides with height 0, so the
+    cell sum's precondition holds.
     """
     gens = sorted([*vectors, *ring.quotient.generators], key=lambda g: g[::-1])
     heights = [g[-1] for g in gens]
 
     def column(mask):
-        if not mask:
-            raise NotFiniteLengthError(
-                "not of finite length: a column is an unbounded cell"
-            )
         return {"standard": heights[(mask & -mask).bit_length() - 1]}
 
     feet = _divisor_tables([g[:-1] for g in gens])
@@ -326,10 +312,17 @@ def _standard_count(vectors, ring: RingSpec) -> tuple[int, list, tuple]:
 def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:
     """Number of standard monomials of ideal + quotient, i.e. the k-dimension
     of the ring modulo the ideal: one feet table and one cell sum over it
-    (see ``_standard_count``).  Raises NotFiniteLengthError when that
-    dimension is infinite.
+    (see ``_standard_count``).  Raises NotFiniteLengthError, before any
+    table is built, when some variable has no pure power in ideal +
+    quotient, i.e. when that dimension is infinite.
     """
     _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
+    gens = ideal.generators + ring.quotient.generators
+    if _pure_powers(gens, ring.dim_ambient) is None:
+        raise NotFiniteLengthError(
+            "not of finite length: some variable has no pure power in the "
+            "ideal plus the quotient"
+        )
     return _standard_count(ideal.generators, ring)[0]
 
 

@@ -129,12 +129,12 @@ def parse_spec(path: str) -> SpecFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        name, _, payload = line.partition(" ")
+        name, *payload = line.split(maxsplit=1)
         if name not in _FIELDS:
             raise SpecError(f"line {line_no}: unknown field {name!r}")
         if name in fields:
             raise SpecError(f"line {line_no}: duplicate field {name!r}")
-        fields[name] = (line_no, payload.strip())
+        fields[name] = (line_no, payload[0] if payload else "")
 
     def require(name: str) -> tuple[int, str]:
         if name not in fields:

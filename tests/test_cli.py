@@ -631,6 +631,8 @@ def test_transfer_broken_square_is_exit_3(workdir, capsys):
         ["delta", "--t=nan"],
         ["delta", "--t=0,inf"],
         ["delta", "--t=,"],
+        # koszul iterates by --pullback-iter alone and takes no --max-iter
+        ["koszul", "--max-iter", "9", "--pullback-iter", "1"],
     ],
 )
 def test_out_of_range_flags_exit_2(workdir, capsys, argv):

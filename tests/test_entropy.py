@@ -20,7 +20,6 @@ from entrolab import (
     apply_to_monomial,
     colength,
     colength_bruteforce,
-    complexity_lower_bound,
     complexity_upper_bound,
     diagonal_closed_form,
     estimate_limit,
@@ -388,16 +387,6 @@ def test_complexity_upper_bound():
     quotient = RingSpec(3, 2, minimalize({(1, 1)}))
     with pytest.raises(NotRegularError):
         complexity_upper_bound(quotient, MonomialMap.frobenius(quotient), 1)
-
-
-def test_complexity_lower_bound():
-    flat = GeneratorProfile(peak=1, width=0)
-    assert abs(complexity_lower_bound(flat, 36, -1.0) - 36.0) < 1e-9
-    wide = GeneratorProfile(peak=6, width=0)
-    assert abs(complexity_lower_bound(wide, 6**4, 0.5) - 6**3) < 1e-9
-    assert abs(
-        complexity_lower_bound(GeneratorProfile(1, 2), 1, 1.0) - math.exp(-2)
-    ) < 1e-12
 
 
 def test_sandwich_identity_map():

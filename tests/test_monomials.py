@@ -25,6 +25,7 @@ from entrolab import (
 import entrolab.monomials as monomials
 from helpers import (
     cell_sum_pointwise,
+    count_calls,
     divides,
     random_m_primary_ideal,
     standard_count_pointwise,
@@ -188,9 +189,9 @@ def test_colength_staircase_of_22_generators():
 
 def test_colength_requires_finite_length():
     ring = RingSpec.polynomial(0, 2)
-    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+    with pytest.raises(NotFiniteLengthError, match="no pure power"):
         colength(minimalize({(1, 1)}), ring)
-    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+    with pytest.raises(NotFiniteLengthError, match="no pure power"):
         colength(MonomialIdeal((), 2), ring)
 
 
@@ -360,12 +361,11 @@ def _nonzero(totals):
 
 
 def test_cell_sum_matches_pointwise_sum_random():
-    # random tables on 1-4 axes, some with no vector at 0 on an axis; with
-    # a cap vector on every axis each unbounded cell of nonzero mask weighs
-    # 0, without them most sums are infinite.  The cells below the first
-    # coordinates have mask 0, which weighs 0 or not
+    # random tables on 1-4 axes that meet the cell sum's precondition: the
+    # zero vector, so every axis starts at 0, and a cap vector on every
+    # axis, so each unbounded cell weighs 0.  Some of the other vectors
+    # have no coordinate at 0
     rng = random.Random(1313)
-    outcomes = collections.Counter()
     for k in range(240):
         dim = 1 + k % 4
         low = rng.choice((0, 0, 1, 2))
@@ -373,64 +373,95 @@ def test_cell_sum_matches_pointwise_sum_random():
             tuple(rng.randint(low, 6) for _ in range(dim))
             for _ in range(rng.randint(0, 5))
         ]
-        capped = k % 3 != 0
-        if capped:
-            vectors += [
-                tuple(7 if j == i else low for j in range(dim)) for i in range(dim)
-            ]
+        vectors += [(0,) * dim] + [
+            tuple(7 if j == i else 0 for j in range(dim)) for i in range(dim)
+        ]
         rng.shuffle(vectors)
         caps = sum(1 << i for i, v in enumerate(vectors) if 7 in v)
         tables = monomials._divisor_tables(vectors)
-        if not vectors:
-            tables = (0, [([0], [0])] * dim)
-
-        origin = rng.choice(({"a": 0, "b": 0}, {"a": 1, "b": 2}))
 
         def weigh(mask):
-            if not mask:
-                return origin
             if mask & caps:
                 return {"a": 0, "b": 0}
             return {"a": (mask * 0x9E3779B1 >> 5) % 4 - 1, "b": mask.bit_count() % 3}
 
         expected = cell_sum_pointwise(tables, weigh)
+        assert expected is not None, vectors
         calls = collections.Counter()
 
         def counted(mask):
             calls[mask] += 1
             return weigh(mask)
 
-        if expected is None:
-            with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
-                monomials._cell_sum(tables, counted)
-        else:
-            assert _nonzero(monomials._cell_sum(tables, counted)) == _nonzero(expected)
+        assert _nonzero(monomials._cell_sum(tables, counted)) == _nonzero(expected)
         assert max(calls.values()) == 1, vectors
-        outcomes[expected is None, capped, low > 0] += 1
-    # finite and infinite sums, with and without a first coordinate above 0
-    assert all(outcomes[infinite, not infinite, low] for infinite in (False, True)
-               for low in (False, True)), outcomes
+
+
+def _lacking_pure_power(rng, dim, count):
+    """``count`` random nonzero vectors, none a pure power of the first
+    variable (in one variable: none at all)."""
+    gens = []
+    for _ in range(count if dim > 1 else 0):
+        g = [rng.randint(0, 4) for _ in range(dim)]
+        g[rng.randrange(1, dim)] += 1
+        gens.append(tuple(g))
+    return gens
+
+
+def test_colength_decides_finite_length_before_any_table(monkeypatch):
+    # ideal + quotient without a pure power of X_1 in d = 1..4: colength
+    # raises from the pure-power test, having built no divisor table
+    rng = random.Random(1515)
+    cases = []
+    for k in range(40):
+        dim = 1 + k % 4
+        ideal = minimalize(_lacking_pure_power(rng, dim, rng.randint(0, 4)), dim)
+        quotient = _lacking_pure_power(rng, dim, 2 if k % 2 else 0)
+        cases.append((ideal, RingSpec(0, dim, minimalize(quotient, dim))))
+    tables = count_calls(monkeypatch, monomials, "_divisor_tables")
+    for ideal, ring in cases:
+        with pytest.raises(NotFiniteLengthError, match="no pure power"):
+            colength(ideal, ring)
+    assert tables == []
+
+
+def test_colength_primary_only_with_the_quotient():
+    # the pure powers of X_1, and of some other variables, lie only in the
+    # quotient
+    rng = random.Random(1616)
+    for k in range(60):
+        dim = 1 + k % 4
+        ideal, quotient = [], []
+        for i in range(dim):
+            power = tuple(rng.randint(1, 5) if j == i else 0 for j in range(dim))
+            (quotient if i == 0 or rng.random() < 0.3 else ideal).append(power)
+        ideal += _lacking_pure_power(rng, dim, rng.randint(0, 3))
+        ideal = minimalize(ideal, dim)
+        ring = RingSpec(0, dim, minimalize(quotient + _random_quotient(rng, dim), dim))
+        assert not is_m_primary(ideal)
+        expected = colength_bruteforce(ideal, ring)
+        assert colength(ideal, ring) == expected, (ideal, ring)
 
 
 def test_colength_edge_cases():
     line = RingSpec.polynomial(0, 1)
     assert colength(minimalize({(5,), (7,)}), line) == 5
     assert colength(minimalize({(5,)}), RingSpec(0, 1, minimalize({(3,)}))) == 3
-    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+    with pytest.raises(NotFiniteLengthError, match="no pure power"):
         colength(MonomialIdeal((), 1), line)
     # an ideal containing 1 leaves no standard monomial
     assert colength(minimalize({(0, 0, 0), (2, 0, 1)}), RingSpec.polynomial(0, 3)) == 0
     assert colength(minimalize({(0, 0)}), RingSpec(0, 2, minimalize({(1, 1)}))) == 0
     plane = RingSpec.polynomial(0, 2)
-    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+    with pytest.raises(NotFiniteLengthError, match="no pure power"):
         colength(MonomialIdeal((), 2), RingSpec(0, 2, minimalize({(1, 1)})))
     # no pure power of the last variable: the column above X^0 has no top
-    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+    with pytest.raises(NotFiniteLengthError, match="no pure power"):
         colength(minimalize({(2, 0), (1, 3)}), plane)
     # no pure power of the first variable: columns past X^3 have height 1
-    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+    with pytest.raises(NotFiniteLengthError, match="no pure power"):
         colength(minimalize({(0, 2), (3, 1)}), plane)
-    with pytest.raises(NotFiniteLengthError, match="unbounded cell"):
+    with pytest.raises(NotFiniteLengthError, match="no pure power"):
         colength(minimalize({(0, 0, 2), (0, 4, 0), (1, 1, 1)}), RingSpec.polynomial(0, 3))
     # ideal + quotient is not minimal as given: the quotient's (1, 0)
     # divides (3, 0) and (1, 1), and then appears on both sides

@@ -1,5 +1,7 @@
 """Specification file parsing and validation."""
 
+from pathlib import Path
+
 import pytest
 
 from entrolab import NotFiniteLengthError, SpecError
@@ -35,6 +37,18 @@ def test_parse_full(tmp_path):
     assert spec.map.matrix == ((3, 0), (0, 3))
     assert spec.reference_ideal().generators == ((0, 2), (2, 0))
     assert not spec.has_square()
+
+
+def test_tabs_separate_like_spaces(tmp_path):
+    # a tab after the field name, or between entries, is whitespace too
+    committed = Path(__file__).parent.parent / "specs" / "frobenius_cross.ring"
+    text = committed.read_text("utf-8")
+    assert " " in text
+    spaced = parse_spec(str(committed))
+    tabbed = parse_spec(_write(tmp_path, text.replace(" ", "\t")))
+    assert (tabbed.ring, tabbed.map, tabbed.sequence) == (
+        spaced.ring, spaced.map, spaced.sequence
+    )
 
 
 def test_parse_regular_defaults(tmp_path):
