@@ -1,9 +1,12 @@
 """Command-line front door.
 
-Subcommands: entropy, delta, koszul, verify, transfer.  Reports are
-deterministic: identical invocations produce byte-identical stdout (wall
-time goes to stderr).  Exit codes: 0 success, 2 malformed input, 3 failed
-hypothesis (finite length, regularity, commutation), 4 failed verdict.
+Subcommands: entropy, delta, koszul, verify, transfer, each taking only
+the flags it reads.  The frobenius, diagonal and monomial-matrix suites
+check every length against the closed form of a monomial-matrix map on
+any monomial quotient.  Reports are deterministic: identical invocations
+produce byte-identical stdout (wall time goes to stderr).  Exit codes: 0
+success, 2 malformed input, 3 failed hypothesis (finite length,
+regularity, commutation, the map a suite needs), 4 failed verdict.
 """
 
 from __future__ import annotations
@@ -17,18 +20,16 @@ import shlex
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 from .errors import HypothesisError, SpecError
 from .monomials import _pure_powers, colength, colength_bruteforce
-from .endos import compose, image_ideal
+from .endos import MonomialMap, compose, image_ideal
 from .koszul import pullback_homology
 from .entropy import (
-    diagonal_closed_form,
     estimate_limit,
-    frobenius_prediction,
     int_log,
     local_entropy_sequence,
+    monomial_matrix_closed_form,
     sandwich,
     sandwich_violations,
     transfer_check,
@@ -123,72 +124,17 @@ def _t_values(raw: str) -> list[float]:
     return values
 
 
-def _diagonal(mono_map) -> list[int]:
-    return [row[i] for i, row in enumerate(mono_map.matrix)]
-
-
-def _determinant(mono_map) -> int:
-    """|det| of a diagonal or monomial matrix: the product of the one
-    positive entry of each row."""
-    return math.prod(max(row) for row in mono_map.matrix)
-
-
-class _ClosedForm(NamedTuple):
-    """A closed form for the growth rate: its hypotheses as (test, what
-    "verify <suite> requires"), the predicted rate, the name of the
-    verdict that length_n == |det|^n (None: no exact lengths), and the
-    (name, tolerance, detail) of each verdict on a gap to the rate."""
-
-    requires: tuple[tuple[Callable, str], ...]
-    rate: Callable
-    lengths_verdict: str | None
-    verdicts: tuple[tuple[str, float, str], ...]
-
-
-_REGULAR = (lambda ring, f: ring.regular, "a regular ring")
-
+# each suite's hypothesis on the map and what "verify <suite> requires";
 # the order matters: entropy's prediction footer names the first that holds
-_CLOSED_FORMS = {
-    "frobenius": _ClosedForm(
-        ((lambda ring, f: ring.characteristic > 0, "positive characteristic"),
-         (lambda ring, f: f.is_diagonal()
-          and set(_diagonal(f)) == {ring.characteristic},
-          "the map raising every variable to the power {p}")),
-        lambda ring, f: frobenius_prediction(ring, ring.characteristic),
-        None,
-        (("slope", 1e-6,
-          "predicted {predicted}; |slope - predicted| = {gap:.3e} {cmp} 1e-06"),),
-    ),
-    "diagonal": _ClosedForm(
-        (_REGULAR, (lambda ring, f: f.is_diagonal(), "a diagonal map")),
-        lambda ring, f: diagonal_closed_form(_diagonal(f)),
-        "exact-lengths",
-        (("log-averages", 1e-9, "max |a_n - predicted| = {gap:.3e}"),
-         ("slope", 1e-9, "|slope - predicted| = {gap:.3e}")),
-    ),
-    "monomial-matrix": _ClosedForm(
-        (_REGULAR, (lambda ring, f: f.is_monomial_matrix(),
-                    "exactly one positive entry in every row and column")),
-        lambda ring, f: math.log(_determinant(f)),
-        "determinant-lengths",
-        (("slope", 1e-9, "|slope - log det| = {gap:.3e}"),),
-    ),
+_HYPOTHESES = {
+    # diagonal entries are positive, so none equals a characteristic 0
+    "frobenius": (lambda f: f.is_diagonal() and {f.ring.characteristic}
+                  == {row[i] for i, row in enumerate(f.matrix)},
+                  "the p-th power map in characteristic p > 0"),
+    "diagonal": (MonomialMap.is_diagonal, "a diagonal map"),
+    "monomial-matrix": (MonomialMap.is_monomial_matrix,
+                        "exactly one positive entry in every row and column"),
 }
-
-
-def _unmet(form: _ClosedForm, spec) -> str | None:
-    """What the first failing hypothesis of ``form`` requires, or None."""
-    for holds, requirement in form.requires:
-        if not holds(spec.ring, spec.map):
-            return requirement.format(p=spec.ring.characteristic)
-    return None
-
-
-def _prediction(spec) -> tuple[str, float] | None:
-    for name, form in _CLOSED_FORMS.items():
-        if _unmet(form, spec) is None:
-            return name, form.rate(spec.ring, spec.map)
-    return None
 
 
 def _oracle_lengths_verdict(seq):
@@ -231,9 +177,10 @@ def _entropy(args, spec, report: RunReport, scale: float):
         report.footer.append(("slope", _fmt(est.estimate * scale)))
         report.footer.append(("slope_method", est.method))
         report.footer.append(("last_a_n", _fmt(est.last_log_average * scale)))
-    pred = _prediction(spec)
-    if pred is not None:
-        report.footer.append(("prediction", pred[0], _fmt(pred[1] * scale)))
+    suite = next((s for s, (holds, _) in _HYPOTHESES.items() if holds(spec.map)), None)
+    if suite is not None:
+        rate = monomial_matrix_closed_form(spec.map, 0)[1]
+        report.footer.append(("prediction", suite, _fmt(rate * scale)))
     if args.oracle:
         report.verdicts.append(_oracle_lengths_verdict(seq))
 
@@ -337,29 +284,20 @@ def _transfer(args, spec, report: RunReport, scale: float):
 
 
 def _verify_closed_form(args, spec, report: RunReport, scale: float):
-    form = _CLOSED_FORMS[args.suite]
-    unmet = _unmet(form, spec)
-    if unmet is not None:
-        raise HypothesisError(f"verify {args.suite} requires {unmet}")
-    predicted = form.rate(spec.ring, spec.map)
+    holds, requirement = _HYPOTHESES[args.suite]
+    if not holds(spec.map):
+        raise HypothesisError(f"verify {args.suite} requires {requirement}")
+    lengths, rate = monomial_matrix_closed_form(spec.map, args.max_iter)
     seq = local_entropy_sequence(spec.ring, spec.map, None, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
-    if form.lengths_verdict is not None:
-        growth = _determinant(spec.map)
-        exact = all(row.length == growth ** row.n for row in seq.rows)
-        report.verdicts.append(
-            (form.lengths_verdict, exact, f"length_n == {growth}^n for every n")
-        )
-    gaps = {
-        "log-averages": max(abs(row.log_average - predicted) for row in seq.rows),
-        "slope": abs(estimate_limit(seq).estimate - predicted),
-    }
-    shown = _fmt(predicted * scale)
-    for name, tolerance, detail in form.verdicts:
-        ok = gaps[name] < tolerance
-        report.verdicts.append((name, ok, detail.format(
-            gap=gaps[name], predicted=shown, cmp="<" if ok else ">=")))
-    report.footer.append(("prediction", args.suite, shown))
+    report.footer.append(("prediction", args.suite, _fmt(rate * scale)))
+    wrong = [(row.n, length) for row, length in zip(seq.rows, lengths)
+             if row.length != length]
+    report.verdicts.append((
+        "exact-lengths", not wrong,
+        "closed form gives {1} at n = {0}".format(*wrong[0]) if wrong
+        else "length_n equals the closed form at every n",
+    ))
 
 
 def _verify_ideal_independence(args, spec, report, scale):
@@ -427,7 +365,7 @@ _HANDLERS = {
     ("delta", None): _delta,
     ("koszul", None): _koszul,
     ("transfer", None): _transfer,
-    **{("verify", suite): _verify_closed_form for suite in _CLOSED_FORMS},
+    **{("verify", suite): _verify_closed_form for suite in _HYPOTHESES},
     ("verify", "ideal-independence"): _verify_ideal_independence,
     ("verify", "sandwich"): _verify_sandwich,
     ("verify", "transfer"): _verify_transfer,
@@ -448,6 +386,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, *, t=False, oracle="", tolerance=False, max_iter=True):
+        sp.allow_abbrev = False  # or --t would be read as --tolerance
         sp.add_argument("--spec", required=True, help="ring specification file")
         sp.add_argument(
             "--format", choices=("tsv", "report"), default="tsv",
@@ -485,11 +424,11 @@ def _parser() -> argparse.ArgumentParser:
         "--pullback-iter", type=_int_at_least(0), default=0, metavar="N"
     )
 
-    sp = sub.add_parser("verify", help="verdict suites with stated tolerances")
-    sp.add_argument(
-        "suite", choices=sorted(suite for _, suite in _HANDLERS if suite)
-    )
-    common(sp, t=True, tolerance=True)
+    sp = sub.add_parser("verify", help="verdict suites")
+    suites = sp.add_subparsers(dest="suite", required=True)
+    for suite in sorted(suite for _, suite in _HANDLERS if suite):
+        common(suites.add_parser(suite), t=suite == "sandwich",
+               tolerance=suite == "transfer")
 
     sp = sub.add_parser("transfer", help="compare growth across a commuting square")
     common(sp, tolerance=True)

@@ -9,7 +9,9 @@ the printed error envelopes.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -25,7 +27,6 @@ from .monomials import (
     _pure_powers,
     _standard_count,
     colength,
-    krull_dimension,
 )
 from .endos import (
     MonomialMap,
@@ -331,24 +332,70 @@ def sandwich_violations(
     return problems
 
 
-def diagonal_closed_form(exponents) -> float:
-    """Growth rate of the map sending each variable to its own power:
-    the sum of the logs of the exponents."""
-    exps = [int(e) for e in exponents]
-    if any(e < 1 for e in exps):
-        raise ValueError("diagonal exponents must be positive")
-    return sum(math.log(e) for e in exps)
+def monomial_matrix_closed_form(
+    phi: MonomialMap, n_max: int = 8
+) -> tuple[tuple[int, ...], float]:
+    """Exact lengths of R/phi^n(m), n = 1..n_max (none for n_max = 0), and
+    the growth rate of a monomial-matrix map phi(X_j) = X_pi(j)^e_j on
+    R = k[X]/J for any monomial J, sharing no code with the colength
+    engine.
 
-
-def frobenius_prediction(ring: RingSpec, p: int) -> float:
-    """Growth rate of the p-th power map: Krull dimension times log(p)."""
-    if ring.characteristic != p:
-        raise ValueError(
-            f"characteristic mismatch: ring has characteristic "
-            f"{ring.characteristic}, map raises to the power {p}"
-        )
-    dim = krull_dimension(ring.quotient, ring.dim_ambient)
-    return dim * math.log(p)
+    phi^n(m) = (X_i^N_i) with N_pi(j)(n) = e_j * N_j(n - 1) and N(0) = 1.
+    Whether a point lies in J changes along axis i only at the i-th
+    exponents of J's generators, so each such cut a stands for the
+    interval up to the next cut (the last to infinity), weighing its
+    overlap with [0, N_i); the length sums the products of the weights
+    over the J-standard points of the box of cuts.  On the pi-cycle of
+    length k through i, N_i grows like the k-th root of the product of
+    its e's.  The rate is the largest sum of those logs over a face (a
+    set of variables holding the support of no generator of J), found on
+    integers as log(max prod e^(L/k)) / L with L the lcm of the k's.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    d = phi.ring.dim_ambient
+    quotient = phi.ring.quotient.generators
+    # row i holds its one positive entry e_j at column j = source[i]
+    positive = [[j for j, e in enumerate(row) if e] for row in phi.matrix]
+    if sorted(positive) != [[j] for j in range(d)]:
+        raise ValueError("map is not a monomial matrix")
+    source = [j for j, in positive]
+    power = [row[j] for row, j in zip(phi.matrix, source)]
+    cycles = []
+    for i in range(d):
+        k, product, j = 1, power[i], source[i]
+        while j != i:
+            k, product, j = k + 1, product * power[j], source[j]
+        cycles.append((k, product))
+    period = math.lcm(*(k for k, _ in cycles))
+    # products[face] over the bitmasks of variable sets, bit i for X_i
+    products = [1]
+    for k, product in cycles:
+        products += [p * product ** (period // k) for p in products]
+    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in quotient]
+    rate = int_log(max(
+        p for face, p in enumerate(products)
+        if all(s & face != s for s in supports)
+    )) / period
+    if not n_max:
+        return (), rate
+    cuts = [sorted({0, *(g[i] for g in quotient)}) for i in range(d)]
+    # each standard point of the box of cuts, as its index on every axis
+    standard = [
+        tuple(map(list.index, cuts, a)) for a in itertools.product(*cuts)
+        if not any(all(map(operator.le, g, a)) for g in quotient)
+    ]
+    sides, lengths = [1] * d, []
+    for _ in range(n_max):
+        sides = [e * sides[j] for e, j in zip(power, source)]
+        weights = [
+            [max(min(b, side) - a, 0) for a, b in zip(c, c[1:] + [side])]
+            for c, side in zip(cuts, sides)
+        ]
+        lengths.append(sum(
+            math.prod(map(list.__getitem__, weights, point)) for point in standard
+        ))
+    return tuple(lengths), rate
 
 
 def transfer_check(

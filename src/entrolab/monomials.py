@@ -118,16 +118,12 @@ def _check_same_dim(a: int, b: int) -> None:
         raise DimensionMismatchError(f"cannot add ideals in {a} and {b} variables")
 
 
-def pure_power_bounds(ideal: MonomialIdeal) -> tuple[int, ...] | None:
-    """For each variable i, the least a with X_i^a among the generators.
-
-    Returns None when some variable has no pure-power generator.  Presence
-    of a full tuple is exactly the radical-equals-maximal-ideal condition.
-    """
-    return _pure_powers(ideal.generators, ideal.ambient_dim)
-
-
 def _pure_powers(gens, dim: int) -> tuple[int, ...] | None:
+    """For each variable i, the least a with X_i^a among ``gens``.
+
+    Returns None when some variable has no pure power, that is, exactly
+    when the ideal they generate is not primary to the maximal ideal.
+    """
     bounds = []
     for i in range(dim):
         powers = [
@@ -137,11 +133,6 @@ def _pure_powers(gens, dim: int) -> tuple[int, ...] | None:
             return None
         bounds.append(min(powers))
     return tuple(bounds)
-
-
-def is_m_primary(ideal: MonomialIdeal) -> bool:
-    """True iff the ideal contains a power of every variable."""
-    return pure_power_bounds(ideal) is not None
 
 
 def krull_dimension(ideal: MonomialIdeal, ambient_dim: int) -> int:

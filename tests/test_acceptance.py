@@ -17,13 +17,13 @@ from entrolab import (
     colength,
     colength_bruteforce,
     estimate_limit,
-    frobenius_prediction,
     homology_lengths,
     image_ideal,
     is_finite_length,
     iterate,
     local_entropy_sequence,
     minimalize,
+    monomial_matrix_closed_form,
     sandwich,
     sandwich_violations,
     transfer_check,
@@ -74,7 +74,9 @@ def test_criterion_3_frobenius_regular():
     for row in seq.rows:
         assert row.length == 4 ** row.n
         assert abs(row.log_average - 2 * LOG2) < 1e-9
-    assert abs(frobenius_prediction(ring, 2) - 2 * LOG2) < 1e-12
+    lengths, rate = monomial_matrix_closed_form(frob, 8)
+    assert lengths == tuple(row.length for row in seq.rows)
+    assert abs(rate - 2 * LOG2) < 1e-12
     print("criterion 3 (regular Frobenius, 4^n and 2 log 2): PASS")
 
 
@@ -90,9 +92,10 @@ def test_criterion_4_frobenius_on_quotient():
         if row.n <= 5:
             image = image_ideal(iterate(frob, row.n), m)
             assert colength_bruteforce(image, ring) == row.length
+    lengths, rate = monomial_matrix_closed_form(frob, 8)
+    assert lengths == tuple(row.length for row in seq.rows)
+    assert abs(rate - LOG3) < 1e-12
     est = estimate_limit(seq).estimate
-    predicted = frobenius_prediction(ring, 3)
-    assert abs(predicted - LOG3) < 1e-12
     assert abs(est - LOG3) < 1e-6
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

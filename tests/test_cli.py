@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import random
 import subprocess
@@ -319,6 +320,19 @@ def test_traced_layers_resolve():
         assert callable(target), (module, attribute)
 
 
+def test_benchmark_argvs_parse(monkeypatch):
+    # the benchmark passes --t and --tolerance only to the suites that
+    # read them, so every argv it generates still parses
+    root = Path(__file__).parent.parent
+    monkeypatch.chdir(root)
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.GENERATORS:
+        for seed in (0, 1):
+            for job in workloads.generate(workload, seed, "unused"):
+                entrolab.cli._parser().parse_args(list(job.argv))
+
+
 def test_exit_code_2_on_malformed_input(workdir, capsys):
     (workdir / "bad.spec").write_text("characteristic 0\nvariables X Y\nmap [2,0] [0,0]\n")
     assert main(["entropy", "--spec", "bad.spec"]) == 2
@@ -448,13 +462,35 @@ def test_verify_diagonal(workdir, capsys):
             _digest_line(DIAG),
             *SEQUENCE_6N,
             "# prediction\tdiagonal\t1.79175946923",
-            "# verdict\texact-lengths\tPASS\tlength_n == 6^n for every n",
-            "# verdict\tlog-averages\tPASS\tmax |a_n - predicted| = 2.220e-16",
-            "# verdict\tslope\tPASS\t|slope - predicted| = 2.220e-16",
+            "# verdict\texact-lengths\tPASS\tlength_n equals the closed form at every n",
             "",
         ]
     )
     assert out == expected
+
+
+def test_verify_diagonal_on_quotients(workdir, capsys):
+    # k[X,Y]/(XY) with (2, 3): 2^n + 3^n - 1 and rate log 3; with Z -> Z^5
+    # the face {X, Z} gives log 15
+    cross = "characteristic 0\nvariables X Y\nquotient [1,1]\nmap [2,0] [0,3]\n"
+    (workdir / "cross23.spec").write_text(cross)
+    for command in ("verify diagonal", "verify monomial-matrix", "entropy"):
+        code, out = _run(capsys, command.split() + ["--spec", "cross23.spec"])
+        assert code == 0
+        lines = out.splitlines()
+        lengths = [int(line.split("\t")[1]) for line in lines[3:11]]
+        assert lengths == [2 ** n + 3 ** n - 1 for n in range(1, 9)]
+        suite = "monomial-matrix" if "monomial" in command else "diagonal"
+        assert f"# prediction\t{suite}\t{math.log(3):.12g}" in lines
+    assert lines[-1].startswith("# prediction")
+    (workdir / "cross235.spec").write_text(
+        "characteristic 0\nvariables X Y Z\nquotient [1,1,0]\n"
+        "map [2,0,0] [0,3,0] [0,0,5]\n"
+    )
+    code, out = _run(capsys, ["verify", "diagonal", "--spec", "cross235.spec"])
+    assert code == 0
+    assert f"# prediction\tdiagonal\t{math.log(15):.12g}" in out
+    assert "# verdict\texact-lengths\tPASS" in out
 
 
 def test_verify_monomial_matrix(workdir, capsys):
@@ -468,12 +504,25 @@ def test_verify_monomial_matrix(workdir, capsys):
             _digest_line(swap),
             *SEQUENCE_6N,
             "# prediction\tmonomial-matrix\t1.79175946923",
-            "# verdict\tdeterminant-lengths\tPASS\tlength_n == 6^n for every n",
-            "# verdict\tslope\tPASS\t|slope - log det| = 2.220e-16",
+            "# verdict\texact-lengths\tPASS\tlength_n equals the closed form at every n",
             "",
         ]
     )
     assert out == expected
+
+
+def test_verify_exact_lengths_fail(workdir, capsys, monkeypatch):
+    # a closed form that disagrees with the count fails the verdict (exit 4)
+    def off_by_one(phi, n_max):
+        return tuple(6 ** n + (n == 3) for n in range(1, n_max + 1)), 0.0
+
+    monkeypatch.setattr(entrolab.cli, "monomial_matrix_closed_form", off_by_one)
+    (workdir / "diag23.spec").write_text(DIAG)
+    code, out = _run(capsys, ["verify", "diagonal", "--spec", "diag23.spec"])
+    assert code == 4
+    assert out.splitlines()[-1] == (
+        "# verdict\texact-lengths\tFAIL\tclosed form gives 217 at n = 3"
+    )
 
 
 def test_verify_frobenius_on_quotient(workdir, capsys):
@@ -495,21 +544,22 @@ def test_verify_frobenius_on_quotient(workdir, capsys):
             "7\t4373\t8.38320455141\t1.1976006502",
             "8\t13121\t9.48196927911\t1.18524615989",
             "# prediction\tfrobenius\t1.09861228867",
-            "# verdict\tslope\tPASS\tpredicted 1.09861228867; "
-            "|slope - predicted| = 2.091e-07 < 1e-06",
+            "# verdict\texact-lengths\tPASS\tlength_n equals the closed form at every n",
             "",
         ]
     )
     assert out == expected
-    # four rows miss log 3 by more than the tolerance: the FAIL detail
-    # states the comparison that failed
-    argv = ["verify", "frobenius", "--spec", "frob.spec", "--max-iter", "4"]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_verify_frobenius_cross_at_every_depth(capsys, n):
+    # the paper's example passes at every depth, not only once a float
+    # slope has converged
+    spec = Path(__file__).parent.parent / "specs" / "frobenius_cross.ring"
+    argv = ["verify", "frobenius", "--spec", str(spec), "--max-iter", str(n)]
     code, out = _run(capsys, argv)
-    assert code == 4
-    assert out.splitlines()[-1] == (
-        "# verdict\tslope\tFAIL\tpredicted 1.09861228867; "
-        "|slope - predicted| = 1.398e-03 >= 1e-06"
-    )
+    assert code == 0
+    assert out.splitlines()[-1].startswith("# verdict\texact-lengths\tPASS\t")
 
 
 def test_entropy_prediction_prefers_frobenius(capsys):
@@ -633,6 +683,13 @@ def test_transfer_broken_square_is_exit_3(workdir, capsys):
         ["delta", "--t=,"],
         # koszul iterates by --pullback-iter alone and takes no --max-iter
         ["koszul", "--max-iter", "9", "--pullback-iter", "1"],
+        # each verify suite takes only the flags it reads
+        ["verify", "diagonal", "--t=1"],
+        ["verify", "frobenius", "--tolerance", "0.5"],
+        ["verify", "sandwich", "--tolerance", "0.5"],
+        # and a prefix of another flag is not read as that flag
+        ["verify", "transfer", "--t=0"],
+        ["verify", "ideal-independence", "--t=0"],
     ],
 )
 def test_out_of_range_flags_exit_2(workdir, capsys, argv):
@@ -647,8 +704,10 @@ def test_library_value_errors_exit_2(workdir, capsys):
     (workdir / "square.spec").write_text(SQUARE_OK)
     assert main(["transfer", "--spec", "square.spec", "--max-iter", "2"]) == 2
     (workdir / "diag23.spec").write_text(DIAG)
+    # the closed-form suites extrapolate nothing, so two rows are enough
     argv = ["verify", "diagonal", "--spec", "diag23.spec", "--max-iter", "2"]
-    assert main(argv) == 2
+    assert main(argv) == 0
+    capsys.readouterr()
     (workdir / "neg.spec").write_text(DIAG + "ideal [-1,0] [0,2]\n")
     assert main(["entropy", "--spec", "neg.spec"]) == 2
     captured = capsys.readouterr()

@@ -21,17 +21,16 @@ from entrolab import (
     colength,
     colength_bruteforce,
     complexity_upper_bound,
-    diagonal_closed_form,
     estimate_limit,
-    frobenius_prediction,
     ideal_sum,
     image_ideal,
     int_log,
     is_finite_length,
     iterate,
+    krull_dimension,
     local_entropy_sequence,
     minimalize,
-    pure_power_bounds,
+    monomial_matrix_closed_form,
     sandwich,
     sandwich_violations,
     transfer_check,
@@ -39,6 +38,7 @@ from entrolab import (
 import entrolab.endos as endos_module
 import entrolab.entropy as entropy_module
 import entrolab.monomials as monomials_module
+from entrolab.monomials import _pure_powers
 from entrolab.cli import BRUTE_BOX_CAP
 from entrolab.koszul import (
     GeneratorProfile,
@@ -178,7 +178,7 @@ def test_sequence_matches_the_definition_random():
         for row in seq.rows:
             image = image_ideal(iterate(phi, row.n), ideal)
             assert row.length == colength(image, ring), (phi, ideal, row.n)
-            bounds = pure_power_bounds(ideal_sum(image, ring.quotient))
+            bounds = _pure_powers(ideal_sum(image, ring.quotient).generators, dim)
             if math.prod(bounds) <= BRUTE_BOX_CAP:
                 assert row.length == colength_bruteforce(image, ring)
                 brute += 1
@@ -451,24 +451,96 @@ def test_sandwich_violations_flag_nan_rows():
 
 
 def test_diagonal_closed_form():
-    assert abs(diagonal_closed_form((2, 3, 5)) - math.log(30)) < 1e-12
-    assert diagonal_closed_form((1, 1, 1)) == 0.0
-    assert abs(diagonal_closed_form((4, 4)) - 4 * math.log(2)) < 1e-12
-    with pytest.raises(ValueError):
-        diagonal_closed_form((0, 2))
+    ring = RingSpec.polynomial(0, 3)
+    lengths, rate = monomial_matrix_closed_form(
+        MonomialMap.diagonal((2, 3, 5), ring), 6
+    )
+    assert lengths == tuple(30 ** n for n in range(1, 7))
+    assert abs(rate - math.log(30)) < 1e-12
+    identity = MonomialMap.diagonal((1, 1, 1), ring)
+    assert monomial_matrix_closed_form(identity, 3) == ((1, 1, 1), 0.0)
+    square = MonomialMap.diagonal((4, 4), R2)
+    assert abs(monomial_matrix_closed_form(square)[1] - 4 * math.log(2)) < 1e-12
+    # k[X,Y]/(XY) with (2, 3): 2^n + 3^n - 1; with Z -> Z^5 the face {X, Z}
+    # wins, and (XY, YZ) leaves the faces {X, Z} and {Y}
+    cross = RingSpec(0, 2, minimalize({(1, 1)}))
+    lengths, rate = monomial_matrix_closed_form(MonomialMap.diagonal((2, 3), cross))
+    assert lengths == tuple(2 ** n + 3 ** n - 1 for n in range(1, 9))
+    assert abs(rate - math.log(3)) < 1e-12
+    for quotient, expected in (({(1, 1, 0)}, 15), ({(1, 1, 0), (0, 1, 1)}, 10)):
+        ring = RingSpec(0, 3, minimalize(quotient))
+        rate = monomial_matrix_closed_form(MonomialMap.diagonal((2, 3, 5), ring))[1]
+        assert abs(rate - math.log(expected)) < 1e-12
+    # a permutation of period 2 takes half the log of the cycle's product
+    swap = MonomialMap.from_columns([(0, 2), (3, 0)], R2)
+    lengths, rate = monomial_matrix_closed_form(swap, 4)
+    assert lengths == (6, 36, 216, 1296) and abs(rate - math.log(6)) < 1e-12
+    with pytest.raises(ValueError, match="not a monomial matrix"):
+        monomial_matrix_closed_form(MonomialMap(((1, 0), (1, 1)), R2))
+    assert monomial_matrix_closed_form(swap, 0) == ((), rate)
+    with pytest.raises(ValueError, match="n_max"):
+        monomial_matrix_closed_form(square, -1)
 
 
 def test_frobenius_prediction():
-    assert abs(
-        frobenius_prediction(RingSpec.polynomial(2, 2), 2) - 2 * math.log(2)
-    ) < 1e-12
+    def frobenius_rate(ring):
+        return monomial_matrix_closed_form(MonomialMap.frobenius(ring), 0)[1]
+
+    assert abs(frobenius_rate(RingSpec.polynomial(2, 2)) - 2 * math.log(2)) < 1e-12
     cross = RingSpec(3, 2, minimalize({(1, 1)}))
-    assert abs(frobenius_prediction(cross, 3) - math.log(3)) < 1e-12
-    # zero-dimensional quotient: prediction degenerates to 0
-    point = RingSpec(5, 1, minimalize({(1,)}))
-    assert frobenius_prediction(point, 5) == 0.0
-    with pytest.raises(ValueError):
-        frobenius_prediction(RingSpec.polynomial(2, 2), 3)
+    assert abs(frobenius_rate(cross) - math.log(3)) < 1e-12
+    # zero-dimensional quotient: the rate degenerates to 0
+    assert frobenius_rate(RingSpec(5, 1, minimalize({(1,)}))) == 0.0
+    # the paper's d log p, on random quotients
+    rng = random.Random(1729)
+    for _ in range(60):
+        dim, p = rng.randint(1, 4), rng.choice((2, 3, 5))
+        quotient = [tuple(rng.randint(0, 2) for _ in range(dim))
+                    for _ in range(rng.randint(0, 3))]
+        ring = RingSpec(p, dim, minimalize([g for g in quotient if any(g)], dim))
+        expected = krull_dimension(ring.quotient, dim) * math.log(p)
+        assert abs(frobenius_rate(ring) - expected) < 1e-12
+
+
+def _closed_form_case(rng):
+    """A random monomial-matrix map on a random quotient.  Half the drawn
+    quotient generators come with their images under the permutation; a
+    draw on which the map is not well defined is drawn again."""
+    dim, char = rng.randint(1, 3), rng.choice((0, 2, 3))
+    perm = rng.sample(range(dim), dim)
+    exps = [rng.randint(1, 3) for _ in range(dim)]
+    if char and rng.random() < 0.3:
+        perm, exps = list(range(dim)), [char] * dim
+    quotient = set()
+    for _ in range(rng.randint(0, 3)):
+        g = [rng.randint(0, 2) for _ in range(dim)]
+        for _ in range(dim if rng.random() < 0.5 else 1):
+            quotient.add(tuple(g))
+            g = [g[perm.index(i)] for i in range(dim)]
+    ring = RingSpec(char, dim, minimalize([g for g in quotient if any(g)], dim))
+    columns = [tuple(exps[j] if i == perm[j] else 0 for i in range(dim))
+               for j in range(dim)]
+    try:
+        return MonomialMap.from_columns(columns, ring), perm != sorted(perm)
+    except ValueError:
+        return _closed_form_case(rng)
+
+
+def test_monomial_matrix_closed_form_matches_the_engine_random():
+    rng = random.Random(6174)
+    permuted = 0
+    for _ in range(320):
+        phi, is_permuted = _closed_form_case(rng)
+        n_max = rng.randint(1, 8)
+        lengths, _ = monomial_matrix_closed_form(phi, n_max)
+        seq = local_entropy_sequence(phi.ring, phi, None, n_max)
+        assert lengths == tuple(row.length for row in seq.rows), phi
+        # every cycle length of a permutation of at most 3 variables
+        # divides 6, so far out the lengths grow by e^(6 rate) every 6 steps
+        lengths, rate = monomial_matrix_closed_form(phi, 126)
+        assert abs(int_log(lengths[125]) - int_log(lengths[119]) - 6 * rate) < 1e-6
+        permuted += is_permuted
+    assert permuted >= 100
 
 
 def test_ideal_independence_envelope():

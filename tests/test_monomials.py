@@ -16,13 +16,12 @@ from entrolab import (
     colength_bruteforce,
     ideal_sum,
     image_ideal,
-    is_m_primary,
     krull_dimension,
     minimalize,
-    pure_power_bounds,
 )
 
 import entrolab.monomials as monomials
+from entrolab.monomials import _pure_powers
 from helpers import (
     cell_sum_pointwise,
     count_calls,
@@ -146,17 +145,18 @@ def test_exponent_vector_validation():
 
 
 def test_pure_power_bounds():
-    assert pure_power_bounds(minimalize({(2, 0), (0, 3)})) == (2, 3)
-    assert pure_power_bounds(minimalize({(2, 0), (1, 1)})) is None
-    ideal = minimalize({(2, 0), (1, 1), (0, 4), (0, 2)})
-    assert pure_power_bounds(ideal) == (2, 2)
-    assert pure_power_bounds(MonomialIdeal((), 2)) is None
+    assert _pure_powers([(2, 0), (0, 3)], 2) == (2, 3)
+    assert _pure_powers([(2, 0), (1, 1)], 2) is None
+    # the least of several pure powers of a variable
+    assert _pure_powers([(2, 0), (1, 1), (0, 4), (0, 2)], 2) == (2, 2)
+    # the zero ideal
+    assert _pure_powers((), 2) is None
 
 
 def test_is_m_primary():
-    assert is_m_primary(minimalize({(2, 0), (0, 2)}))
-    assert not is_m_primary(minimalize({(1, 1)}))
-    assert is_m_primary(minimalize({(3, 0), (1, 1), (0, 2)}))
+    assert _pure_powers([(2, 0), (0, 2)], 2) is not None
+    assert _pure_powers([(1, 1)], 2) is None
+    assert _pure_powers([(3, 0), (1, 1), (0, 2)], 2) is not None
 
 
 def test_krull_dimension():
@@ -254,10 +254,10 @@ def test_colength_three_counts_agree():
     ]
     units = [(1, [(0,)], []), (2, [(0, 0)], [(1, 1)]), (3, [(0, 0, 0)], [])]
     for dim, gens, quotient in ties:
-        sides = pure_power_bounds(minimalize(gens + quotient, dim))
+        sides = _pure_powers(gens + quotient, dim)
         assert sorted(sides)[-1] == sorted(sides)[-2]
     for dim, gens, quotient in past_box:
-        sides = pure_power_bounds(minimalize(gens + quotient, dim))
+        sides = _pure_powers(gens + quotient, dim)
         assert any(g[i] >= sides[i] for g in gens + quotient for i in range(dim)
                    if sum(g) > g[i])
     for dim, gens, quotient in cases + ties + past_box + units:
@@ -438,7 +438,7 @@ def test_colength_primary_only_with_the_quotient():
         ideal += _lacking_pure_power(rng, dim, rng.randint(0, 3))
         ideal = minimalize(ideal, dim)
         ring = RingSpec(0, dim, minimalize(quotient + _random_quotient(rng, dim), dim))
-        assert not is_m_primary(ideal)
+        assert _pure_powers(ideal.generators, dim) is None
         expected = colength_bruteforce(ideal, ring)
         assert colength(ideal, ring) == expected, (ideal, ring)
 
