@@ -124,17 +124,29 @@ def _t_values(raw: str) -> list[float]:
     return values
 
 
-# each suite's hypothesis on the map and what "verify <suite> requires";
-# the order matters: entropy's prediction footer names the first that holds
-_HYPOTHESES = {
-    # diagonal entries are positive, so none equals a characteristic 0
-    "frobenius": (lambda f: f.is_diagonal() and {f.ring.characteristic}
-                  == {row[i] for i, row in enumerate(f.matrix)},
-                  "the p-th power map in characteristic p > 0"),
-    "diagonal": (MonomialMap.is_diagonal, "a diagonal map"),
-    "monomial-matrix": (MonomialMap.is_monomial_matrix,
-                        "exactly one positive entry in every row and column"),
+# what "verify <suite> requires" of the map; the order matters: entropy's
+# prediction footer names the first suite whose hypothesis holds
+_REQUIREMENTS = {
+    "frobenius": "the p-th power map in characteristic p > 0",
+    "diagonal": "a diagonal map",
+    "monomial-matrix": "exactly one positive entry in every row and column",
 }
+
+
+def _suites(phi: MonomialMap) -> list[str]:
+    """The suites of _REQUIREMENTS whose hypothesis the map meets, in their
+    order, from one scan of the positive entries of its matrix: one in
+    every row and column, on the diagonal, and there all equal to p."""
+    positive = [[j for j, e in enumerate(row) if e] for row in phi.matrix]
+    identity = [[j] for j in range(len(positive))]
+    if sorted(positive) != identity:
+        return []
+    if positive != identity:
+        return ["monomial-matrix"]
+    # diagonal entries are positive, so none equals a characteristic 0
+    p = phi.ring.characteristic
+    frobenius = all(row[i] == p for i, row in enumerate(phi.matrix))
+    return ["frobenius"] * frobenius + ["diagonal", "monomial-matrix"]
 
 
 def _oracle_lengths_verdict(seq):
@@ -177,10 +189,10 @@ def _entropy(args, spec, report: RunReport, scale: float):
         report.footer.append(("slope", _fmt(est.estimate * scale)))
         report.footer.append(("slope_method", est.method))
         report.footer.append(("last_a_n", _fmt(est.last_log_average * scale)))
-    suite = next((s for s, (holds, _) in _HYPOTHESES.items() if holds(spec.map)), None)
-    if suite is not None:
+    suites = _suites(spec.map)
+    if suites:
         rate = monomial_matrix_closed_form(spec.map, 0)[1]
-        report.footer.append(("prediction", suite, _fmt(rate * scale)))
+        report.footer.append(("prediction", suites[0], _fmt(rate * scale)))
     if args.oracle:
         report.verdicts.append(_oracle_lengths_verdict(seq))
 
@@ -284,9 +296,10 @@ def _transfer(args, spec, report: RunReport, scale: float):
 
 
 def _verify_closed_form(args, spec, report: RunReport, scale: float):
-    holds, requirement = _HYPOTHESES[args.suite]
-    if not holds(spec.map):
-        raise HypothesisError(f"verify {args.suite} requires {requirement}")
+    if args.suite not in _suites(spec.map):
+        raise HypothesisError(
+            f"verify {args.suite} requires {_REQUIREMENTS[args.suite]}"
+        )
     lengths, rate = monomial_matrix_closed_form(spec.map, args.max_iter)
     seq = local_entropy_sequence(spec.ring, spec.map, None, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
@@ -365,7 +378,7 @@ _HANDLERS = {
     ("delta", None): _delta,
     ("koszul", None): _koszul,
     ("transfer", None): _transfer,
-    **{("verify", suite): _verify_closed_form for suite in _HYPOTHESES},
+    **{("verify", suite): _verify_closed_form for suite in _REQUIREMENTS},
     ("verify", "ideal-independence"): _verify_ideal_independence,
     ("verify", "sandwich"): _verify_sandwich,
     ("verify", "transfer"): _verify_transfer,

@@ -9,19 +9,28 @@ elements below it); it depends on m alone, so there is one table per m,
 checked to square to zero once, when it is first built.  Each
 multidegree v carries a finite complex of vector spaces over the prime
 field (or the rationals in characteristic 0) whose matrices have entries
-0 and +-1.  Subset S is active at v iff X^(v - shift_S) is a standard
-monomial, so a slice depends only on which cuts shift_S + g divide X^v,
-for g = 0 and each quotient generator.  One divisor table over these
-cuts, built when the complex is first ranked, gives the cells, and the
-cohomology lengths are summed over them, each distinct active set counted
-once.  A slice is Morse-matched first, by unit pivots on its bitmask;
-exact ranks (one sparse integer elimination for every characteristic,
-never floating point) run only where critical cells sit in adjacent
-degrees.
+0 and +-1.
+
+An entry that a quotient generator, another entry or an earlier copy of
+itself divides is a free factor: the change e_i -> e_i - (x_i/x_j) e_j
+is invertible and keeps multidegrees, so K(x) = K(x') (x) K(0)^k for the
+m' = m - k kept entries x' (Bruns-Herzog, Cohen-Macaulay Rings, 1.6).
+When a complex is first ranked, its entries are reduced so, and every
+table below is built over the kept entries alone; the lengths of K(x)
+are those of K(x') convolved with (1 + s)^k.  Subset S of the kept
+entries is active at v iff X^(v - shift_S) is a standard monomial, so a
+slice depends only on which cuts shift_S + g divide X^v, for g = 0 and
+each quotient generator.  One divisor table over these cuts gives the
+cells, and the cohomology lengths are summed over them, each distinct
+active set counted once.  A slice is Morse-matched first, by unit pivots
+on its bitmask; exact ranks (one sparse integer elimination for every
+characteristic, never floating point) run only where critical cells sit
+in adjacent degrees.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
@@ -80,8 +89,10 @@ def _normalized(row: dict[int, int], p: int) -> dict[int, int]:
 class HomologyLengths:
     """Length of each cohomology module, keyed by cohomological degree.
 
-    ``region`` is the last breakpoint on each axis: every multidegree
-    outside the box of these sides has acyclic slices."""
+    ``region`` is, on each axis, the sum of the entries' coordinates plus
+    the largest quotient generator coordinate (or 0), the largest cut
+    shift_S + g of the full sequence: every multidegree outside the box of
+    these sides has acyclic slices."""
 
     lengths: dict[int, int]
     region: tuple[int, ...]
@@ -139,11 +150,22 @@ def _subset_masks(m: int) -> tuple:
     return lacking, tuple(mask(lambda s: s.bit_count() == j) for j in range(m + 1))
 
 
+def _subset_shifts(entries, d: int) -> list[Vec]:
+    # shifts[s] = shifts[s less its lowest bit] + that bit's entry
+    shifts = [(0,) * d]
+    for s in range(1, 1 << len(entries)):
+        entry = entries[(s & -s).bit_length() - 1]
+        shifts.append(tuple(map(sum, zip(shifts[s & s - 1], entry))))
+    return shifts
+
+
 class KoszulComplex:
     """The Koszul complex on monomials in the maximal ideal that generate,
-    with the quotient, an ideal of finite colength.  Construction only
-    validates them; the shifts and their divisor table are built the first
-    time a slice is ranked.  The differential is checked to square to zero."""
+    with the quotient, an ideal of finite colength.  ``m`` is the length
+    of the whole sequence.  Construction only validates it; the kept
+    entries, their shifts and the divisor table are found the first time a
+    slice is ranked, and ``shifts`` and ``diff`` are those of the kept
+    entries.  The differential is checked to square to zero."""
 
     def __init__(self, ring: RingSpec, sequence):
         d = ring.dim_ambient
@@ -159,75 +181,119 @@ class KoszulComplex:
         self.ring = ring
         self.sequence = seq
         self.m = len(seq)
-        self.diff = _differential(self.m)
         self._slices: dict[int, dict[int, int]] = {}
 
     @cached_property
+    def _kept(self) -> tuple[Vec, ...]:
+        # the first copy of each entry that no quotient generator and no
+        # other entry divides; at the few entries a ranked complex can have,
+        # this scan costs less than building a divisor table
+        quotient = self.ring.quotient.generators
+        vectors = quotient + self.sequence
+        kept: list[Vec] = []
+        for w in self.sequence:
+            if w in kept or w in quotient:
+                continue
+            if all(u == w for u in vectors if all(map(operator.le, u, w))):
+                kept.append(w)
+        return tuple(kept)
+
+    @cached_property
     def shifts(self) -> list[Vec]:
-        # shifts[s] = shifts[s less its lowest bit] + that bit's entry
-        shifts = [(0,) * self.ring.dim_ambient]
-        for s in range(1, 1 << self.m):
-            entry = self.sequence[(s & -s).bit_length() - 1]
-            shifts.append(tuple(map(sum, zip(shifts[s & s - 1], entry))))
-        return shifts
+        return _subset_shifts(self._kept, self.ring.dim_ambient)
+
+    @cached_property
+    def diff(self) -> tuple:
+        return _differential(len(self._kept))
+
+    def _cut_vectors(self, moves) -> list[Vec]:
+        # bit (t (q + 1) + b) 2^m' + s stands for shift_s + g_b + moves[t],
+        # where g_0 = 0 and g_1, ... are the q quotient generators
+        offsets = [(0,) * self.ring.dim_ambient, *self.ring.quotient.generators]
+        return [tuple(map(sum, zip(s, g, t)))
+                for t in moves for g in offsets for s in self.shifts]
 
     @cached_property
     def _cuts(self) -> tuple:
-        # bit b * 2^m + s stands for shift_s + g_b, where g_0 = 0 and g_1, ...
-        # are the quotient generators: it divides X^v iff shift_s <= v - g_b
-        offsets = [(0,) * self.ring.dim_ambient, *self.ring.quotient.generators]
-        return _divisor_tables(
-            [tuple(map(sum, zip(s, g))) for g in offsets for s in self.shifts]
-        )
+        # shift_s + g_b divides X^v iff shift_s <= v - g_b
+        return _divisor_tables(self._cut_vectors([(0,) * self.ring.dim_ambient]))
+
+    @cached_property
+    def _slice_cuts(self) -> tuple:
+        # the cuts moved by shift_T, block t for each subset T of the dropped
+        # entries, which are the entries less the kept ones
+        dropped = list(self.sequence)
+        for w in self._kept:
+            dropped.remove(w)
+        moves = _subset_shifts(dropped, self.ring.dim_ambient)
+        return _divisor_tables(self._cut_vectors(moves))
 
     def slice_dims(self, v: Vec) -> dict[int, int]:
-        """Cohomology dimensions of the multidegree-v slice, keyed by
-        cohomological degree, in a fresh dict; independent of any other
-        slice.  S is active iff shift_S <= v and shift_S <= v - g for no
-        quotient generator g: one bisection per variable in the cut table."""
-        return dict(self._cut_dims(_divisor_mask(self._cuts, v)))
+        """Cohomology dimensions of the multidegree-v slice of the whole
+        complex, keyed by cohomological degree, in a fresh dict; independent
+        of any other slice.  The slice of K(x') (x) K(0)^k at v is the sum,
+        over the subsets T of the dropped entries, of the kept slice at
+        v - shift_T moved down |T| degrees.  S is active in that kept slice
+        iff shift_S + shift_T <= v and shift_S + shift_T <= v - g for no
+        quotient generator g: one bisection per variable in a table of the
+        cuts moved by every shift_T, read block by block.  A block is 0 (not
+        even shift_T divides X^v) exactly when v - shift_T has a negative
+        coordinate, and that T is skipped."""
+        dims = dict.fromkeys(range(-self.m, 1), 0)
+        width = len(self.shifts) * (len(self.ring.quotient.generators) + 1)
+        mask = _divisor_mask(self._slice_cuts, v)
+        for t in range(1 << self.m - len(self._kept)):
+            block = mask >> t * width & (1 << width) - 1
+            if block:
+                for degree, dim in self._cut_dims(block).items():
+                    dims[degree - t.bit_count()] += dim
+        return dims
 
     def _cut_dims(self, mask: int) -> dict[int, int]:
         # the active set is block 0 of the mask less the later blocks; each
         # is counted once and cached
-        n, killed = 1 << self.m, 0
+        m = len(self._kept)
+        n, killed = 1 << m, 0
         for block in range(n, mask.bit_length(), n):
             killed |= mask >> block
         active = mask & ~killed & (1 << n) - 1
         dims = self._slices.get(active)
         if dims is None:
-            dims = self._slices[active] = self._active_dims(active)
+            dims = self._slices[active] = _active_dims(
+                m, self.ring.characteristic, active
+            )
         return dims
 
-    def _active_dims(self, active: int) -> dict[int, int]:
-        """Cohomology dimensions of the slice on the active subsets, keyed
-        by degree.  It is a relative complex (present less killed) with
-        entries +-1.  For v = 0..m-1 in turn, each critical S without v is
-        matched with S + {v} if that is critical: element matchings in
-        sequence are acyclic with unit pivots, a Morse matching in every
-        characteristic (Skoldberg, Trans. AMS 2006; Jonsson, LNM 1928).
-        With c_j critical and a_j active j-subsets, M_j = a_j - c_j - M_(j+1)
-        pairs join degrees j and j-1 and rank d_j = M_j + r_j; the Morse
-        rank r_j is 0 unless both degrees hold critical cells, and only
-        then is d_j ranked, in full.  H^(-j) = c_j - r_j - r_(j+1)."""
-        m = self.m
-        lacking, levels = _subset_masks(m)
-        crit = active
-        for v, without in enumerate(lacking):
-            pairs = crit & without & crit >> (1 << v)
-            crit &= ~(pairs | pairs << (1 << v))
-        crits = [(crit & level).bit_count() for level in levels]
-        ranks = [0] * (m + 2)
-        matched = 0
-        for j in range(m, 0, -1):
-            sources = active & levels[j]
-            matched = sources.bit_count() - crits[j] - matched
-            if crits[j] and crits[j - 1]:
-                # the transposed differential: one sparse row per active source
-                rows = [{t: sign for t, sign in self.diff[s] if active >> t & 1}
-                        for s, bit in enumerate(bin(sources)[:1:-1]) if bit == "1"]
-                ranks[j] = exact_rank(rows, self.ring.characteristic) - matched
-        return {-j: crits[j] - ranks[j] - ranks[j + 1] for j in range(m + 1)}
+
+def _active_dims(m: int, characteristic: int, active: int) -> dict[int, int]:
+    """Cohomology dimensions, keyed by degree, of the slice of a Koszul
+    complex on m entries whose active subsets are the set bits of
+    ``active``.  It is a relative complex (present less killed) with
+    entries +-1.  For v = 0..m-1 in turn, each critical S without v is
+    matched with S + {v} if that is critical: element matchings in
+    sequence are acyclic with unit pivots, a Morse matching in every
+    characteristic (Skoldberg, Trans. AMS 2006; Jonsson, LNM 1928).  With
+    c_j critical and a_j active j-subsets, M_j = a_j - c_j - M_(j+1) pairs
+    join degrees j and j-1 and rank d_j = M_j + r_j; the Morse rank r_j is
+    0 unless both degrees hold critical cells, and only then is d_j
+    ranked, in full.  H^(-j) = c_j - r_j - r_(j+1)."""
+    diff, (lacking, levels) = _differential(m), _subset_masks(m)
+    crit = active
+    for v, without in enumerate(lacking):
+        pairs = crit & without & crit >> (1 << v)
+        crit &= ~(pairs | pairs << (1 << v))
+    crits = [(crit & level).bit_count() for level in levels]
+    ranks = [0] * (m + 2)
+    matched = 0
+    for j in range(m, 0, -1):
+        sources = active & levels[j]
+        matched = sources.bit_count() - crits[j] - matched
+        if crits[j] and crits[j - 1]:
+            # the transposed differential: one sparse row per active source
+            rows = [{t: sign for t, sign in diff[s] if active >> t & 1}
+                    for s, bit in enumerate(bin(sources)[:1:-1]) if bit == "1"]
+            ranks[j] = exact_rank(rows, characteristic) - matched
+    return {-j: crits[j] - ranks[j] - ranks[j + 1] for j in range(m + 1)}
 
 
 def pullback(complex_: KoszulComplex, phi: MonomialMap) -> KoszulComplex:
@@ -249,20 +315,29 @@ def pullback(complex_: KoszulComplex, phi: MonomialMap) -> KoszulComplex:
 
 
 def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
-    """Exact length of every cohomology module, as a cell sum of slices.
+    """Exact length of every cohomology module, as a cell sum of slices of
+    the kept entries, convolved with the k dropped ones.
 
-    Subset S is active at v iff X^(v - shift_S) is a standard monomial of
-    the ring, so a slice is a function of the divisor mask of the cuts
-    shift_S + g at v, and the lengths are one cell sum over the grid the
-    cuts cut, each distinct mask weighed once.  The cut shift_S + 0 for the
-    empty S is 0, and the generated ideal is m-primary and kills the
-    cohomology, so every unbounded cell is acyclic: the bounded cells hold
-    all of it.
+    Subset S of the kept entries is active at v iff X^(v - shift_S) is a
+    standard monomial of the ring, so a slice is a function of the divisor
+    mask of the cuts shift_S + g at v, and the kept lengths are one cell
+    sum over the grid the cuts cut, each distinct mask weighed once.  The
+    cut shift_S + 0 for the empty S is 0, and the generated ideal is
+    m-primary and kills the cohomology, so every unbounded cell is acyclic:
+    the bounded cells hold all of it.  Each factor K(0) multiplies the
+    series sum_j l(H^(-j)) s^j by 1 + s, so for k dropped entries
+    l(H^(-j) K(x)) = sum_i C(k, i) l(H^(-j+i) K(x')).  The region is
+    computed from the whole sequence and the quotient.
     """
-    cuts = complex_._cuts
-    sums = _cell_sum(cuts, complex_._cut_dims)
-    lengths = {-j: sums.get(-j, 0) for j in range(complex_.m + 1)}
-    return HomologyLengths(lengths, tuple(coords[-1] for coords, _ in cuts[1]))
+    sums = _cell_sum(complex_._cuts, complex_._cut_dims)
+    series = [sums.get(-j, 0) for j in range(complex_.m + 1)]
+    for _ in range(complex_.m - len(complex_._kept)):
+        series = [a + b for a, b in zip(series, [0, *series])]
+    lengths = {-j: length for j, length in enumerate(series)}
+    d = complex_.ring.dim_ambient
+    tops = zip((0,) * d, *complex_.ring.quotient.generators)
+    region = tuple(map(sum, zip(map(max, tops), *complex_.sequence)))
+    return HomologyLengths(lengths, region)
 
 
 def h0_length(complex_: KoszulComplex) -> int:

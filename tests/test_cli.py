@@ -116,6 +116,32 @@ def test_koszul_golden(workdir, capsys):
     assert out == expected
 
 
+def test_koszul_rows_every_degree_of_a_redundant_sequence(capsys):
+    # X twice, Y^3 (which Y^2 divides) and XY (in the quotient) are free
+    # factors; every degree -5..0 is still a row, the top one nonzero
+    spec = Path(__file__).parent.parent / "specs" / "koszul_redundant.ring"
+    argv = ["koszul", "--spec", str(spec), "--pullback-iter", "1"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    expected = "\n".join(
+        [
+            f"# command\tkoszul --spec {spec} --pullback-iter 1",
+            _digest_line(spec.read_text()),
+            "degree\tlength\tlog_length",
+            "-5\t1\t0",
+            "-4\t9\t2.19722457734",
+            "-3\t26\t3.25809653802",
+            "-2\t34\t3.52636052462",
+            "-1\t21\t3.04452243772",
+            "0\t5\t1.60943791243",
+            "# profile\tmax_length=34\twidth=5",
+            "# region\t8,13",
+            "",
+        ]
+    )
+    assert out == expected
+
+
 def test_koszul_oracle_and_errors(workdir, capsys):
     (workdir / "cross2.spec").write_text(CROSS_FROB2)
     code, out = _run(capsys, ["koszul", "--spec", "cross2.spec", "--oracle"])

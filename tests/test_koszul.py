@@ -9,6 +9,7 @@ import pytest
 
 import entrolab.endos as endos
 import entrolab.koszul as koszul
+import entrolab.monomials as monomials
 from entrolab import (
     DimensionMismatchError,
     KoszulComplex,
@@ -235,7 +236,8 @@ def test_cell_sum_matches_oracle_on_twice_the_region_random():
 
 def test_unbounded_cells_of_m_primary_complexes_are_acyclic():
     # homology_lengths sums the bounded cells only; summing every cell, the
-    # unbounded ones included, must give the same finite lengths
+    # unbounded ones included, and convolving with the k dropped entries
+    # must give the same finite lengths
     rng = random.Random(4343)
     for d, char, quotiented, _ in itertools.product(
         (1, 2, 3), (0, 2, 3), (False, True), range(4)
@@ -261,7 +263,12 @@ def test_unbounded_cells_of_m_primary_complexes_are_acyclic():
         lengths = homology_lengths(complex_).lengths
         total = cell_sum_pointwise(complex_._cuts, complex_._cut_dims)
         assert total is not None, (ring, seq)
-        assert {k: total.get(k, 0) for k in lengths} == lengths, (ring, seq)
+        k = len(seq) - len(complex_._kept)
+        convolved = {
+            -j: sum(math.comb(k, i) * total.get(i - j, 0) for i in range(k + 1))
+            for j in range(len(seq) + 1)
+        }
+        assert convolved == lengths, (ring, seq)
 
 
 def _benchmark_shaped_case(rng, d, char, q):
@@ -357,6 +364,90 @@ def test_long_sequences_match_oracle():
         assert lengths.lengths == oracle, (dim, char, quotient, seq)
 
 
+def _redundant_case(rng, kind):
+    """A ring and a sequence of finite colength carrying redundant entries
+    of the given kind: copies of an entry ("equal"), multiples of an entry
+    ("divisible"), multiples of a quotient generator ("in J"), or only
+    multiples of quotient generators that hold a pure power of every
+    variable ("all in J")."""
+    d = rng.choice((1, 2, 2, 3, 3))
+
+    def times(u):
+        return tuple(a + rng.randint(0, 1) for a in u)
+
+    def nonzero():
+        while True:
+            g = tuple(rng.randint(0, 2) for _ in range(d))
+            if sum(g):
+                return g
+
+    if kind == "all in J":
+        gens = [tuple(rng.randint(1, 2) if j == i else 0 for j in range(d))
+                for i in range(d)]
+        gens += [nonzero() for _ in range(rng.randint(0, 3 - d))]
+    else:
+        gens = [nonzero() for _ in range(rng.randint(kind == "in J", 3))]
+    ring = RingSpec(rng.choice((0, 2, 3)), d, minimalize(gens, d))
+    quotient = ring.quotient.generators
+    if kind == "all in J":
+        seq = [times(rng.choice(quotient)) for _ in range(rng.randint(1, 3))]
+    else:
+        seq = random_monomial_sequence(rng, d, rng.randint(d, d + 1), max_exp=2)
+        for _ in range(rng.randint(1, 2)):
+            source = {"equal": seq, "divisible": seq, "in J": quotient}[kind]
+            w = rng.choice(source)
+            seq.append(w if kind == "equal" else times(w))
+    rng.shuffle(seq)
+    return ring, seq
+
+
+def test_redundant_entries_match_oracles_random():
+    # every degree against the slice oracle on the whole sequence, slices
+    # pointwise (some multidegrees below a dropped entry's shift), and the
+    # region from the sequence and the quotient; cases too large for the
+    # oracle are drawn again
+    rng = random.Random(1723)
+    kinds = ["equal", "divisible", "in J", "all in J"] * 75
+    for kind in kinds:
+        while True:
+            ring, seq = _redundant_case(rng, kind)
+            complex_ = KoszulComplex(ring, seq)
+            lengths = homology_lengths(complex_)
+            box = tuple(side + 1 for side in lengths.region)
+            if math.prod(box) << len(seq) <= 4000:
+                break
+        quotient = ring.quotient.generators
+        tops = [max([0] + [g[i] for g in quotient]) for i in range(ring.dim_ambient)]
+        assert lengths.region == tuple(
+            sum(w[i] for w in seq) + tops[i] for i in range(ring.dim_ambient)
+        ), (ring, seq)
+        char = ring.characteristic
+        oracle = koszul_homology_oracle(char, quotient, seq, box)
+        assert lengths.lengths == oracle, (kind, ring, seq)
+        assert complex_._kept == () or kind != "all in J"
+        for _ in range(4):
+            v = tuple(rng.randint(0, side) for side in box)
+            assert complex_.slice_dims(v) == koszul_slice_oracle(
+                char, quotient, seq, v
+            ), (kind, ring, seq, v)
+
+
+def test_redundant_entries_leave_the_tables_when_ranked(monkeypatch):
+    # the m = 10 sequence of the next test reduces to (X, Y^2): constructing
+    # it builds no table at all, and ranking it builds one, the cut table
+    # over the 4 subsets of the 2 kept entries
+    seq = [(1, 0), (0, 3), (0, 2), (0, 3), (3, 3), (3, 1), (0, 3), (0, 3),
+           (3, 0), (3, 2)]
+    ring = RingSpec.polynomial(0, 2)
+    tables = count_calls(monkeypatch, monomials, "_divisor_tables")
+    complex_ = KoszulComplex(ring, seq)
+    assert tables == []
+    lengths = homology_lengths(complex_)
+    assert complex_._kept == ((1, 0), (0, 2))
+    assert tables == [([(0, 0), (1, 0), (0, 2), (1, 2)],)]
+    assert lengths.lengths[0] == 2 and lengths.region == (13, 20)
+
+
 # the 6-vertex real projective plane, and five orders of its vertices such
 # that every vertex outside a triangle lies above the whole triangle in one
 RP2_TRIANGLES = [
@@ -440,14 +531,12 @@ def test_morse_count_matches_full_ranks_on_relative_complexes():
         counts.append(len(downs))
         families = {k - low for k in downs for low in downs if low <= k}
         for char in (0, 2, 3):
-            # k[X]/(X) with m copies of X: the active mask alone matters
-            ring = RingSpec(char, 1, minimalize([(1,)]))
-            complex_ = KoszulComplex(ring, [(1,)] * m)
+            # a slice is a function of m, the characteristic and its mask
             for family in families:
                 active = sum(1 << sum(1 << i for i in s) for s in family)
                 levels = [sorted(s for s in family if len(s) == j)
                           for j in range(m + 1)]
-                assert complex_._active_dims(active) == subset_complex_dims(
+                assert koszul._active_dims(m, char, active) == subset_complex_dims(
                     char, levels
                 ), (m, char, sorted(family))
     assert counts == [2, 3, 6, 20, 168]  # the Dedekind numbers
@@ -536,11 +625,14 @@ def _count_tables(monkeypatch):
 
 def test_divisor_table_built_once_when_first_ranked(monkeypatch):
     # with 0 to 3 quotient generators a complex builds no table until it is
-    # ranked, then one table over the 2^m (q + 1) cuts shift_S + g, for g = 0
-    # and each quotient generator, in blocks of 2^m
+    # ranked, then one table over the 2^m' (q + 1) cuts shift_S + g, for
+    # g = 0 and each quotient generator, in blocks of 2^m', where m' counts
+    # the entries no quotient generator divides: (1, 1) lies in the second
+    # quotient, (1, 1) and (0, 3) in the last
     quotients = [(), ((1, 1),), ((2, 1), (1, 2)), ((3, 0), (1, 1), (0, 3))]
+    kept = [3, 2, 3, 1]
     tables = _count_tables(monkeypatch)
-    for jgens in quotients:
+    for jgens, m_kept in zip(quotients, kept):
         ring = RingSpec(3, 2, minimalize(jgens, 2))
         assert len(ring.quotient.generators) == len(jgens)
         complex_ = KoszulComplex(ring, [(2, 0), (1, 1), (0, 3)])
@@ -551,7 +643,7 @@ def test_divisor_table_built_once_when_first_ranked(monkeypatch):
             for g in [(0, 0), *ring.quotient.generators]
             for s in complex_.shifts
         ]
-        assert tables == [cuts] and len(cuts) == 2 ** 3 * (len(jgens) + 1)
+        assert tables == [cuts] and len(cuts) == 2 ** m_kept * (len(jgens) + 1)
         assert homology_lengths(complex_) == lengths
         assert len(tables) == 1
         tables.clear()
