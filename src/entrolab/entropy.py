@@ -135,17 +135,29 @@ def local_entropy_sequence(
     n = 1..n_max, with their log averages.
 
     The reference ideal defaults to the maximal ideal; any ideal primary
-    to it yields the same growth rate.  Each row maps the carried exponent
-    vectors by phi's matrix and counts the images with the quotient, so no
-    power of phi and no ideal is built.  The carried vectors start as the
-    minimal generators of the reference ideal.  On a quotient by J the
-    images that another image or a quotient generator divides are dropped
-    before the next row, read off the row's feet table: phi(J) lies in J,
-    so phi(I) + J = phi(I') + J whenever I + J = I' + J.  On a regular ring
-    nothing is dropped: there a finite-length phi is a monomial matrix (d
-    monomials generate an m-primary ideal only as pure powers of distinct
-    variables), which preserves and reflects divisibility, so the images
-    stay minimal and distinct.
+    to it yields the same growth rate.  No power of phi and no ideal is
+    built: the first images are phi's matrix times the minimal generators
+    of the reference ideal I.
+
+    On a regular ring only row 1 is counted, and the length of row n is
+    that of row 1 times |det A|^(n - 1), where |det A| is the product of
+    the positive entries of phi's matrix A.  The finite-length test has
+    then shown that A is a monomial matrix, phi(X_j) = X_pi(j)^e_j: I is
+    proper, so phi(I) lies in the ideal of phi(m), which is m-primary with
+    phi(I), and d monomials, none of them 1, generate an m-primary ideal
+    only as pure powers of distinct variables.  For any m-primary monomial
+    ideal I', write u_pi(j) = e_j * q_j + r_j with 0 <= r_j < e_j.  Then
+    X^u lies in phi(I') iff e_j * g_j <= u_pi(j), that is g_j <= q_j, for
+    all j and some generator g of I', iff X^q lies in I'.  So the standard
+    monomials of phi(I') are the pairs of a standard monomial X^q of I' and
+    a remainder r, and length(R/phi(I')) = prod(e_j) * length(R/I').
+    Taking I' = phi^(n-1)(I) gives the rows.
+
+    On a quotient by J each row maps the carried vectors by A and counts
+    them with the quotient.  The images that another image or a quotient
+    generator divides are dropped before the next row, read off the row's
+    feet table: phi(J) lies in J, so phi(I) + J = phi(I') + J whenever
+    I + J = I' + J.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -170,12 +182,19 @@ def local_entropy_sequence(
     if _pure_powers([*vectors, *quotient], d) is None:
         raise NotFiniteLengthError("endomorphism is not of finite length")
     rows = []
+    if not quotient:
+        length = _standard_count(vectors, ring)[0]
+        det = math.prod(e for row in matrix for e in row if e)
+        for n in range(1, n_max + 1):
+            rows.append(EntropyRow(n, length, int_log(length) / n))
+            length *= det
+        return EntropySequence(tuple(rows), ideal, phi)
     for n in range(1, n_max + 1):
         if n > 1:
             vectors = [_matvec(matrix, v) for v in vectors]
         length, gens, feet = _standard_count(vectors, ring)
         rows.append(EntropyRow(n, length, int_log(length) / n))
-        if quotient and n < n_max:
+        if n < n_max:
             # _divisor_mask stops at the d - 1 axes of the feet
             vectors = [
                 g for k, g in enumerate(gens)

@@ -122,17 +122,22 @@ def _pure_powers(gens, dim: int) -> tuple[int, ...] | None:
     """For each variable i, the least a with X_i^a among ``gens``.
 
     Returns None when some variable has no pure power, that is, exactly
-    when the ideal they generate is not primary to the maximal ideal.
+    when the ideal they generate is not primary to the maximal ideal.  The
+    zero vector is X_i^0 for every i.  One pass over the generators.
     """
-    bounds = []
-    for i in range(dim):
-        powers = [
-            g[i] for g in gens if all(e == 0 for j, e in enumerate(g) if j != i)
-        ]
-        if not powers:
-            return None
-        bounds.append(min(powers))
-    return tuple(bounds)
+    least = [None] * dim
+    for g in gens:
+        zeros = g.count(0)
+        if zeros == dim:
+            return (0,) * dim
+        if zeros == dim - 1:
+            a = max(g)
+            i = g.index(a)
+            if least[i] is None or a < least[i]:
+                least[i] = a
+    if None in least:
+        return None
+    return tuple(least)
 
 
 def krull_dimension(ideal: MonomialIdeal, ambient_dim: int) -> int:

@@ -50,17 +50,27 @@ def divides(u, v) -> bool:
     return all(a <= b for a, b in zip(u, v))
 
 
-def standard_count_pointwise(gens, dim):
-    """Number of monomials divisible by none of ``gens``: every point of
-    the box cut out by the least pure powers is tested against every
-    generator."""
+def pure_powers_pointwise(gens, dim):
+    """For each variable i, the least i-th exponent among the generators
+    that are 0 off axis i, scanning every generator once per variable; None
+    when some variable has none."""
     bounds = []
     for i in range(dim):
         powers = [
             g[i] for g in gens if all(e == 0 for j, e in enumerate(g) if j != i)
         ]
-        assert powers, f"variable {i} has no pure power"
+        if not powers:
+            return None
         bounds.append(min(powers))
+    return tuple(bounds)
+
+
+def standard_count_pointwise(gens, dim):
+    """Number of monomials divisible by none of ``gens``: every point of
+    the box cut out by the least pure powers is tested against every
+    generator."""
+    bounds = pure_powers_pointwise(gens, dim)
+    assert bounds is not None, "some variable has no pure power"
     return sum(
         not any(divides(g, v) for g in gens)
         for v in itertools.product(*(range(b) for b in bounds))

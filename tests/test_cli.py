@@ -328,8 +328,9 @@ def test_tower_counts_are_computed_once(capsys, monkeypatch):
 
     counts = count_calls(monkeypatch, entrolab.monomials, "_standard_count")
     assert main(["entropy", "--spec", spec, "--max-iter", "6", "--oracle"]) == 0
-    # one count per row: the oracle checks the lengths the sequence holds
-    assert len(counts) == 6
+    # one count for the whole sequence on a regular ring: the oracle checks
+    # the lengths the sequence holds
+    assert len(counts) == 1
     assert "# verdict\toracle-colength\tPASS" in capsys.readouterr().out
 
 
@@ -681,8 +682,9 @@ def test_transfer_builds_each_sequence_once(workdir, capsys, monkeypatch):
     (workdir / "square.spec").write_text(SQUARE_OK)
     code, _ = _run(capsys, ["transfer", "--spec", "square.spec", "--max-iter", "5"])
     assert code == 0
-    # one source and one target sequence of 5 iterates each
-    assert len(calls) == 10
+    # one source and one target sequence, each on a regular ring, so one
+    # count each whatever the number of iterates
+    assert len(calls) == 2
 
 
 def test_transfer_broken_square_is_exit_3(workdir, capsys):

@@ -337,6 +337,36 @@ def test_every_degree_matches_oracle_on_benchmark_shaped_pullbacks():
         assert lengths.lengths == oracle, (ring, seq, phi.columns, n)
 
 
+def test_flatness_identity_on_regular_rings_random():
+    # a monomial matrix phi(X_j) = X_pi(j)^e_j is flat on k[X], so pulling
+    # back along phi^n multiplies every cohomology length by |det A|^n; the
+    # base lengths come from the oracle, the pulled-back ones from the engine
+    rng = random.Random(6061)
+    permuted = higher = 0
+    for k, (d, char, n) in enumerate(
+        itertools.product((1, 2, 3), (0, 2, 3), (1, 2, 1, 2))
+    ):
+        ring = RingSpec.polynomial(char, d)
+        seq = random_monomial_sequence(rng, d, d + k % 2 + (d < 3), 2)
+        perm = rng.sample(range(d), d)
+        exps = [rng.randint(1, 3) for _ in range(d)]
+        columns = [tuple(exps[j] if i == perm[j] else 0 for i in range(d))
+                   for j in range(d)]
+        phi = MonomialMap.from_columns(columns, ring)
+        # every multidegree past the entries' coordinate sum on some axis
+        # lies in an unbounded, hence acyclic, cell
+        box = tuple(map(sum, zip(*seq)))
+        base = koszul_homology_oracle(char, (), seq, box)
+        _, lengths, _ = pullback_homology(ring, seq, phi, n)
+        det = math.prod(exps)
+        assert lengths.lengths == {
+            degree: det**n * length for degree, length in base.items()
+        }, (ring, seq, columns, n)
+        permuted += perm != sorted(perm)
+        higher += any(length for degree, length in base.items() if degree)
+    assert permuted >= 12 and higher >= 24
+
+
 def test_long_sequences_match_oracle():
     # m = 7..9 in 2 and 3 variables, char 0 and primes, with and without a
     # quotient

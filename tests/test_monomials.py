@@ -26,6 +26,7 @@ from helpers import (
     cell_sum_pointwise,
     count_calls,
     divides,
+    pure_powers_pointwise,
     random_m_primary_ideal,
     standard_count_pointwise,
 )
@@ -157,6 +158,32 @@ def test_is_m_primary():
     assert _pure_powers([(2, 0), (0, 2)], 2) is not None
     assert _pure_powers([(1, 1)], 2) is None
     assert _pure_powers([(3, 0), (1, 1), (0, 2)], 2) is not None
+
+
+def test_pure_powers_match_the_per_variable_scan():
+    # the one-pass scan agrees with the definition on random generator
+    # lists with repeats, and the zero vector is X_i^0 for every i
+    rng = random.Random(97)
+    assert _pure_powers([(0, 0, 0), (1, 0, 0)], 3) == (0, 0, 0)
+    assert _pure_powers([(0,)], 1) == (0,)
+    found = zero = 0
+    for k in range(400):
+        dim = 1 + k % 4
+        gens = []
+        for _ in range(rng.randint(0, 10)):
+            vec = [0] * dim
+            if rng.random() < 0.6:
+                vec[rng.randrange(dim)] = rng.randint(1, 3)
+            else:
+                vec = [rng.randint(0, 3) for _ in range(dim)]
+            gens.append(tuple(vec))
+        gens += rng.sample(gens, len(gens) // 3)
+        rng.shuffle(gens)
+        expected = pure_powers_pointwise(gens, dim)
+        assert _pure_powers(gens, dim) == expected, gens
+        found += expected is not None
+        zero += (0,) * dim in gens
+    assert 100 <= found <= 300 and zero >= 30
 
 
 def test_krull_dimension():
