@@ -43,6 +43,8 @@ EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_VERDICT = 4
 
+_LOG_SCALES = {"e": 1.0, "2": 1.0 / math.log(2), "10": 1.0 / math.log(10)}
+
 
 @dataclass
 class RunReport:
@@ -53,10 +55,6 @@ class RunReport:
     notices: list[str] = field(default_factory=list)
     footer: list[tuple[str, ...]] = field(default_factory=list)
     verdicts: list[tuple[str, bool, str]] = field(default_factory=list)
-
-    @property
-    def failed(self) -> bool:
-        return any(not ok for _, ok, _ in self.verdicts)
 
 
 def _fmt(x: float) -> str:
@@ -93,17 +91,12 @@ def _render_json(report: RunReport) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _log_scale(base: str) -> float:
-    return {"e": 1.0, "2": 1.0 / math.log(2), "10": 1.0 / math.log(10)}[base]
-
-
 def _int_at_least(low: int):
     def integer(raw: str) -> int:
         value = int(raw)  # argparse reports a ValueError as an invalid integer
         if value < low:
             raise argparse.ArgumentTypeError(f"{value} is below {low}")
         return value
-
     return integer
 
 
@@ -230,8 +223,7 @@ def _fill_sandwich_rows(report: RunReport, reports, scale: float):
 
 def _delta(args, spec, report: RunReport, scale: float):
     ring = spec.ring
-    x = ring.maximal_ideal().generators if spec.sequence is None else spec.sequence
-    reports = sandwich(ring, spec.map, x, args.t, args.max_iter)
+    reports = sandwich(ring, spec.map, spec.sequence, args.t, args.max_iter)
     if not ring.regular:
         report.notices.append(
             "ring is not regular: the upper tower-count bound is not "
@@ -342,11 +334,9 @@ def _verify_ideal_independence(args, spec, report, scale):
 
 
 def _verify_sandwich(args, spec, report, scale):
-    ring = spec.ring
-    if not ring.regular:
+    if not spec.ring.regular:
         raise HypothesisError("verify sandwich requires a regular ring")
-    x = ring.maximal_ideal().generators if spec.sequence is None else spec.sequence
-    reports = sandwich(ring, spec.map, x, args.t, args.max_iter)
+    reports = sandwich(spec.ring, spec.map, spec.sequence, args.t, args.max_iter)
     _fill_sandwich_rows(report, reports, scale)
 
 
@@ -395,8 +385,8 @@ def _parser() -> argparse.ArgumentParser:
             "reports for monomial endomorphisms of monomial quotient rings."
         ),
     )
-    parser.set_defaults(suite=None)  # handlers are keyed by (command, suite)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's own parser, by name
 
     def common(sp, *, t=False, oracle="", tolerance=False, max_iter=True):
         sp.allow_abbrev = False  # or --t would be read as --tolerance
@@ -406,7 +396,7 @@ def _parser() -> argparse.ArgumentParser:
             help="tsv table or a single JSON object",
         )
         sp.add_argument(
-            "--log-base", choices=("e", "2", "10"), default="e",
+            "--log-base", choices=_LOG_SCALES, default="e",
             help="display base for logarithms (rescales display only)",
         )
         if max_iter:
@@ -433,9 +423,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("koszul", help="cohomology lengths of a Koszul complex")
     common(sp, oracle="cross-check by summing every slice of the region box",
            max_iter=False)
-    sp.add_argument(
-        "--pullback-iter", type=_int_at_least(0), default=0, metavar="N"
-    )
+    sp.add_argument("--pullback-iter", type=_int_at_least(0), default=0, metavar="N")
 
     sp = sub.add_parser("verify", help="verdict suites")
     suites = sp.add_subparsers(dest="suite", required=True)
@@ -446,19 +434,32 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("transfer", help="compare growth across a commuting square")
     common(sp, tolerance=True)
 
+    for name, sp in sub.choices.items():  # handlers key on (command, suite)
+        sp.set_defaults(command=name, suite=None)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, sparing the top level's scan of every
+    word when ``argv`` names a command whose parser reads all the rest."""
+    parser = _parser()
+    if argv and argv[0] in parser.commands:
+        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     started = time.perf_counter()
     try:
         spec = parse_spec(args.spec)
         report = RunReport()
         _HANDLERS[args.command, args.suite](
-            args, spec, report, _log_scale(args.log_base)
+            args, spec, report, _LOG_SCALES[args.log_base]
         )
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -469,13 +470,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     report.command = shlex.join(argv)
     report.digest = spec.digest
-    rendered = (
-        _render_json(report) if args.format == "report" else _render_tsv(report)
-    )
-    sys.stdout.write(rendered)
+    render = _render_json if args.format == "report" else _render_tsv
+    sys.stdout.write(render(report))
     elapsed = time.perf_counter() - started
     print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
-    return EXIT_VERDICT if report.failed else EXIT_OK
+    failed = any(not ok for _, ok, _ in report.verdicts)
+    return EXIT_VERDICT if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -277,8 +277,9 @@ def sandwich(
     """Per-t tables sandwiching the pullback functor entropy between the
     log averages of the certified lower and upper tower counts.
 
-    The sequence must generate, with the quotient, an ideal of finite
-    colength; the generator profile comes from the Koszul complex on it.
+    The sequence (None for the variables) must generate, with the
+    quotient, an ideal of finite colength; the generator profile comes
+    from the Koszul complex on it.
     H^0 of its n-th pullback is the ring modulo the n-th iterate image of
     that ideal, so the lower tower count at n is that colength.  The upper
     bound, the colength of the n-th iterate image of the maximal ideal, is
@@ -287,6 +288,8 @@ def sandwich(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if sequence is None:
+        sequence = ring.maximal_ideal().generators
     base = KoszulComplex(ring, sequence)
     profile = generator_profile(homology_lengths(base))
     lower_seq = local_entropy_sequence(
@@ -387,15 +390,21 @@ def monomial_matrix_closed_form(
             k, product, j = k + 1, product * power[j], source[j]
         cycles.append((k, product))
     period = math.lcm(*(k for k, _ in cycles))
-    # products[face] over the bitmasks of variable sets, bit i for X_i
-    products = [1]
-    for k, product in cycles:
-        products += [p * product ** (period // k) for p in products]
-    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in quotient]
-    rate = int_log(max(
-        p for face, p in enumerate(products)
-        if all(s & face != s for s in supports)
-    )) / period
+    factors = [product ** (period // k) for k, product in cycles]
+    if quotient:
+        # products[face] over the bitmasks of variable sets, bit i for X_i
+        products = [1]
+        for factor in factors:
+            products += [p * factor for p in products]
+        supports = [sum(1 << i for i, e in enumerate(g) if e) for g in quotient]
+        top = max(
+            p for face, p in enumerate(products)
+            if all(s & face != s for s in supports)
+        )
+    else:
+        # every set of variables is a face and every factor is >= 1
+        top = math.prod(factors)
+    rate = int_log(top) / period
     if not n_max:
         return (), rate
     cuts = [sorted({0, *(g[i] for g in quotient)}) for i in range(d)]

@@ -240,11 +240,17 @@ class RingSpec:
         return cls(characteristic, dim, MonomialIdeal((), dim))
 
     def maximal_ideal(self) -> MonomialIdeal:
-        gens = tuple(
-            tuple(1 if j == i else 0 for j in range(self.dim_ambient))
-            for i in range(self.dim_ambient)
-        )
-        return MonomialIdeal(gens, self.dim_ambient)
+        """(X_1, ..., X_d), built on the first call and kept on this ring
+        (not a field, so equality and hashing ignore it)."""
+        ideal = self.__dict__.get("_maximal_ideal")
+        if ideal is None:
+            gens = tuple(
+                tuple(1 if j == i else 0 for j in range(self.dim_ambient))
+                for i in range(self.dim_ambient)
+            )
+            ideal = MonomialIdeal(gens, self.dim_ambient)
+            object.__setattr__(self, "_maximal_ideal", ideal)
+        return ideal
 
 
 def _cell_sum(tables, weigh) -> dict:

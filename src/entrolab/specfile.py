@@ -23,14 +23,11 @@ the offending line.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 
 from .errors import SpecError
 from .monomials import MonomialIdeal, RingSpec, check_characteristic
 from .endos import MonomialMap, TransferSquare
-
-_VECTOR = re.compile(r"\[([^\]]*)\]")
 
 _FIELDS = (
     "characteristic",
@@ -82,31 +79,36 @@ class SpecFile:
 
 
 def _parse_vectors(payload: str, line_no: int, field: str):
-    rest = payload
+    """The vectors of ``payload``, split once at the closing brackets:
+    every piece before the last is blanks, "[" and one vector's entries,
+    and the last piece is blanks."""
+    *heads, tail = payload.split("]")
     vectors = []
-    while rest.strip():
-        match = _VECTOR.match(rest.strip())
-        if not match:
-            raise SpecError(
-                f"line {line_no}: {field} expects bracketed integer lists, "
-                f"got {rest.strip()!r}"
-            )
-        body = match.group(1).strip()
-        if not body:
+    for k, head in enumerate(heads):
+        head = head.lstrip()
+        if head[:1] != "[":
+            tail = "]".join(heads[k:] + [tail])  # the rest of the payload
+            break
+        body = head[1:]
+        if not body.strip():
             raise SpecError(f"line {line_no}: {field} has an empty vector")
         try:
-            vec = tuple(int(tok) for tok in body.split(","))
+            vec = tuple(map(int, body.split(",")))
         except ValueError:
             raise SpecError(
-                f"line {line_no}: {field} vector {match.group(0)!r} is not a "
-                f"comma-separated integer list"
+                f"line {line_no}: {field} vector {'[' + body + ']'!r} is not "
+                f"a comma-separated integer list"
             ) from None
         if min(vec) < 0:
             raise SpecError(
                 f"line {line_no}: {field} vector {list(vec)} has a negative entry"
             )
         vectors.append(vec)
-        rest = rest.strip()[match.end():]
+    if tail.strip():
+        raise SpecError(
+            f"line {line_no}: {field} expects bracketed integer lists, "
+            f"got {tail.strip()!r}"
+        )
     return tuple(vectors)
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -347,17 +348,58 @@ def test_traced_layers_resolve():
         assert callable(target), (module, attribute)
 
 
-def test_benchmark_argvs_parse(monkeypatch):
-    # the benchmark passes --t and --tolerance only to the suites that
-    # read them, so every argv it generates still parses
+def _parse_outcome(capsys, parse, argv):
+    """vars() of the namespace ``parse(argv)`` returns, or the code it
+    exits with, and what it printed to stdout and stderr."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+# argvs that end in usage, help or an error: no command, a flag before the
+# command, an unknown word, and words a command's own parser leaves over
+ARGV_EDGES = [
+    [], ["-h"], ["--help"], ["--"], ["bogus"], ["--spec", "x", "entropy"],
+    ["-h", "entropy"], ["entropy"], ["entropy", "-h"], ["entropy", "--spec"],
+    ["verify"], ["verify", "bogus"], ["verify", "frobenius", "--help"],
+    ["entropy", "--spec", "x", "--bogus"], ["entropy", "--spec", "x", "y"],
+    ["entropy", "--spec", "x", "--", "y"], ["entropy", "--", "--spec", "x"],
+    ["entropy", "entropy", "--spec", "x"], ["entropy", "--sp", "x"],
+    ["entropy", "--log-base", "3", "--spec", "x"],
+    ["verify", "frobenius", "--spec", "x", "--t=1"],
+]
+
+
+def test_benchmark_argvs_parse(monkeypatch, capsys):
+    # main sends an argv that names a command straight to that command's
+    # parser; every argv the benchmark (which passes --t and --tolerance
+    # only to the suites that read them) or the golden table runs gives the
+    # namespace of the full parser, and every edge argv its exit and output
     root = Path(__file__).parent.parent
     monkeypatch.chdir(root)
     monkeypatch.syspath_prepend(str(root / "bench"))
     workloads = importlib.import_module("workloads")
-    for workload in workloads.GENERATORS:
-        for seed in (0, 1):
-            for job in workloads.generate(workload, seed, "unused"):
-                entrolab.cli._parser().parse_args(list(job.argv))
+    argvs = [
+        job.argv for workload in workloads.GENERATORS for seed in (0, 1)
+        for job in workloads.generate(workload, seed, "unused")
+    ]
+    golden = (root / "tests" / "cli_golden.tsv").read_text().splitlines()
+    argvs += [shlex.split(line.split("\t")[0]) for line in golden]
+    full = entrolab.cli._parser().parse_args
+    for argv in argvs:
+        args, out, err = _parse_outcome(capsys, entrolab.cli._parse_args, argv)
+        assert (args, out, err) == _parse_outcome(capsys, full, argv), argv
+        assert isinstance(args, dict) and not out and not err, argv
+        assert {"command", "suite"} <= args.keys(), argv
+    for argv in ARGV_EDGES:
+        exit_code, out, err = _parse_outcome(capsys, main, argv)
+        assert (exit_code, out, err) == _parse_outcome(capsys, full, argv), argv
+        # help goes to stdout with exit 0, a usage error to stderr with 2
+        assert exit_code in (0, 2), argv
+        assert (bool(out), bool(err)) == (exit_code == 0, exit_code == 2), argv
 
 
 def test_exit_code_2_on_malformed_input(workdir, capsys):

@@ -321,8 +321,8 @@ def test_regular_finite_length_maps_keep_images_minimal():
 
 def test_sequence_row_work_is_one_table(monkeypatch):
     # one feet table per row on a quotient and one per sequence on a regular
-    # ring, the same number of ideals built whatever n_max, and never more
-    # carried vectors than reference generators
+    # ring, no ideal built but the ring's maximal ideal, once per ring on
+    # first use, and never more carried vectors than reference generators
     tables = count_calls(monkeypatch, monomials_module, "_divisor_tables")
     ideals = []
     post_init = monomials_module.MonomialIdeal.__post_init__
@@ -341,19 +341,21 @@ def test_sequence_row_work_is_one_table(monkeypatch):
             rng, 1 + k % 4, k % 2 == 1, False
         )
         for reference in (ideal, None):
-            gens = len((reference or ring.maximal_ideal()).generators)
-            built = set()
+            gens = len(reference.generators) if reference else ring.dim_ambient
+            # an equal ring that has not built its maximal ideal yet
+            fresh = RingSpec(ring.characteristic, ring.dim_ambient, ring.quotient)
+            built = []
             for n_max in (1, 4, 8):
                 tables.clear()
                 ideals.clear()
                 counts.clear()
-                local_entropy_sequence(ring, phi, reference, n_max)
-                built.add(len(ideals))
+                local_entropy_sequence(fresh, phi, reference, n_max)
+                built.append(len(ideals))
                 rows_counted = 1 if ring.regular else n_max
                 assert len(tables) == rows_counted + len(ideals)
                 assert len(counts) == rows_counted
                 assert all(len(vectors) <= gens for vectors, _ in counts)
-            assert built == {0 if reference else 1}
+            assert built == ([0, 0, 0] if reference else [1, 0, 0])
 
 
 def test_sequence_unit_ideal_is_rejected_before_finiteness():
@@ -417,6 +419,8 @@ def test_sandwich_identity_map():
             assert abs(row.lower_logavg) < 1e-12
             assert abs(row.upper_logavg) < 1e-12
             assert abs(row.gap_bound) < 1e-12
+    # no sequence stands for the variables
+    assert sandwich(R2, ident, None, [0.0, 2.0], 4) == reports
 
 
 def test_sandwich_requires_regular():
@@ -499,6 +503,32 @@ def test_diagonal_closed_form():
     assert monomial_matrix_closed_form(swap, 0) == ((), rate)
     with pytest.raises(ValueError, match="n_max"):
         monomial_matrix_closed_form(square, -1)
+
+
+def test_regular_closed_form_rate_is_the_face_table_maximum():
+    # on a polynomial ring every set of variables is a face; the rate must
+    # equal, to the bit, the largest face product of a table built here
+    rng = random.Random(4099)
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        perm = rng.sample(range(dim), dim)
+        exps = [rng.randint(1, 5) for _ in range(dim)]
+        cols = [tuple(exps[j] if t == perm[j] else 0 for t in range(dim))
+                for j in range(dim)]
+        phi = MonomialMap.from_columns(cols, RingSpec.polynomial(0, dim))
+        cycles = []
+        for i in range(dim):
+            orbit, j = [i], perm[i]
+            while j != i:
+                orbit, j = orbit + [j], perm[j]
+            cycles.append((len(orbit), math.prod(exps[j] for j in orbit)))
+        period = math.lcm(*(k for k, _ in cycles))
+        table = [
+            math.prod(product ** (period // k)
+                      for i, (k, product) in enumerate(cycles) if face >> i & 1)
+            for face in range(1 << dim)
+        ]
+        assert monomial_matrix_closed_form(phi, 0)[1] == int_log(max(table)) / period
 
 
 def test_frobenius_prediction():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from entrolab import NotFiniteLengthError, SpecError
-from entrolab.specfile import parse_spec
+from entrolab.specfile import _parse_vectors, parse_spec
 
 
 def _write(tmp_path, text, name="ring.spec"):
@@ -93,6 +93,60 @@ def test_comments_and_blank_lines(tmp_path):
 def test_parse_errors(tmp_path, text, needle):
     with pytest.raises(SpecError, match=needle):
         parse_spec(_write(tmp_path, text))
+
+
+# each payload's vectors, or the exact message, as read on line 7 of a
+# quotient field
+VECTOR_PAYLOADS = [
+    ("", ()),
+    (" \t ", ()),
+    ("[1][2]", ((1,), (2,))),
+    ("[1, 2] [3,4]", ((1, 2), (3, 4))),
+    ("[1,\t2]  \t[ 3 , 4 ]", ((1, 2), (3, 4))),
+    ("\t[1]\t[2]\t", ((1,), (2,))),
+    ("[+1, 2]", ((1, 2),)),
+    ("[1_0]", ((10,),)),
+    ("two", "expects bracketed integer lists, got 'two'"),
+    ("[1,2", "expects bracketed integer lists, got '[1,2'"),
+    ("[1,2]]", "expects bracketed integer lists, got ']'"),
+    ("[1,2] x", "expects bracketed integer lists, got 'x'"),
+    ("x [1,2]", "expects bracketed integer lists, got 'x [1,2]'"),
+    ("[1] [2", "expects bracketed integer lists, got '[2'"),
+    ("[1]x[2]", "expects bracketed integer lists, got 'x[2]'"),
+    ("[1] ] [2]", "expects bracketed integer lists, got '] [2]'"),
+    ("[1] [2] [", "expects bracketed integer lists, got '['"),
+    ("[]", "has an empty vector"),
+    ("[ ]", "has an empty vector"),
+    ("[1,,2]", "vector '[1,,2]' is not a comma-separated integer list"),
+    ("[a]", "vector '[a]' is not a comma-separated integer list"),
+    ("[1,[2]", "vector '[1,[2]' is not a comma-separated integer list"),
+    ("[1,2,]", "vector '[1,2,]' is not a comma-separated integer list"),
+    ("[1.0]", "vector '[1.0]' is not a comma-separated integer list"),
+    ("[a] [", "vector '[a]' is not a comma-separated integer list"),
+    ("[1,-2]", "vector [1, -2] has a negative entry"),
+]
+
+
+@pytest.mark.parametrize("payload,expected", VECTOR_PAYLOADS)
+def test_vector_payloads(payload, expected):
+    if isinstance(expected, tuple):
+        assert _parse_vectors(payload, 7, "quotient") == expected
+    else:
+        with pytest.raises(SpecError) as info:
+            _parse_vectors(payload, 7, "quotient")
+        assert str(info.value) == f"line 7: quotient {expected}"
+
+
+def test_each_spec_builds_its_own_maximal_ideal(tmp_path):
+    # a ring keeps its maximal ideal from the first call; a ring lives for
+    # one parse, so two parses of one file share nothing
+    path = _write(tmp_path, FULL)
+    first, second = parse_spec(path).ring, parse_spec(path).ring
+    assert first.maximal_ideal() is first.maximal_ideal()
+    assert first == second
+    assert first.maximal_ideal() == second.maximal_ideal()
+    assert first.maximal_ideal() is not second.maximal_ideal()
+    assert first.maximal_ideal().generators == ((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize(
