@@ -106,27 +106,6 @@ class MonomialMap:
             raise ValueError("Frobenius requires positive characteristic")
         return cls.diagonal((ring.characteristic,) * ring.dim_ambient, ring)
 
-    def is_diagonal(self) -> bool:
-        d = self.ring.dim_ambient
-        return all(
-            self.matrix[i][j] == 0
-            for i in range(d)
-            for j in range(d)
-            if i != j
-        )
-
-    def is_monomial_matrix(self) -> bool:
-        """Exactly one positive entry in every row and every column."""
-        d = self.ring.dim_ambient
-        rows_ok = all(
-            sum(1 for e in self.matrix[i] if e > 0) == 1 for i in range(d)
-        )
-        cols_ok = all(
-            sum(1 for i in range(d) if self.matrix[i][j] > 0) == 1
-            for j in range(d)
-        )
-        return rows_ok and cols_ok
-
 
 def apply_to_monomial(phi: MonomialMap, v: Vec) -> Vec:
     """Exponent vector of the image monomial: the matrix-vector product A.v."""

@@ -59,6 +59,7 @@ class EntropyRow:
     n: int
     length: int
     log_average: float  # log(length) / n
+    log_length: float  # log(length), taken once for every reader
 
 
 @dataclass(frozen=True)
@@ -186,14 +187,14 @@ def local_entropy_sequence(
         length = _standard_count(vectors, ring)[0]
         det = math.prod(e for row in matrix for e in row if e)
         for n in range(1, n_max + 1):
-            rows.append(EntropyRow(n, length, int_log(length) / n))
+            rows.append(_row(n, length))
             length *= det
         return EntropySequence(tuple(rows), ideal, phi)
     for n in range(1, n_max + 1):
         if n > 1:
             vectors = [_matvec(matrix, v) for v in vectors]
         length, gens, feet = _standard_count(vectors, ring)
-        rows.append(EntropyRow(n, length, int_log(length) / n))
+        rows.append(_row(n, length))
         if n < n_max:
             # _divisor_mask stops at the d - 1 axes of the feet
             vectors = [
@@ -202,6 +203,11 @@ def local_entropy_sequence(
                 and g not in quotient
             ]
     return EntropySequence(tuple(rows), ideal, phi)
+
+
+def _row(n: int, length: int) -> EntropyRow:
+    log = int_log(length)
+    return EntropyRow(n, length, log / n, log)
 
 
 def _least_squares_slope(points: list[tuple[int, float]]) -> float:
@@ -226,7 +232,7 @@ def estimate_limit(seq: EntropySequence) -> LimitEstimate:
     rows = seq.rows
     if len(rows) < 3:
         raise ValueError("estimate_limit needs at least 3 rows")
-    logs = [int_log(r.length) for r in rows]
+    logs = [r.log_length for r in rows]
     points = list(zip((r.n for r in rows), logs))
     slope = _least_squares_slope(points[len(points) // 2:])
     last = rows[-1].log_average
@@ -261,10 +267,6 @@ def complexity_upper_bound(ring: RingSpec, phi: MonomialMap, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return colength(image_ideal(iterate(phi, n), ring.maximal_ideal()), ring)
-
-
-def _lower_bound_log(profile: GeneratorProfile, h0_len: int, t: float) -> float:
-    return int_log(h0_len) - (int_log(profile.peak) + profile.width * abs(t))
 
 
 def sandwich(
@@ -313,7 +315,7 @@ def sandwich(
         rows = tuple(
             SandwichRow(
                 n=row.n,
-                lower_logavg=_lower_bound_log(profile, row.length, t) / row.n,
+                lower_logavg=(row.log_length - shift) / row.n,
                 upper_logavg=upper[row.n - 1],
                 gap_bound=shift / row.n,
             )

@@ -206,46 +206,33 @@ class KoszulComplex:
     def diff(self) -> tuple:
         return _differential(len(self._kept))
 
-    def _cut_vectors(self, moves) -> list[Vec]:
-        # bit (t (q + 1) + b) 2^m' + s stands for shift_s + g_b + moves[t],
-        # where g_0 = 0 and g_1, ... are the q quotient generators
-        offsets = [(0,) * self.ring.dim_ambient, *self.ring.quotient.generators]
-        return [tuple(map(sum, zip(s, g, t)))
-                for t in moves for g in offsets for s in self.shifts]
-
     @cached_property
     def _cuts(self) -> tuple:
-        # shift_s + g_b divides X^v iff shift_s <= v - g_b
-        return _divisor_tables(self._cut_vectors([(0,) * self.ring.dim_ambient]))
-
-    @cached_property
-    def _slice_cuts(self) -> tuple:
-        # the cuts moved by shift_T, block t for each subset T of the dropped
-        # entries, which are the entries less the kept ones
-        dropped = list(self.sequence)
-        for w in self._kept:
-            dropped.remove(w)
-        moves = _subset_shifts(dropped, self.ring.dim_ambient)
-        return _divisor_tables(self._cut_vectors(moves))
+        # bit b 2^m' + s stands for the cut shift_s + g_b, where g_0 = 0 and
+        # g_1, ... are the quotient generators: it divides X^v iff
+        # shift_s <= v - g_b
+        offsets = [(0,) * self.ring.dim_ambient, *self.ring.quotient.generators]
+        return _divisor_tables(
+            [tuple(map(sum, zip(s, g))) for g in offsets for s in self.shifts]
+        )
 
     def slice_dims(self, v: Vec) -> dict[int, int]:
         """Cohomology dimensions of the multidegree-v slice of the whole
         complex, keyed by cohomological degree, in a fresh dict; independent
         of any other slice.  The slice of K(x') (x) K(0)^k at v is the sum,
         over the subsets T of the dropped entries, of the kept slice at
-        v - shift_T moved down |T| degrees.  S is active in that kept slice
-        iff shift_S + shift_T <= v and shift_S + shift_T <= v - g for no
-        quotient generator g: one bisection per variable in a table of the
-        cuts moved by every shift_T, read block by block.  A block is 0 (not
-        even shift_T divides X^v) exactly when v - shift_T has a negative
-        coordinate, and that T is skipped."""
+        v - shift_T moved down |T| degrees, each read from the divisor mask
+        of the cuts at v - shift_T.  The mask is 0 (not even shift_T divides
+        X^v) exactly when v - shift_T has a negative coordinate, and that T
+        is skipped."""
         dims = dict.fromkeys(range(-self.m, 1), 0)
-        width = len(self.shifts) * (len(self.ring.quotient.generators) + 1)
-        mask = _divisor_mask(self._slice_cuts, v)
-        for t in range(1 << self.m - len(self._kept)):
-            block = mask >> t * width & (1 << width) - 1
-            if block:
-                for degree, dim in self._cut_dims(block).items():
+        dropped = list(self.sequence)
+        for w in self._kept:
+            dropped.remove(w)
+        for t, shift in enumerate(_subset_shifts(dropped, self.ring.dim_ambient)):
+            mask = _divisor_mask(self._cuts, map(operator.sub, v, shift))
+            if mask:
+                for degree, dim in self._cut_dims(mask).items():
                     dims[degree - t.bit_count()] += dim
         return dims
 

@@ -147,7 +147,10 @@ def test_koszul_oracle_and_errors(workdir, capsys):
     (workdir / "cross2.spec").write_text(CROSS_FROB2)
     code, out = _run(capsys, ["koszul", "--spec", "cross2.spec", "--oracle"])
     assert code == 0
-    assert "# verdict\toracle-slices\tPASS" in out
+    # the ring is not regular, so only H^0 is checked
+    assert out.endswith(
+        "# verdict\toracle-koszul\tPASS\tbox enumeration agrees at H^0\n"
+    )
 
     # (X) alone in two variables is rejected as a sequence
     (workdir / "thin.spec").write_text(
@@ -162,18 +165,92 @@ def test_koszul_oracle_and_errors(workdir, capsys):
     assert code == 2
 
 
-def test_koszul_oracle_resums_a_six_entry_region(workdir, capsys):
-    # 128205 multidegrees, each with 64 basis subsets, summed one by one
+def test_koszul_oracle_on_a_six_entry_sequence(workdir, capsys):
+    # with its quotient the ring is not regular and only H^0 is checked, on
+    # a box of 18 * 18 * 27 monomials; without it every degree is also
+    # checked by flatness, at 3^(3 * 2) = 729 times its length at n = 0
     (workdir / "six.spec").write_text(CUBE3_SIX)
-    code, out = _run(
-        capsys, ["koszul", "--spec", "six.spec", "--pullback-iter", "2", "--oracle"]
-    )
+    (workdir / "plain.spec").write_text(CUBE3_SIX.replace("quotient [1,1,0]\n", ""))
+    argv = ["koszul", "--pullback-iter", "2", "--oracle", "--spec"]
+    code, out = _run(capsys, argv + ["six.spec"])
     assert code == 0
-    assert "# region\t55,37,63\n" in out
-    assert (
-        "# verdict\toracle-slices\tPASS\tslice-by-slice sum over the 128205 "
-        "multidegrees of the region box agrees\n"
-    ) in out
+    assert "\n0\t945\t" in out and "# region\t55,37,63\n" in out
+    assert out.endswith(
+        "# verdict\toracle-koszul\tPASS\tbox enumeration agrees at H^0\n"
+    )
+    code, out = _run(capsys, argv + ["plain.spec"])
+    assert code == 0
+    assert "\n0\t7290\t" in out and "# region\t54,36,63\n" in out
+    assert out.endswith(
+        "# verdict\toracle-koszul\tPASS\tbox enumeration agrees at H^0; "
+        "every degree is 729 times its length at n = 0 (flatness)\n"
+    )
+
+
+def test_koszul_oracle_skips_a_box_over_the_cap(workdir, capsys):
+    # 2^10 * 3^10 and 729^2 monomials both exceed BRUTE_BOX_CAP = 200000;
+    # flatness still checks the regular ring
+    (workdir / "diag23.spec").write_text(DIAG + "sequence [1,0] [0,1] [1,1]\n")
+    (workdir / "cross3.spec").write_text(
+        CROSS_FROB2.replace("characteristic 2", "characteristic 3")
+        .replace("map [2,0] [0,2]", "map [3,0] [0,3]")
+    )
+    skipped = "box exceeds 200000 monomials; H^0 cross-check skipped"
+    for spec, n, detail in (
+        ("diag23.spec", "10", f"{skipped}; every degree is 60466176 times "
+         "its length at n = 0 (flatness)"),
+        ("cross3.spec", "6", skipped),
+    ):
+        code, out = _run(
+            capsys, ["koszul", "--spec", spec, "--pullback-iter", n, "--oracle"]
+        )
+        assert code == 0
+        assert out.endswith(f"# verdict\toracle-koszul\tPASS\t{detail}\n")
+
+
+def test_koszul_oracle_catches_a_wrong_slice_count(capsys, monkeypatch):
+    # one more dimension in H^0 of every nonempty slice: the cell sum then
+    # overcounts H^0, and box enumeration shares no slice count with it
+    spec = str(Path(__file__).parent.parent / "specs" / "frobenius_cross.ring")
+    argv = ["koszul", "--spec", spec, "--oracle"]
+    original = entrolab.koszul._active_dims
+
+    def wrong(m, characteristic, active):
+        dims = original(m, characteristic, active)
+        dims[0] += active != 0
+        return dims
+
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(entrolab.koszul, "_active_dims", wrong)
+    code, out = _run(capsys, argv)
+    assert code == 4
+    assert "\n0\t5\t" in out  # the 4 multidegrees with an active subset
+    assert out.endswith(
+        "# verdict\toracle-koszul\tFAIL\tbox enumeration gives H^0 = 1\n"
+    )
+
+
+def test_koszul_oracle_catches_a_cell_sum_off_flatness(workdir, capsys, monkeypatch):
+    # one more dimension in H^-1 of every cell sum leaves H^0 right but
+    # breaks length(H^-1) = 6 * length at n = 0 on k[X,Y] with X^2, Y^3
+    (workdir / "diag23.spec").write_text(DIAG + "sequence [1,0] [0,1]\n")
+    argv = ["koszul", "--spec", "diag23.spec", "--pullback-iter", "1", "--oracle"]
+    original = entrolab.koszul._cell_sum
+
+    def wrong(tables, weigh):
+        sums = original(tables, weigh)
+        sums[-1] = sums.get(-1, 0) + 1
+        return sums
+
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(entrolab.koszul, "_cell_sum", wrong)
+    code, out = _run(capsys, argv)
+    assert code == 4
+    assert out.endswith(
+        "# verdict\toracle-koszul\tFAIL\tflatness gives 6 at degree -1\n"
+    )
 
 
 def test_repeated_main_calls_match_fresh_processes(workdir, capsys):
