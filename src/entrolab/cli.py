@@ -271,7 +271,10 @@ def _oracle_koszul_verdict(spec, complex_, lengths, n):
     the complex on the sequence itself.  That catches cell-walk and region
     errors, which grow with the exponents.  It does not catch a wrong slice
     count: for a monomial-matrix map every slice of the pullback is a slice
-    of the base, so such an error scales exactly and passes."""
+    of the base, so such an error scales exactly and passes.  When the kept
+    entries are a system of parameters, both sides come from the same
+    closed form, so flatness compares it with itself and H^0 by box
+    enumeration is the only independent check."""
     ring = spec.ring
     h0 = _box_colength(MonomialIdeal(complex_.sequence, ring.dim_ambient), ring)
     if h0 is not None and h0 != lengths.length(0):

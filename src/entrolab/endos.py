@@ -123,19 +123,23 @@ def compose(phi: MonomialMap, psi: MonomialMap) -> MonomialMap:
     return MonomialMap(_matmul(phi.matrix, psi.matrix), phi.ring)
 
 
+def _matpow(a, n: int) -> Matrix:
+    # a^n, n >= 1, by binary exponentiation
+    result = None
+    while n:
+        if n & 1:
+            result = a if result is None else _matmul(result, a)
+        n >>= 1
+        if n:
+            a = _matmul(a, a)
+    return result
+
+
 def iterate(phi: MonomialMap, n: int) -> MonomialMap:
     """The n-th iterate, n >= 1, by binary exponentiation of the matrix."""
     if n < 1:
         raise ValueError("iterate requires n >= 1")
-    result = None
-    base = phi.matrix
-    while n:
-        if n & 1:
-            result = base if result is None else _matmul(result, base)
-        n >>= 1
-        if n:
-            base = _matmul(base, base)
-    return MonomialMap(result, phi.ring)
+    return MonomialMap(_matpow(phi.matrix, n), phi.ring)
 
 
 def image_ideal(phi: MonomialMap, ideal: MonomialIdeal) -> MonomialIdeal:

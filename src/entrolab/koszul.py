@@ -17,15 +17,17 @@ is invertible and keeps multidegrees, so K(x) = K(x') (x) K(0)^k for the
 m' = m - k kept entries x' (Bruns-Herzog, Cohen-Macaulay Rings, 1.6).
 When a complex is first ranked, its entries are reduced so, and every
 table below is built over the kept entries alone; the lengths of K(x)
-are those of K(x') convolved with (1 + s)^k.  Subset S of the kept
-entries is active at v iff X^(v - shift_S) is a standard monomial, so a
-slice depends only on which cuts shift_S + g divide X^v, for g = 0 and
-each quotient generator.  One divisor table over these cuts gives the
-cells, and the cohomology lengths are summed over them, each distinct
-active set counted once.  A slice is Morse-matched first, by unit pivots
-on its bitmask; exact ranks (one sparse integer elimination for every
-characteristic, never floating point) run only where critical cells sit
-in adjacent degrees.
+are those of K(x') convolved with (1 + s)^k.  On a regular ring with as
+many kept entries as variables, x' is one pure power of each variable, a
+regular sequence, and its lengths are a closed form; no table below is
+built for it.  Otherwise subset S of the kept entries is active at v iff
+X^(v - shift_S) is a standard monomial, so a slice depends only on which
+cuts shift_S + g divide X^v, for g = 0 and each quotient generator.  One
+divisor table over these cuts gives the cells, and the cohomology
+lengths are summed over them, each distinct active set counted once.  A
+slice is Morse-matched first, by unit pivots on its bitmask; exact ranks
+(one sparse integer elimination for every characteristic, never floating
+point) run only where critical cells sit in adjacent degrees.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import gcd
+from math import gcd, prod
 
 from .errors import NotFiniteLengthError
 from .monomials import (
@@ -47,7 +49,7 @@ from .monomials import (
     _pure_powers,
     colength,
 )
-from .endos import MonomialMap, apply_to_monomial, iterate
+from .endos import MonomialMap, _matpow, _matvec
 
 
 def exact_rank(rows: list[dict[int, int]], characteristic: int) -> int:
@@ -283,45 +285,69 @@ def _active_dims(m: int, characteristic: int, active: int) -> dict[int, int]:
     return {-j: crits[j] - ranks[j] - ranks[j + 1] for j in range(m + 1)}
 
 
-def pullback(complex_: KoszulComplex, phi: MonomialMap) -> KoszulComplex:
-    """Inverse image of the complex along phi: the Koszul complex on the
-    image monomials.  For a strictly perfect complex this plain base change
-    already represents the derived pullback."""
-    if phi.ring != complex_.ring:
+def _pullback(complex_: KoszulComplex, ring: RingSpec, matrix) -> KoszulComplex:
+    # the Koszul complex on the images A.w of the entries under the map with
+    # exponent matrix A on ``ring``
+    if ring != complex_.ring:
         raise ValueError("map acts on a different ring than the complex")
-    images = tuple(apply_to_monomial(phi, w) for w in complex_.sequence)
+    images = [_matvec(matrix, w) for w in complex_.sequence]
     # x + J contains a power m^k, so phi(x) + J contains (phi(m) + J)^k, and
     # phi(x) lies in phi(m): phi(x) + J is m-primary iff phi is of finite
     # length.  No image is a unit, since the columns of a map are nonzero.
     try:
-        return KoszulComplex(complex_.ring, images)
+        return KoszulComplex(ring, images)
     except NotFiniteLengthError as exc:
         raise NotFiniteLengthError(
             "pullback requires an endomorphism of finite length"
         ) from exc
 
 
-def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
-    """Exact length of every cohomology module, as a cell sum of slices of
-    the kept entries, convolved with the k dropped ones.
+def pullback(complex_: KoszulComplex, phi: MonomialMap) -> KoszulComplex:
+    """Inverse image of the complex along phi: the Koszul complex on the
+    image monomials.  For a strictly perfect complex this plain base change
+    already represents the derived pullback."""
+    return _pullback(complex_, phi.ring, phi.matrix)
 
-    Subset S of the kept entries is active at v iff X^(v - shift_S) is a
-    standard monomial of the ring, so a slice is a function of the divisor
-    mask of the cuts shift_S + g at v, and the kept lengths are one cell
-    sum over the grid the cuts cut, each distinct mask weighed once.  The
-    cut shift_S + 0 for the empty S is 0, and the generated ideal is
-    m-primary and kills the cohomology, so every unbounded cell is acyclic:
-    the bounded cells hold all of it.  Each factor K(0) multiplies the
-    series sum_j l(H^(-j)) s^j by 1 + s, so for k dropped entries
-    l(H^(-j) K(x)) = sum_i C(k, i) l(H^(-j+i) K(x')).  The region is
-    computed from the whole sequence and the quotient.
+
+def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
+    """Exact length of every cohomology module: of the kept entries either
+    in closed form or as a cell sum of slices, convolved with the k
+    dropped ones.
+
+    On a regular ring with as many kept entries as variables the kept
+    entries are pure powers X_1^(a_1), ..., X_d^(a_d), and their lengths
+    are prod a_i in degree 0 and 0 below.  Proof: the sequence generates an
+    m-primary ideal of k[X], so each variable X_i has a pure power among
+    the entries.  The least one is divisible by no other entry, since a
+    divisor would be a smaller power of X_i or a copy, and only the first
+    copy is kept; so it is kept, and with d kept entries those are all of
+    them.  Pure powers of distinct variables form a regular sequence, so
+    their complex resolves k[X]/(X_i^(a_i)), of length prod a_i
+    (Bruns-Herzog, Cohen-Macaulay Rings, 1.6.14).  No table is built then.
+
+    Otherwise subset S of the kept entries is active at v iff X^(v -
+    shift_S) is a standard monomial of the ring, so a slice is a function
+    of the divisor mask of the cuts shift_S + g at v, and the kept lengths
+    are one cell sum over the grid the cuts cut, each distinct mask weighed
+    once.  The cut shift_S + 0 for the empty S is 0, and the generated
+    ideal is m-primary and kills the cohomology, so every unbounded cell is
+    acyclic: the bounded cells hold all of it.
+
+    Each factor K(0) multiplies the series sum_j l(H^(-j)) s^j by 1 + s,
+    so for k dropped entries l(H^(-j) K(x)) = sum_i C(k, i) l(H^(-j+i)
+    K(x')).  The region is computed from the whole sequence and the
+    quotient.
     """
-    sums = _cell_sum(complex_._cuts, complex_._cut_dims)
+    kept = complex_._kept
+    d = complex_.ring.dim_ambient
+    if complex_.ring.regular and len(kept) == d:
+        sums = {0: prod(map(sum, kept))}
+    else:
+        sums = _cell_sum(complex_._cuts, complex_._cut_dims)
     series = [sums.get(-j, 0) for j in range(complex_.m + 1)]
-    for _ in range(complex_.m - len(complex_._kept)):
+    for _ in range(complex_.m - len(kept)):
         series = [a + b for a, b in zip(series, [0, *series])]
     lengths = {-j: length for j, length in enumerate(series)}
-    d = complex_.ring.dim_ambient
     tops = zip((0,) * d, *complex_.ring.quotient.generators)
     region = tuple(map(sum, zip(map(max, tops), *complex_.sequence)))
     return HomologyLengths(lengths, region)
@@ -349,9 +375,11 @@ def pullback_homology(
 ) -> tuple[KoszulComplex, HomologyLengths, GeneratorProfile]:
     """The Koszul complex on the sequence pulled back along the n-th
     iterate of phi (the complex itself when n is 0), with its cohomology
-    lengths and generator profile."""
+    lengths and generator profile.  The sequence is validated once, and
+    each entry is mapped by the one matrix power A^n; no map is built for
+    the iterate."""
     complex_ = KoszulComplex(ring, sequence)
     if n:
-        complex_ = pullback(complex_, iterate(phi, n))
+        complex_ = _pullback(complex_, phi.ring, _matpow(phi.matrix, n))
     lengths = homology_lengths(complex_)
     return complex_, lengths, generator_profile(lengths)

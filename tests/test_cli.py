@@ -233,8 +233,10 @@ def test_koszul_oracle_catches_a_wrong_slice_count(capsys, monkeypatch):
 
 def test_koszul_oracle_catches_a_cell_sum_off_flatness(workdir, capsys, monkeypatch):
     # one more dimension in H^-1 of every cell sum leaves H^0 right but
-    # breaks length(H^-1) = 6 * length at n = 0 on k[X,Y] with X^2, Y^3
-    (workdir / "diag23.spec").write_text(DIAG + "sequence [1,0] [0,1]\n")
+    # breaks length(H^-1) = 6 * length at n = 0 on k[X,Y] with X^2, Y^3;
+    # the three kept entries X^2, XY, Y^2 outnumber the variables, so the
+    # cell walk runs (a system of parameters is counted in closed form)
+    (workdir / "diag23.spec").write_text(DIAG + "sequence [2,0] [1,1] [0,2]\n")
     argv = ["koszul", "--spec", "diag23.spec", "--pullback-iter", "1", "--oracle"]
     original = entrolab.koszul._cell_sum
 
@@ -249,7 +251,7 @@ def test_koszul_oracle_catches_a_cell_sum_off_flatness(workdir, capsys, monkeypa
     code, out = _run(capsys, argv)
     assert code == 4
     assert out.endswith(
-        "# verdict\toracle-koszul\tFAIL\tflatness gives 6 at degree -1\n"
+        "# verdict\toracle-koszul\tFAIL\tflatness gives 24 at degree -1\n"
     )
 
 

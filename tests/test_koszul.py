@@ -158,6 +158,8 @@ def test_pullback_requires_finite_length(monkeypatch):
     message = "^pullback requires an endomorphism of finite length$"
     with pytest.raises(NotFiniteLengthError, match=message):
         pullback(base, collapse)
+    with pytest.raises(NotFiniteLengthError, match=message):
+        pullback_homology(R2, base.sequence, collapse, 2)
     assert checks == []
 
 
@@ -367,6 +369,56 @@ def test_flatness_identity_on_regular_rings_random():
     assert permuted >= 12 and higher >= 24
 
 
+def test_regular_systems_of_parameters_match_oracle_random(monkeypatch):
+    # a pure power of each variable plus copies and multiples of entries,
+    # pulled back along a random monomial matrix, some permuting the
+    # variables: the kept entries are d pure powers, counted in closed form
+    # with no cell sum and no table, and every degree must match the oracle;
+    # cases too large for the oracle are drawn again
+    rng = random.Random(2121)
+    cell_sums = count_calls(monkeypatch, monomials, "_cell_sum")
+    tables = count_calls(monkeypatch, monomials, "_divisor_tables")
+    permuted = 0
+    for d, char, n in itertools.product((2, 3, 4), (0, 2, 3), (0, 1, 2)):
+        ring = RingSpec.polynomial(char, d)
+        while True:
+            seq = [tuple(rng.randint(1, 2) if j == i else 0 for j in range(d))
+                   for i in range(d)]
+            for _ in range(rng.randint(1, 3)):
+                seq.append(tuple(a + rng.randint(0, 1) for a in rng.choice(seq)))
+            rng.shuffle(seq)
+            perm = rng.sample(range(d), d)
+            exps = [rng.randint(1, 2) for _ in range(d)]
+            columns = [tuple(exps[j] if i == perm[j] else 0 for i in range(d))
+                       for j in range(d)]
+            phi = MonomialMap.from_columns(columns, ring)
+            cell_sums.clear()
+            tables.clear()
+            complex_, lengths, _ = pullback_homology(ring, seq, phi, n)
+            if math.prod(lengths.region) << len(seq) <= 40000:
+                break
+        assert (cell_sums, tables) == ([], []), (seq, columns, n)
+        assert len(complex_._kept) == d
+        oracle = koszul_homology_oracle(char, (), complex_.sequence, lengths.region)
+        assert lengths.lengths == oracle, (d, char, seq, columns, n)
+        permuted += n > 0 and perm != sorted(perm)
+    assert permuted >= 8, permuted
+
+
+def test_only_a_system_of_parameters_skips_the_cell_sum(monkeypatch):
+    # on k[X,Y], (X^2, Y^3, X^2 Y) keeps 2 entries, one per variable, and is
+    # counted in closed form; (X^2, XY, Y^2) keeps 3, which outnumber the
+    # variables, so the cell walk runs once over one table
+    cell_sums = count_calls(monkeypatch, monomials, "_cell_sum")
+    tables = count_calls(monkeypatch, monomials, "_divisor_tables")
+    lengths = homology_lengths(KoszulComplex(R2, [(2, 0), (0, 3), (2, 1)]))
+    assert lengths.lengths == {0: 6, -1: 6, -2: 0, -3: 0}
+    assert (len(cell_sums), len(tables)) == (0, 0)
+    lengths = homology_lengths(KoszulComplex(R2, [(2, 0), (1, 1), (0, 2)]))
+    assert lengths.lengths == {0: 3, -1: 3, -2: 0, -3: 0}
+    assert (len(cell_sums), len(tables)) == (1, 1)
+
+
 def test_long_sequences_match_oracle():
     # m = 7..9 in 2 and 3 variables, char 0 and primes, with and without a
     # quotient
@@ -463,19 +515,28 @@ def test_redundant_entries_match_oracles_random():
 
 
 def test_redundant_entries_leave_the_tables_when_ranked(monkeypatch):
-    # the m = 10 sequence of the next test reduces to (X, Y^2): constructing
-    # it builds no table at all, and ranking it builds one, the cut table
-    # over the 4 subsets of the 2 kept entries
+    # this m = 10 sequence reduces to (X, Y^2), and constructing it builds
+    # no table at all.  Over k[X,Y] the kept entries are a system of
+    # parameters, counted in closed form, so ranking builds no table either;
+    # over k[X,Y]/(X^2 Y^2) ranking builds one, the cut table over the 4
+    # subsets of the 2 kept entries, each shifted by 0 and by X^2 Y^2
     seq = [(1, 0), (0, 3), (0, 2), (0, 3), (3, 3), (3, 1), (0, 3), (0, 3),
            (3, 0), (3, 2)]
-    ring = RingSpec.polynomial(0, 2)
+    regular = RingSpec.polynomial(0, 2)
+    quotient = RingSpec(0, 2, minimalize([(2, 2)], 2))
     tables = count_calls(monkeypatch, monomials, "_divisor_tables")
-    complex_ = KoszulComplex(ring, seq)
+    complex_ = KoszulComplex(regular, seq)
+    lengths = homology_lengths(complex_)
+    assert complex_._kept == ((1, 0), (0, 2)) and tables == []
+    assert lengths.lengths == {-j: 2 * math.comb(8, j) for j in range(11)}
+    assert lengths.region == (13, 20)
+    complex_ = KoszulComplex(quotient, seq)
     assert tables == []
     lengths = homology_lengths(complex_)
     assert complex_._kept == ((1, 0), (0, 2))
-    assert tables == [([(0, 0), (1, 0), (0, 2), (1, 2)],)]
-    assert lengths.lengths[0] == 2 and lengths.region == (13, 20)
+    cuts = [(0, 0), (1, 0), (0, 2), (1, 2), (2, 2), (3, 2), (2, 4), (3, 4)]
+    assert tables == [(cuts,)]
+    assert lengths.lengths[0] == 2 and lengths.region == (15, 22)
 
 
 # the 6-vertex real projective plane, and five orders of its vertices such
@@ -680,17 +741,21 @@ def test_divisor_table_built_once_when_first_ranked(monkeypatch):
 
 
 def test_pullback_homology_builds_one_divisor_table(monkeypatch):
-    # the base complex is only validated; the third pullback is ranked
+    # the base complex is only validated; the third pullback is ranked.  Its
+    # entries are mapped by one matrix power, with no map built for it
     spec = parse_spec(
         str(Path(__file__).parent.parent / "specs" / "frobenius_cross.ring")
     )
     tables = _count_tables(monkeypatch)
+    powers = count_calls(monkeypatch, endos, "_matpow")
+    maps = count_calls(monkeypatch, endos, "MonomialMap")
     complex_, lengths, _ = pullback_homology(
         spec.ring, spec.sequence, spec.map, 3
     )
     assert complex_.sequence == ((27, 0), (0, 27))
     assert lengths.lengths == {0: 53, -1: 53, -2: 0}
     assert len(tables) == 1
+    assert powers == [(spec.map.matrix, 3)] and maps == []
 
 
 def test_dd_zero_check_runs_once_per_m(monkeypatch, capsys):
@@ -747,18 +812,26 @@ def test_pullback_rank_work_independent_of_n(monkeypatch):
 
 
 def test_morse_matching_leaves_little_rank_work(monkeypatch):
-    # m = 10 over k[X,Y]: across its 160 distinct slices the matching leaves
-    # critical cells in adjacent degrees only 28 times
-    seq = [(1, 0), (0, 3), (0, 2), (0, 3), (3, 3), (3, 1), (0, 3), (0, 3),
-           (3, 0), (3, 2)]
-    expected = {0: 2, -1: 16, -2: 56, -3: 112, -4: 140, -5: 112, -6: 56,
-                -7: 16, -8: 2, -9: 0, -10: 0}
+    # the 10 degree-3 monomials of k[X,Y,Z], an antichain, so every entry is
+    # kept: across its 751 distinct slices the matching leaves critical
+    # cells in adjacent degrees only 56 times.  X^3, Y^3, Z^3 are a regular
+    # sequence, so K(x) has the cohomology of the Koszul complex on the 7
+    # mixed entries over k[X,Y,Z]/(X^3, Y^3, Z^3), which the oracle counts
+    # slice by slice over that complex's region far faster than K(x) itself
+    seq = [w for w in itertools.product(range(4), repeat=3) if sum(w) == 3]
+    pure = [w for w in seq if max(w) == 3]
+    mixed = [w for w in seq if max(w) < 3]
+    expected = {0: 10, -1: 81, -2: 252, -3: 441, -4: 441, -5: 252, -6: 81,
+                -7: 10, -8: 0, -9: 0, -10: 0}
+    box = tuple(side + 3 for side in map(sum, zip(*mixed)))
     calls = count_calls(monkeypatch, koszul, "exact_rank")
     for char in (0, 2, 3):
         calls.clear()
-        lengths = homology_lengths(KoszulComplex(RingSpec.polynomial(char, 2), seq))
+        lengths = homology_lengths(KoszulComplex(RingSpec.polynomial(char, 3), seq))
         assert lengths.lengths == expected, char
-        assert len(calls) <= 28, (char, len(calls))
+        assert len(calls) <= 56, (char, len(calls))
+        oracle = koszul_homology_oracle(char, pure, mixed, box)
+        assert oracle == {k: v for k, v in expected.items() if k >= -7}, char
 
 
 def test_generator_profile_examples():
