@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import HypothesisError, SpecError
-from .monomials import MonomialIdeal, _pure_powers, colength, colength_bruteforce
+from .monomials import MonomialIdeal, _pure_powers, colength_bruteforce
 from .endos import MonomialMap, compose, image_ideal
 from .koszul import pullback_homology
 from .entropy import (
@@ -186,7 +186,7 @@ def _entropy(args, spec, report: RunReport, scale: float):
         est = estimate_limit(seq)
         report.footer.append(("slope", _fmt(est.estimate * scale)))
         report.footer.append(("slope_method", est.method))
-        report.footer.append(("last_a_n", _fmt(est.last_log_average * scale)))
+        report.footer.append(("last_a_n", _fmt(seq.rows[-1].log_average * scale)))
     suites = _suites(spec.map)
     if suites:
         rate = monomial_matrix_closed_form(spec.map, 0)[1]
@@ -199,27 +199,26 @@ def _profile_item(profile) -> tuple[str, ...]:
     return ("profile", f"max_length={profile.peak}", f"width={profile.width}")
 
 
-def _fill_sandwich_rows(report: RunReport, reports, scale: float):
+def _fill_sandwich_rows(report: RunReport, bounds, scale: float):
     """The rows of the bound tables: t/n/lower/upper/gap with the h_loc
     footer and the sandwich verdict, or t/n/lower alone when the ring is
-    not regular and the reports carry no upper bound."""
-    upper = reports[0].h_loc_reference is not None
+    not regular and the report carries no upper counts."""
+    upper = bounds.upper_sequence
     report.columns = ["t", "n", "lower_logavg"]
-    if upper:
+    if upper is not None:
         report.columns += ["upper_logavg", "gap_bound"]
-    problems: list[str] = []
-    for rep in reports:
-        problems += sandwich_violations(rep)
-        for row in rep.rows:
-            cells = [_fmt(rep.t), str(row.n), _fmt(row.lower_logavg * scale)]
-            if upper:
-                cells += [
-                    _fmt(row.upper_logavg * scale),
-                    _fmt(row.gap_bound * scale),
-                ]
-            report.rows.append(cells)
-    if upper:
-        report.footer.append(("h_loc", _fmt(reports[0].h_loc_reference * scale)))
+    for row in bounds.rows:
+        cells = [_fmt(row.t), str(row.n), _fmt(row.lower_logavg * scale)]
+        if upper is not None:
+            cells += [
+                _fmt(row.upper_logavg * scale),
+                _fmt(row.gap_bound * scale),
+            ]
+        report.rows.append(cells)
+    if upper is not None:
+        # length(R/phi m) = |det A| on a regular ring: its log is the rate
+        report.footer.append(("h_loc", _fmt(upper.rows[0].log_length * scale)))
+        problems = sandwich_violations(bounds)
         report.verdicts.append(
             ("sandwich", not problems, problems[0] if problems else
              "lower <= upper and gap within bound at every n")
@@ -228,16 +227,16 @@ def _fill_sandwich_rows(report: RunReport, reports, scale: float):
 
 def _delta(args, spec, report: RunReport, scale: float):
     ring = spec.ring
-    reports = sandwich(ring, spec.map, spec.sequence, args.t, args.max_iter)
+    bounds = sandwich(ring, spec.map, spec.sequence, args.t, args.max_iter)
     if not ring.regular:
         report.notices.append(
             "ring is not regular: the upper tower-count bound is not "
             "certified; reporting the lower bound only"
         )
-    report.footer.append(_profile_item(reports[0].profile))
-    _fill_sandwich_rows(report, reports, scale)
+    report.footer.append(_profile_item(bounds.profile))
+    _fill_sandwich_rows(report, bounds, scale)
     if args.oracle:
-        report.verdicts.append(_oracle_lengths_verdict(reports[0].lower_sequence))
+        report.verdicts.append(_oracle_lengths_verdict(bounds.lower_sequence))
 
 
 def _koszul(args, spec, report: RunReport, scale: float):
@@ -331,6 +330,16 @@ def _verify_closed_form(args, spec, report: RunReport, scale: float):
 
 
 def _verify_ideal_independence(args, spec, report, scale):
+    """The lengths of R/phi^n I and R/phi^n m, with a verdict at every n:
+    length(R/phi^n m) <= length(R/phi^n I) <= C(c+d-1, d) length(R/phi^n m),
+    where c = sum(a_i - 1) + 1 and X_i^a_i is the least pure power of X_i
+    in I + J.  Let b be the ideal the images phi^n(X_i) generate in R.  As
+    I lies in m, phi^n(I) lies in b: the left side.  A monomial of degree c
+    has some exponent i at least a_i, so m^c lies in I + J and b^c in
+    phi^n(I)R.  Over R/b each b^i/b^(i+1) is generated by the C(i+d-1, d-1)
+    monomials of degree i in the d images; summing over i < c,
+    length(R/phi^n I) <= length(R/b^c) <= C(c+d-1, d) length(R/b).
+    """
     ring, mono_map = spec.ring, spec.map
     ideal = spec.reference_ideal()
     if ideal is None:
@@ -345,24 +354,25 @@ def _verify_ideal_independence(args, spec, report, scale):
         for row_q, row_m in zip(seq_q.rows, seq_m.rows)
     ]
     report.columns = ["n", "length_q", "a_n_q", "length_m", "a_n_m"]
-    est_q = estimate_limit(seq_q).estimate
-    est_m = estimate_limit(seq_m).estimate
-    envelope = 2 * int_log(colength(ideal, ring)) / args.max_iter
-    gap = abs(est_q - est_m)
-    report.verdicts.append(
-        ("slopes-agree", gap <= envelope + 1e-9,
-         f"|slope_q - slope_m| = {gap:.3e} within envelope "
-         f"{envelope + 1e-9:.3e}")
-    )
-    report.footer.append(("slope_q", _fmt(est_q * scale)))
-    report.footer.append(("slope_m", _fmt(est_m * scale)))
+    d = ring.dim_ambient
+    powers = _pure_powers(ideal.generators + ring.quotient.generators, d)
+    factor = math.comb(sum(powers), d)  # C(c + d - 1, d)
+    outside = [
+        f"length_q = {q.length} lies outside [{m.length}, {factor * m.length}]"
+        f" at n = {q.n}" for q, m in zip(seq_q.rows, seq_m.rows)
+        if not m.length <= q.length <= factor * m.length
+    ]
+    report.verdicts.append((
+        "length-bracket", not outside, outside[0] if outside
+        else f"length_m <= length_q <= {factor} * length_m at every n",
+    ))
 
 
 def _verify_sandwich(args, spec, report, scale):
     if not spec.ring.regular:
         raise HypothesisError("verify sandwich requires a regular ring")
-    reports = sandwich(spec.ring, spec.map, spec.sequence, args.t, args.max_iter)
-    _fill_sandwich_rows(report, reports, scale)
+    bounds = sandwich(spec.ring, spec.map, spec.sequence, args.t, args.max_iter)
+    _fill_sandwich_rows(report, bounds, scale)
 
 
 def _verify_transfer(args, spec, report, scale):

@@ -2,9 +2,9 @@
 pullback along finite-length monomial endomorphisms.
 
 Everything here reports finite-n data: length sequences, log averages, a
-slope extrapolation, and per-n lower/upper tower-count bounds whose log
-averages sandwich the functor entropy.  No limit is ever claimed beyond
-the printed error envelopes.
+slope extrapolation, and per-n lower/upper tower counts whose log
+averages sandwich the functor entropy.  The bounds are checked on the
+integer counts; only the slope is a float estimate.
 """
 
 from __future__ import annotations
@@ -78,19 +78,18 @@ class LimitEstimate:
 
     ``estimate`` is the headline number: the difference-accelerated slope
     when the log-length differences still move geometrically, otherwise
-    the least-squares slope over the final half of the rows.  The
-    diagnostics keep both raw readings and their gap.
+    the least-squares slope over the final half of the rows, which is
+    kept as the raw reading; ``method`` names the one chosen.
     """
 
     estimate: float
     least_squares_slope: float
-    last_log_average: float
-    difference: float
     method: str
 
 
 @dataclass(frozen=True)
 class SandwichRow:
+    t: float
     n: int
     lower_logavg: float
     upper_logavg: float | None  # None: not certified on a non-regular ring
@@ -99,20 +98,20 @@ class SandwichRow:
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Per-t table of lower/upper complexity bounds in log-average form.
+    """Lower/upper complexity bounds in log-average form, a row per t and n.
 
     Row invariants: lower_logavg <= upper_logavg, and their gap is at most
-    (log(peak) + width*|t|)/n.  On a non-regular ring the rows carry the
-    lower bound only, and ``h_loc_reference`` is None too.
-    ``lower_sequence`` holds the lower tower counts: the colengths of the
-    iterate images of the ideal the Koszul sequence generates.
+    (log(peak) + width*|t|)/n.  ``lower_sequence`` holds the lower tower
+    counts: the colengths of the iterate images of the ideal the Koszul
+    sequence generates.  ``upper_sequence`` holds the upper ones, the
+    lengths of R/phi^n(m), or None on a non-regular ring, whose rows carry
+    the lower bound only.
     """
 
-    t: float
     rows: tuple[SandwichRow, ...]
     profile: GeneratorProfile
-    h_loc_reference: float | None
     lower_sequence: EntropySequence
+    upper_sequence: EntropySequence | None
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,6 @@ def estimate_limit(seq: EntropySequence) -> LimitEstimate:
     logs = [r.log_length for r in rows]
     points = list(zip((r.n for r in rows), logs))
     slope = _least_squares_slope(points[len(points) // 2:])
-    last = rows[-1].log_average
     estimate, method = slope, "least-squares"
     if len(rows) >= 4:
         diffs = [b - a for a, b in zip(logs, logs[1:])]
@@ -247,8 +245,6 @@ def estimate_limit(seq: EntropySequence) -> LimitEstimate:
     return LimitEstimate(
         estimate=estimate,
         least_squares_slope=slope,
-        last_log_average=last,
-        difference=slope - last,
         method=method,
     )
 
@@ -275,18 +271,20 @@ def sandwich(
     sequence,
     t_values,
     n_max: int = 8,
-) -> list[SandwichReport]:
-    """Per-t tables sandwiching the pullback functor entropy between the
-    log averages of the certified lower and upper tower counts.
+) -> SandwichReport:
+    """Rows sandwiching the pullback functor entropy at every t: the log
+    averages of the certified lower and upper tower counts.
 
     The sequence (None for the variables) must generate, with the
     quotient, an ideal of finite colength; the generator profile comes
     from the Koszul complex on it.
     H^0 of its n-th pullback is the ring modulo the n-th iterate image of
     that ideal, so the lower tower count at n is that colength.  The upper
-    bound, the colength of the n-th iterate image of the maximal ideal, is
-    certified only over a regular ring; on any other ring the rows carry
-    the lower bound only.
+    count, the length of R/phi^n(m), is certified only over a regular ring.
+    There a finite-length map is a monomial matrix, so the upper counts
+    come from ``monomial_matrix_closed_form``, which shares no code with
+    the colength engine behind the lower ones.  On any other ring the rows
+    carry the lower bound only.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -294,66 +292,51 @@ def sandwich(
         sequence = ring.maximal_ideal().generators
     base = KoszulComplex(ring, sequence)
     profile = generator_profile(homology_lengths(base))
+    # first, so that a map not of finite length raises NotFiniteLengthError
+    # before the closed form can call it no monomial matrix
     lower_seq = local_entropy_sequence(
         ring, phi, MonomialIdeal(base.sequence, ring.dim_ambient), n_max
     )
-    upper = [None] * n_max
-    h_ref = None
+    upper_seq, upper = None, [None] * n_max
     if ring.regular:
-        if lower_seq.ideal_used == ring.maximal_ideal():
-            reference_seq = lower_seq
-        else:
-            reference_seq = local_entropy_sequence(ring, phi, None, n_max)
-        if n_max >= 3:
-            h_ref = estimate_limit(reference_seq).estimate
-        else:
-            h_ref = reference_seq.rows[-1].log_average
-        upper = [row.log_average for row in reference_seq.rows]
-    reports = []
+        lengths = monomial_matrix_closed_form(phi, n_max)[0]
+        upper_rows = tuple(map(_row, itertools.count(1), lengths))
+        upper_seq = EntropySequence(upper_rows, ring.maximal_ideal(), phi)
+        upper = [row.log_average for row in upper_rows]
+    rows = []
     for t in t_values:
         shift = int_log(profile.peak) + profile.width * abs(t)
-        rows = tuple(
+        rows += [
             SandwichRow(
+                t=float(t),
                 n=row.n,
                 lower_logavg=(row.log_length - shift) / row.n,
                 upper_logavg=upper[row.n - 1],
                 gap_bound=shift / row.n,
             )
             for row in lower_seq.rows
-        )
-        reports.append(
-            SandwichReport(
-                t=float(t),
-                rows=rows,
-                profile=profile,
-                h_loc_reference=h_ref,
-                lower_sequence=lower_seq,
-            )
-        )
-    return reports
+        ]
+    return SandwichReport(tuple(rows), profile, lower_seq, upper_seq)
 
 
-def sandwich_violations(
-    report: SandwichReport, tol: float = 1e-9
-) -> list[str]:
-    """Messages for any row breaking the sandwich invariants; empty when
-    the report is consistent.  A NaN anywhere in a row breaks both.  Rows
-    without an upper bound have nothing to check."""
-    problems = []
-    for row in report.rows:
-        if row.upper_logavg is None:
-            continue
-        if not row.lower_logavg <= row.upper_logavg + tol:
-            problems.append(
-                f"t={report.t} n={row.n}: lower bound {row.lower_logavg!r} "
-                f"exceeds upper bound {row.upper_logavg!r}"
-            )
-        if not row.upper_logavg - row.lower_logavg <= row.gap_bound + tol:
-            problems.append(
-                f"t={report.t} n={row.n}: bound gap exceeds "
-                f"{row.gap_bound!r}"
-            )
-    return problems
+def sandwich_violations(report: SandwichReport) -> list[str]:
+    """A message for every n at which the lower and upper tower counts
+    break U_n <= L_n <= peak * U_n; none on a non-regular ring.
+
+    As width * |t| >= 0, these integer checks give both row invariants at
+    every t.  They hold on a regular ring, where phi is flat: for the
+    Koszul complex K, L_n = U_n * length(H^0 K) and H^0 K has length
+    between 1 and peak.
+    """
+    upper, peak = report.upper_sequence, report.profile.peak
+    if upper is None:
+        return []
+    return [
+        f"n={low.n}: lower tower count {low.length} lies outside "
+        f"[{up.length}, {peak * up.length}]"
+        for low, up in zip(report.lower_sequence.rows, upper.rows)
+        if not up.length <= low.length <= peak * up.length
+    ]
 
 
 def monomial_matrix_closed_form(
@@ -393,19 +376,21 @@ def monomial_matrix_closed_form(
         cycles.append((k, product))
     period = math.lcm(*(k for k, _ in cycles))
     factors = [product ** (period // k) for k, product in cycles]
-    if quotient:
-        # products[face] over the bitmasks of variable sets, bit i for X_i
-        products = [1]
-        for factor in factors:
-            products += [p * factor for p in products]
-        supports = [sum(1 << i for i, e in enumerate(g) if e) for g in quotient]
-        top = max(
-            p for face, p in enumerate(products)
-            if all(s & face != s for s in supports)
-        )
-    else:
-        # every set of variables is a face and every factor is >= 1
-        top = math.prod(factors)
+    if not quotient:
+        # every set of variables is a face and every factor is >= 1; the
+        # box of cuts is the origin alone, weighing prod N_i(n) = det^n
+        det = math.prod(power)
+        lengths = tuple(det**n for n in range(1, n_max + 1))
+        return lengths, int_log(math.prod(factors)) / period
+    # products[face] over the bitmasks of variable sets, bit i for X_i
+    products = [1]
+    for factor in factors:
+        products += [p * factor for p in products]
+    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in quotient]
+    top = max(
+        p for face, p in enumerate(products)
+        if all(s & face != s for s in supports)
+    )
     rate = int_log(top) / period
     if not n_max:
         return (), rate

@@ -107,24 +107,26 @@ def test_criterion_5_complexity_sandwich():
     phi = MonomialMap.diagonal((2, 3), ring)
     ts = [-1.0, 0.0, 1.0]
 
-    reports = sandwich(ring, phi, [(1, 0), (0, 1)], ts, 8)
-    for rep in reports:
-        assert (rep.profile.peak, rep.profile.width) == (1, 0)
-        assert not sandwich_violations(rep)
-        for row in rep.rows:
-            assert abs(row.lower_logavg - LOG6) < 1e-9
-            assert abs(row.upper_logavg - LOG6) < 1e-9
+    report = sandwich(ring, phi, [(1, 0), (0, 1)], ts, 8)
+    assert (report.profile.peak, report.profile.width) == (1, 0)
+    assert not sandwich_violations(report)
+    assert len(report.rows) == len(ts) * 8
+    for row in report.rows:
+        assert abs(row.lower_logavg - LOG6) < 1e-9
+        assert abs(row.upper_logavg - LOG6) < 1e-9
 
-    reports = sandwich(ring, phi, [(2, 0), (0, 3)], ts, 8)
-    for rep in reports:
-        assert (rep.profile.peak, rep.profile.width) == (6, 0)
-        assert not sandwich_violations(rep)
-        for row in rep.rows:
-            gap = row.upper_logavg - row.lower_logavg
-            assert abs(gap) <= LOG6 / row.n + 1e-12
-            assert row.gap_bound <= LOG6 / row.n + 1e-12
-            assert abs(row.lower_logavg - LOG6) <= LOG6 / row.n + 1e-9
-            assert abs(row.upper_logavg - LOG6) <= LOG6 / row.n + 1e-9
+    report = sandwich(ring, phi, [(2, 0), (0, 3)], ts, 8)
+    assert (report.profile.peak, report.profile.width) == (6, 0)
+    assert not sandwich_violations(report)
+    # the tower counts themselves: U_n = 6^n and L_n = 6 * 6^n
+    for low, up in zip(report.lower_sequence.rows, report.upper_sequence.rows):
+        assert (low.length, up.length) == (6 ** (low.n + 1), 6 ** low.n)
+    for row in report.rows:
+        gap = row.upper_logavg - row.lower_logavg
+        assert abs(gap) <= LOG6 / row.n + 1e-12
+        assert row.gap_bound <= LOG6 / row.n + 1e-12
+        assert abs(row.lower_logavg - LOG6) <= LOG6 / row.n + 1e-9
+        assert abs(row.upper_logavg - LOG6) <= LOG6 / row.n + 1e-9
     print("criterion 5 (lower/upper bounds collapse to log 6): PASS")
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: golden outputs, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -19,13 +20,19 @@ import entrolab.cli
 from entrolab import (
     DimensionMismatchError,
     HypothesisError,
+    MonomialMap,
     NotFiniteLengthError,
     NotRegularError,
+    RingSpec,
     SpecError,
     SquareCommutationError,
+    colength_bruteforce,
+    image_ideal,
+    iterate,
+    minimalize,
 )
 from entrolab.cli import main
-from helpers import count_calls
+from helpers import count_calls, pure_powers_pointwise, random_m_primary_ideal
 
 DIAG = "characteristic 0\nvariables X Y\nmap [2,0] [0,3]\n"
 CROSS_FROB2 = (
@@ -744,19 +751,154 @@ def test_verify_ideal_independence(workdir, capsys, monkeypatch):
     (workdir / "ind.spec").write_text(spec)
     code, out = _run(capsys, ["verify", "ideal-independence", "--spec", "ind.spec"])
     assert code == 0
-    assert "# verdict\tslopes-agree\tPASS" in out
-    # one count per row of each sequence, plus the reference ideal's
-    # colength for the envelope (which counts once more); the maximal
-    # ideal's colength is 1 on every ring
+    # I = (X^2, Y^3): c = 1 + 2 + 1 = 4 and C(c + 1, 2) = 10
+    assert out.splitlines()[-1] == (
+        "# verdict\tlength-bracket\tPASS\t"
+        "length_m <= length_q <= 10 * length_m at every n"
+    )
+    assert "# slope" not in out
+    # no extrapolation, so a single row is enough
+    code, out = _run(
+        capsys,
+        ["verify", "ideal-independence", "--spec", "ind.spec", "--max-iter", "1"],
+    )
+    assert code == 0
+    assert "1\t36\t3.58351893846\t6\t1.79175946923" in out.splitlines()
+    # one count per row of each sequence on a quotient ring, and no
+    # colength of the reference ideal
     cross = Path(__file__).parent.parent / "specs" / "frobenius_cross.ring"
     colengths = count_calls(monkeypatch, entrolab.monomials, "colength")
     counts = count_calls(monkeypatch, entrolab.monomials, "_standard_count")
     argv = ["verify", "ideal-independence", "--spec", str(cross), "--max-iter", "6"]
     code, out = _run(capsys, argv)
     assert code == 0
-    assert "# verdict\tslopes-agree\tPASS" in out
-    assert len(colengths) == 1
-    assert len(counts) == 2 * 6 + len(colengths)
+    assert "# verdict\tlength-bracket\tPASS" in out
+    assert colengths == []
+    assert len(counts) == 2 * 6
+
+
+def _spec_vectors(vectors):
+    return " ".join("[" + ",".join(map(str, v)) + "]" for v in vectors)
+
+
+def test_ideal_independence_bracket_on_random_rings(workdir, capsys):
+    # on random regular and quotient rings both sides of
+    # length_m <= length_q <= C(c + d - 1, d) * length_m hold at every n,
+    # with every length checked by box enumeration
+    rng = random.Random(77)
+    quotients = 0
+    for case in range(40):
+        d = rng.randint(1, 3)
+        characteristic = rng.choice([0, 2, 3])
+        quotient = []
+        if d > 1 and case % 2:
+            g = [0] * d
+            for i in rng.sample(range(d), 2):
+                g[i] = rng.randint(1, 2)
+            quotient.append(tuple(g))
+            quotients += 1
+        # a diagonal map is well defined on every monomial quotient
+        perm = list(range(d)) if quotient else rng.sample(range(d), d)
+        columns = [
+            tuple(rng.randint(1, 2) if i == perm[j] else 0 for i in range(d))
+            for j in range(d)
+        ]
+        ideal = random_m_primary_ideal(rng, d, 3, 2)
+        lines = [
+            f"characteristic {characteristic}",
+            "variables " + " ".join("XYZ"[:d]),
+            "map " + _spec_vectors(columns),
+            "ideal " + _spec_vectors(ideal),
+        ]
+        if quotient:
+            lines.append("quotient " + _spec_vectors(quotient))
+        (workdir / "ind.spec").write_text("\n".join(lines) + "\n")
+        n_max = rng.randint(1, 3)
+        code, out = _run(
+            capsys,
+            ["verify", "ideal-independence", "--spec", "ind.spec",
+             "--max-iter", str(n_max)],
+        )
+        assert code == 0, lines
+        assert "\tlength-bracket\tPASS\t" in out
+        ring = RingSpec(characteristic, d, minimalize(set(quotient), d))
+        phi = MonomialMap.from_columns(columns, ring)
+        powers = pure_powers_pointwise(ideal + quotient, d)
+        c = sum(a - 1 for a in powers) + 1
+        factor = math.comb(c + d - 1, d)
+        lines = out.splitlines()
+        rows = lines[lines.index("n\tlength_q\ta_n_q\tlength_m\ta_n_m") + 1:-1]
+        assert len(rows) == n_max
+        for n, row in enumerate(rows, 1):
+            length_q, length_m = int(row.split("\t")[1]), int(row.split("\t")[3])
+            power = iterate(phi, n)
+            assert length_q == colength_bruteforce(
+                image_ideal(power, minimalize(set(ideal))), ring
+            )
+            assert length_m == colength_bruteforce(
+                image_ideal(power, ring.maximal_ideal()), ring
+            )
+            assert length_m <= length_q <= factor * length_m
+    assert quotients >= 10
+
+
+@pytest.mark.parametrize(
+    "ideal, length_q, length_m", [("[1]", "2", "2"), ("[3]", "6", "2")]
+)
+def test_ideal_independence_bracket_is_sharp(workdir, capsys, ideal, length_q,
+                                             length_m):
+    # on k[X] with X -> X^2, I = m meets the left side and I = (X^3) the
+    # right one (C(3, 1) = 3): neither side can be tightened
+    (workdir / "line.spec").write_text(
+        f"characteristic 0\nvariables X\nmap [2]\nideal {ideal}\n"
+    )
+    code, out = _run(
+        capsys,
+        ["verify", "ideal-independence", "--spec", "line.spec", "--max-iter", "1"],
+    )
+    assert code == 0
+    assert out.splitlines()[-2].split("\t")[1::2] == [length_q, length_m]
+
+
+def test_ideal_independence_bracket_catches_count_faults(workdir, capsys,
+                                                         monkeypatch):
+    # a count one short on k[X] with X -> X^2 and I = (X^3) gives
+    # length_q = 5 against 3 * length_m = 3 at n = 1
+    count = entrolab.entropy._standard_count
+
+    def one_short(vectors, ring):
+        length, *rest = count(vectors, ring)
+        return (length - 1, *rest)
+
+    (workdir / "line.spec").write_text(
+        "characteristic 0\nvariables X\nmap [2]\nideal [3]\n"
+    )
+    argv = ["verify", "ideal-independence", "--spec", "line.spec", "--max-iter", "3"]
+    with monkeypatch.context() as patch:
+        patch.setattr(entrolab.entropy, "_standard_count", one_short)
+        code, out = _run(capsys, argv)
+    assert code == 4
+    assert out.splitlines()[-1] == (
+        "# verdict\tlength-bracket\tFAIL\tlength_q = 5 lies outside [1, 3] at n = 1"
+    )
+    # a reference-ideal row counted below length_m fails the left side
+    sequence = entrolab.cli.local_entropy_sequence
+
+    def low_third_row(ring, phi, ideal, n_max):
+        seq = sequence(ring, phi, ideal, n_max)
+        if ideal is None:
+            return seq
+        rows = list(seq.rows)
+        rows[2] = dataclasses.replace(rows[2], length=52)
+        return dataclasses.replace(seq, rows=tuple(rows))
+
+    monkeypatch.setattr(entrolab.cli, "local_entropy_sequence", low_third_row)
+    cross = Path(__file__).parent.parent / "specs" / "frobenius_cross.ring"
+    code, out = _run(capsys, ["verify", "ideal-independence", "--spec", str(cross)])
+    assert code == 4
+    assert out.splitlines()[-1] == (
+        "# verdict\tlength-bracket\tFAIL\tlength_q = 52 lies outside [53, 318] at n = 3"
+    )
 
 
 def test_verify_sandwich(workdir, capsys):
@@ -770,6 +912,27 @@ def test_verify_sandwich(workdir, capsys):
     (workdir / "cross.spec").write_text(CROSS_FROB2)
     code, _ = _run(capsys, ["verify", "sandwich", "--spec", "cross.spec"])
     assert code == 3
+
+
+def test_count_fault_breaks_the_sandwich(capsys, monkeypatch):
+    # the upper counts come from the closed form, not from the engine that
+    # counts the lower ones, so a count one too high shows: on k[X,Y,Z]
+    # with the sequence X, Y, Z, peak = 1 and L_1 = 31 > 1 * U_1 = 30
+    count = entrolab.entropy._standard_count
+
+    def one_over(vectors, ring):
+        length, *rest = count(vectors, ring)
+        return (length + 1, *rest)
+
+    monkeypatch.setattr(entrolab.entropy, "_standard_count", one_over)
+    spec = str(Path(__file__).parent.parent / "specs" / "diagonal235.ring")
+    for argv in (["verify", "sandwich"], ["delta"]):
+        code, out = _run(capsys, argv + ["--spec", spec])
+        assert code == 4, argv
+        assert out.splitlines()[-1] == (
+            "# verdict\tsandwich\tFAIL\t"
+            "n=1: lower tower count 31 lies outside [30, 30]"
+        )
 
 
 def test_verify_transfer_pass_and_fail(workdir, capsys):

@@ -1,5 +1,6 @@
 """Entropy sequences, limit extrapolation, bounds, and the transfer check."""
 
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -13,8 +14,6 @@ from entrolab import (
     NotFiniteLengthError,
     NotRegularError,
     RingSpec,
-    SandwichReport,
-    SandwichRow,
     SquareCommutationError,
     TransferSquare,
     apply_to_monomial,
@@ -41,7 +40,6 @@ import entrolab.monomials as monomials_module
 from entrolab.monomials import _pure_powers
 from entrolab.cli import BRUTE_BOX_CAP, _suites
 from entrolab.koszul import (
-    GeneratorProfile,
     KoszulComplex,
     generator_profile,
     h0_length,
@@ -374,7 +372,6 @@ def test_estimate_limit_exact_geometric():
     est = estimate_limit(seq)
     assert abs(est.estimate - math.log(30)) < 1e-9
     assert abs(est.least_squares_slope - math.log(30)) < 1e-9
-    assert abs(est.difference) < 1e-9
 
 
 def test_estimate_limit_affine_log():
@@ -382,7 +379,8 @@ def test_estimate_limit_affine_log():
     est = estimate_limit(seq)
     assert abs(est.least_squares_slope - math.log(6)) < 1e-12
     assert abs(est.estimate - math.log(6)) < 1e-12
-    assert abs(est.last_log_average - (math.log(6) + math.log(6) / 8)) < 1e-12
+    # the log-length differences are all log 6: nothing to accelerate
+    assert est.method == "least-squares"
 
 
 def test_estimate_limit_geometric_correction():
@@ -412,15 +410,17 @@ def test_complexity_upper_bound():
 
 def test_sandwich_identity_map():
     ident = MonomialMap.diagonal((1, 1), R2)
-    reports = sandwich(R2, ident, [(1, 0), (0, 1)], [0.0, 2.0], 4)
-    for rep in reports:
-        assert not sandwich_violations(rep)
-        for row in rep.rows:
-            assert abs(row.lower_logavg) < 1e-12
-            assert abs(row.upper_logavg) < 1e-12
-            assert abs(row.gap_bound) < 1e-12
+    report = sandwich(R2, ident, [(1, 0), (0, 1)], [0.0, 2.0], 4)
+    assert not sandwich_violations(report)
+    assert [(row.t, row.n) for row in report.rows] == [
+        (t, n) for t in (0.0, 2.0) for n in (1, 2, 3, 4)
+    ]
+    for row in report.rows:
+        assert abs(row.lower_logavg) < 1e-12
+        assert abs(row.upper_logavg) < 1e-12
+        assert abs(row.gap_bound) < 1e-12
     # no sequence stands for the variables
-    assert sandwich(R2, ident, None, [0.0, 2.0], 4) == reports
+    assert sandwich(R2, ident, None, [0.0, 2.0], 4) == report
 
 
 def test_sandwich_requires_regular():
@@ -430,21 +430,22 @@ def test_sandwich_requires_regular():
     quotient = RingSpec(3, 2, minimalize({(1, 1)}))
     frob = MonomialMap.frobenius(quotient)
     x = [(1, 0), (0, 2)]
-    reports = sandwich(quotient, frob, x, [-1.0, 0.5], 4)
+    report = sandwich(quotient, frob, x, [-1.0, 0.5], 4)
     base = KoszulComplex(quotient, x)
     profile = generator_profile(homology_lengths(base))
-    for rep in reports:
-        assert rep.h_loc_reference is None
-        assert not sandwich_violations(rep)
-        assert [row.n for row in rep.rows] == [1, 2, 3, 4]
-        for row in rep.rows:
-            h0 = h0_length(pullback(base, iterate(frob, row.n)))
-            shift = int_log(profile.peak) + profile.width * abs(rep.t)
-            assert row.upper_logavg is None
-            assert row.lower_logavg == (int_log(h0) - shift) / row.n
-            assert row.gap_bound == shift / row.n
+    assert report.upper_sequence is None
+    assert not sandwich_violations(report)
+    assert [(row.t, row.n) for row in report.rows] == [
+        (t, n) for t in (-1.0, 0.5) for n in (1, 2, 3, 4)
+    ]
+    for row in report.rows:
+        h0 = h0_length(pullback(base, iterate(frob, row.n)))
+        shift = int_log(profile.peak) + profile.width * abs(row.t)
+        assert row.upper_logavg is None
+        assert row.lower_logavg == (int_log(h0) - shift) / row.n
+        assert row.gap_bound == shift / row.n
     # k[X,Y]/(XY, X^(3^n), Y^(2*3^n)) has length 3^(n+1) - 1
-    assert [r.length for r in reports[0].lower_sequence.rows] == [8, 26, 80, 242]
+    assert [r.length for r in report.lower_sequence.rows] == [8, 26, 80, 242]
 
 
 def test_sandwich_monotone_chain_random():
@@ -454,23 +455,85 @@ def test_sandwich_monotone_chain_random():
         phi = MonomialMap.diagonal(exps, R2)
         seq = [(rng.randint(1, 2), 0), (0, rng.randint(1, 2))]
         ts = [rng.uniform(-2, 2) for _ in range(3)]
-        for rep in sandwich(R2, phi, seq, ts, 6):
-            assert not sandwich_violations(rep)
-            for row in rep.rows:
-                upper = complexity_upper_bound(R2, phi, row.n)
-                assert row.upper_logavg == int_log(upper) / row.n
+        report = sandwich(R2, phi, seq, ts, 6)
+        assert not sandwich_violations(report)
+        assert len(report.rows) == 3 * 6
+        for row in report.rows:
+            upper = complexity_upper_bound(R2, phi, row.n)
+            assert row.upper_logavg == int_log(upper) / row.n
 
 
-def test_sandwich_violations_flag_nan_rows():
-    nan = float("nan")
-    profile = GeneratorProfile(peak=1, width=0)
-    for row in (
-        SandwichRow(1, nan, 0.0, 0.0),
-        SandwichRow(1, 0.0, nan, 0.0),
-        SandwichRow(1, 0.0, 0.0, nan),
-    ):
-        report = SandwichReport(nan, (row,), profile, 0.0, _fake_sequence([1]))
-        assert sandwich_violations(report)
+def test_sandwich_upper_counts_come_from_the_closed_form(monkeypatch):
+    # the engine counts the lower sequence once; the upper counts
+    # length(R/phi^n m) = |det A|^n come from the closed form, and no
+    # float extrapolation is made
+    rng = random.Random(2024)
+    engine = count_calls(monkeypatch, entropy_module, "local_entropy_sequence")
+    limits = count_calls(monkeypatch, entropy_module, "estimate_limit")
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        ring = RingSpec.polynomial(rng.choice([0, 2, 3]), d)
+        perm = rng.sample(range(d), d)
+        cols = [
+            tuple(rng.randint(1, 5) if i == perm[j] else 0 for i in range(d))
+            for j in range(d)
+        ]
+        phi = MonomialMap.from_columns(cols, ring)
+        det = math.prod(max(c) for c in cols)
+        sequence = rng.choice([None, random_m_primary_ideal(rng, d, 3)])
+        n_max = rng.randint(1, 6)
+        del engine[:]
+        report = sandwich(ring, phi, sequence, [0.0, 1.0], n_max)
+        assert len(engine) == 1
+        assert not sandwich_violations(report)
+        upper = [row.length for row in report.upper_sequence.rows]
+        assert upper == [det**n for n in range(1, n_max + 1)]
+        assert tuple(upper) == monomial_matrix_closed_form(phi, n_max)[0]
+        assert report.upper_sequence.ideal_used == ring.maximal_ideal()
+    assert limits == []
+
+
+def test_sandwich_rejects_a_map_not_of_finite_length_first():
+    # the lower counts come first: a map that is not of finite length is a
+    # failed hypothesis, not the closed form's "not a monomial matrix"
+    collapse = MonomialMap.from_columns([(1, 1), (1, 1)], R2)
+    for sequence in (None, [(2, 0), (0, 1)]):
+        with pytest.raises(NotFiniteLengthError):
+            sandwich(R2, collapse, sequence, [0.0], 3)
+
+
+def test_sandwich_violations_compare_tower_counts():
+    # U_n <= L_n <= peak * U_n on the integers, at every n; a count moved
+    # by one past either side is named with its n
+    phi = MonomialMap.diagonal((2, 3), R2)
+    report = sandwich(R2, phi, [(2, 0), (0, 3)], [-1.0, 0.0], 4)
+    assert report.profile.peak == 6
+    assert not sandwich_violations(report)
+
+    def with_lower(lengths):
+        rows = tuple(_fake_sequence(lengths).rows)
+        return dataclasses.replace(
+            report,
+            lower_sequence=dataclasses.replace(report.lower_sequence, rows=rows),
+        )
+
+    upper = [row.length for row in report.upper_sequence.rows]
+    assert [row.length for row in report.lower_sequence.rows] == [
+        6 * u for u in upper
+    ]
+    # at the top of the bracket, L_n = peak * U_n
+    high = [6 * u for u in upper]
+    high[2] += 1
+    assert sandwich_violations(with_lower(high)) == [
+        f"n=3: lower tower count {high[2]} lies outside "
+        f"[{upper[2]}, {6 * upper[2]}]"
+    ]
+    low = [6 * u for u in upper]
+    low[1] = upper[1] - 1
+    assert sandwich_violations(with_lower(low)) == [
+        f"n=2: lower tower count {low[1]} lies outside "
+        f"[{upper[1]}, {6 * upper[1]}]"
+    ]
 
 
 def test_diagonal_closed_form():
