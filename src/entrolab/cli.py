@@ -462,9 +462,11 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verdict suites")
     suites = sp.add_subparsers(dest="suite", required=True)
+    sp.commands = suites.choices
     for suite in sorted(suite for _, suite in _HANDLERS if suite):
-        common(suites.add_parser(suite), t=suite == "sandwich",
-               tolerance=suite == "transfer")
+        leaf = suites.add_parser(suite)
+        common(leaf, t=suite == "sandwich", tolerance=suite == "transfer")
+        leaf.set_defaults(command="verify", suite=suite)
 
     sp = sub.add_parser("transfer", help="compare growth across a commuting square")
     common(sp, tolerance=True)
@@ -475,11 +477,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, sparing the top level's scan of every
-    word when ``argv`` names a command whose parser reads all the rest."""
-    parser = _parser()
-    if argv and argv[0] in parser.commands:
-        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
+    """``_parser().parse_args(argv)``, sparing the scan of every word at each
+    level above the leaf: while the next word names a command or a verify
+    suite, descend to its parser, which reads the rest.  An argv that leaves
+    a word unparsed goes to the full parser, for its usage and error text."""
+    parser = leaf = _parser()
+    rest = argv
+    while rest and rest[0] in getattr(leaf, "commands", ()):
+        leaf, rest = leaf.commands[rest[0]], rest[1:]
+    if leaf is not parser:
+        args, extras = leaf.parse_known_args(rest)
         if not extras:
             return args
     return parser.parse_args(argv)
@@ -490,6 +497,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse_args(argv)
     started = time.perf_counter()
+    # lengths outgrow the 4300-digit int <-> str limit: lift it for this call
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         spec = parse_spec(args.spec)
         report = RunReport()
@@ -503,10 +514,14 @@ def main(argv: list[str] | None = None) -> int:
         # SpecError and every other ValueError: the input is malformed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report.command = shlex.join(argv)
-    report.digest = spec.digest
-    render = _render_json if args.format == "report" else _render_tsv
-    sys.stdout.write(render(report))
+    else:
+        report.command = shlex.join(argv)
+        report.digest = spec.digest
+        render = _render_json if args.format == "report" else _render_tsv
+        sys.stdout.write(render(report))
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     elapsed = time.perf_counter() - started
     print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
     failed = any(not ok for _, ok, _ in report.verdicts)

@@ -27,15 +27,15 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _matmul(a, b) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][l] * b[l][j] for l in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    # b may be rectangular: its columns are read once
+    cols = list(zip(*b))
+    return tuple([
+        tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a
+    ])
 
 
 def _matvec(a, v: Vec) -> Vec:
-    return tuple(sum(map(operator.mul, row, v)) for row in a)
+    return tuple([sum(map(operator.mul, row, v)) for row in a])
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,14 @@ class MonomialMap:
 
     def __post_init__(self):
         d = self.ring.dim_ambient
-        rows = tuple(tuple(int(e) for e in row) for row in self.matrix)
+        rows = tuple([tuple(map(int, row)) for row in self.matrix])
         if len(rows) != d or any(len(row) != d for row in rows):
             raise DimensionMismatchError(f"matrix must be {d}x{d}")
-        if any(e < 0 for row in rows for e in row):
+        if min(map(min, rows)) < 0:
             raise ValueError("matrix entries must be nonnegative")
         object.__setattr__(self, "matrix", rows)
-        for j in range(d):
-            if all(rows[i][j] == 0 for i in range(d)):
+        for j, column in enumerate(zip(*rows)):
+            if not any(column):
                 raise ValueError(
                     f"map column {j + 1} is zero (not a local endomorphism)"
                 )
@@ -75,10 +75,7 @@ class MonomialMap:
 
     @property
     def columns(self) -> tuple[Vec, ...]:
-        d = self.ring.dim_ambient
-        return tuple(
-            tuple(self.matrix[i][j] for i in range(d)) for j in range(d)
-        )
+        return tuple(zip(*self.matrix))
 
     @classmethod
     def from_columns(cls, cols, ring: RingSpec) -> "MonomialMap":
@@ -86,8 +83,7 @@ class MonomialMap:
         d = ring.dim_ambient
         if len(cols) != d or any(len(c) != d for c in cols):
             raise DimensionMismatchError(f"expected {d} columns of length {d}")
-        rows = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-        return cls(rows, ring)
+        return cls(tuple(zip(*cols)), ring)
 
     @classmethod
     def diagonal(cls, exponents, ring: RingSpec) -> "MonomialMap":
@@ -210,16 +206,9 @@ class TransferSquare:
                 "joining map of the transfer square is not of finite length"
             )
 
-    def _xi_matrix(self) -> Matrix:
-        dt = self.target_ring.dim_ambient
-        ds = self.source_ring.dim_ambient
-        return tuple(
-            tuple(self.xi_columns[j][i] for j in range(ds)) for i in range(dt)
-        )
-
 
 def check_square(square: TransferSquare) -> bool:
     """True iff the square commutes on every source variable: the exponent
     matrices satisfy Xi . A_psi == A_phi . Xi."""
-    xi = square._xi_matrix()
+    xi = tuple(zip(*square.xi_columns))
     return _matmul(xi, square.psi.matrix) == _matmul(square.phi.matrix, xi)

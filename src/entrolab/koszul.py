@@ -157,7 +157,7 @@ def _subset_shifts(entries, d: int) -> list[Vec]:
     shifts = [(0,) * d]
     for s in range(1, 1 << len(entries)):
         entry = entries[(s & -s).bit_length() - 1]
-        shifts.append(tuple(map(sum, zip(shifts[s & s - 1], entry))))
+        shifts.append(tuple(map(operator.add, shifts[s & s - 1], entry)))
     return shifts
 
 
@@ -215,7 +215,7 @@ class KoszulComplex:
         # shift_s <= v - g_b
         offsets = [(0,) * self.ring.dim_ambient, *self.ring.quotient.generators]
         return _divisor_tables(
-            [tuple(map(sum, zip(s, g))) for g in offsets for s in self.shifts]
+            [tuple(map(operator.add, s, g)) for g in offsets for s in self.shifts]
         )
 
     def slice_dims(self, v: Vec) -> dict[int, int]:

@@ -456,14 +456,20 @@ ARGV_EDGES = [
     ["entropy", "entropy", "--spec", "x"], ["entropy", "--sp", "x"],
     ["entropy", "--log-base", "3", "--spec", "x"],
     ["verify", "frobenius", "--spec", "x", "--t=1"],
+    ["verify", "frobenius", "--spec", "x", "extra"],
+    ["verify", "frobenius", "--", "--spec", "x"],
+    ["verify", "--spec", "x", "frobenius"],
+    ["verify", "diagonal", "--spec", "x", "--tolerance", "1"],
+    ["verify", "-h"],
 ]
 
 
 def test_benchmark_argvs_parse(monkeypatch, capsys):
-    # main sends an argv that names a command straight to that command's
-    # parser; every argv the benchmark (which passes --t and --tolerance
-    # only to the suites that read them) or the golden table runs gives the
-    # namespace of the full parser, and every edge argv its exit and output
+    # main sends an argv that names a command, or a command and a verify
+    # suite, straight to that leaf's parser; every argv the benchmark (which
+    # passes --t and --tolerance only to the suites that read them) or the
+    # golden table runs gives the namespace of the full parser, and every
+    # edge argv its exit and output
     root = Path(__file__).parent.parent
     monkeypatch.chdir(root)
     monkeypatch.syspath_prepend(str(root / "bench"))
@@ -474,6 +480,7 @@ def test_benchmark_argvs_parse(monkeypatch, capsys):
     ]
     golden = (root / "tests" / "cli_golden.tsv").read_text().splitlines()
     argvs += [shlex.split(line.split("\t")[0]) for line in golden]
+    argvs.append(["verify", "sandwich", "--spec", "x", "--t=-1,0,1"])
     full = entrolab.cli._parser().parse_args
     for argv in argvs:
         args, out, err = _parse_outcome(capsys, entrolab.cli._parse_args, argv)
@@ -493,6 +500,32 @@ def test_exit_code_2_on_malformed_input(workdir, capsys):
     assert main(["entropy", "--spec", "bad.spec"]) == 2
     assert main(["entropy", "--spec", "does-not-exist.spec"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int <-> str digit limit")
+def test_lengths_beyond_the_int_str_digit_limit(workdir, capsys):
+    # H^0 of the Koszul complex on (X, Y) pulled back along the Frobenius
+    # of F_3[X,Y] 4600 times is 3^9200, 4390 digits; main lifts the limit
+    # for its own call and gives the caller's back on every exit
+    (workdir / "frob3.spec").write_text(
+        "characteristic 3\nvariables X Y\nmap [3,0] [0,3]\n"
+        "sequence [1,0] [0,1]\n"
+    )
+    caller = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = _run(capsys, ["koszul", "--spec", "frob3.spec",
+                                  "--pullback-iter", "4600"])
+        assert code == 0 and sys.get_int_max_str_digits() == 640
+        assert main(["koszul", "--spec", "missing.spec"]) == 2
+        assert sys.get_int_max_str_digits() == 640
+        capsys.readouterr()
+        sys.set_int_max_str_digits(0)
+        h0 = [row for row in out.splitlines() if row.startswith("0\t")]
+        assert [row.split("\t")[1] for row in h0] == [str(3 ** 9200)]
+    finally:
+        sys.set_int_max_str_digits(caller)
 
 
 def test_spec_file_is_opened_once_per_run(workdir, capsys, monkeypatch):

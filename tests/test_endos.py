@@ -1,6 +1,7 @@
 """Monomial endomorphisms, iteration, image ideals, transfer squares."""
 
 import random
+import re
 
 import pytest
 
@@ -22,6 +23,8 @@ from entrolab import (
 )
 
 from entrolab.cli import _suites
+from entrolab.endos import _matmul, _matpow, _matvec
+from entrolab.errors import DimensionMismatchError
 from entrolab.monomials import _pure_powers
 from helpers import divides
 
@@ -166,6 +169,70 @@ def test_map_validation():
             MonomialMap.diagonal((2, 2), R2),
             MonomialMap.diagonal((2, 2), RingSpec.polynomial(2, 2)),
         )
+
+
+def _naive_product(a, b):
+    return tuple(
+        tuple(sum(a[i][l] * b[l][j] for l in range(len(b)))
+              for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def test_kernels_match_a_triple_loop():
+    # square matrices, and the rectangular Xi . A_psi and A_phi . Xi of
+    # check_square: Xi is dt x ds, A_psi ds x ds and A_phi dt x dt
+    rng = random.Random(2023)
+
+    def rand(rows, cols):
+        return tuple(
+            tuple(rng.randint(0, 9) for _ in range(cols)) for _ in range(rows)
+        )
+
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        a, b = rand(d, d), rand(d, d)
+        assert _matmul(a, b) == _naive_product(a, b)
+        v = tuple(rng.randint(0, 9) for _ in range(d))
+        assert _matvec(a, v) == tuple(
+            row[0] for row in _naive_product(a, tuple((e,) for e in v))
+        )
+        power = a
+        for n in range(1, 6):
+            assert _matpow(a, n) == power
+            power = _naive_product(power, a)
+        ds, dt = rng.randint(1, 4), rng.randint(1, 4)
+        xi = rand(dt, ds)
+        psi, phi = rand(ds, ds), rand(dt, dt)
+        assert _matmul(xi, psi) == _naive_product(xi, psi)
+        assert _matmul(phi, xi) == _naive_product(phi, xi)
+        ring = RingSpec.polynomial(0, d)
+        cols = tuple(
+            tuple(rng.randint(0, 3) for _ in range(d - 1)) + (rng.randint(1, 3),)
+            for _ in range(d)
+        )
+        assert MonomialMap.from_columns(cols, ring).columns == cols
+
+
+def test_map_error_messages():
+    # the checks run in this order: size, sign, zero column, quotient
+    def fails(error, message, matrix, ring=R2):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            MonomialMap(matrix, ring)
+
+    fails(DimensionMismatchError, "matrix must be 2x2", ((1, 0, 0), (0, 1, 0)))
+    fails(DimensionMismatchError, "matrix must be 2x2", ((-1, 0, 0), (0, 0)))
+    fails(ValueError, "matrix entries must be nonnegative", ((1, 0), (0, -1)))
+    fails(ValueError, "matrix entries must be nonnegative", ((0, 0), (0, -1)))
+    fails(ValueError, "map column 1 is zero (not a local endomorphism)",
+          ((0, 0), (0, 2)))
+    quotient = RingSpec(0, 2, minimalize({(1, 1)}))
+    fails(ValueError, "map is not well defined on the quotient: the image of "
+          "generator (1, 1) leaves the quotient ideal", ((2, 3), (0, 0)),
+          quotient)
+    with pytest.raises(DimensionMismatchError,
+                       match="^expected 2 columns of length 2$"):
+        MonomialMap.from_columns([(1, 0), (0, 1, 0)], R2)
 
 
 def test_well_definedness_matches_quadratic_definition():
