@@ -178,9 +178,7 @@ def _oracle_lengths_verdict(seq):
 
 
 def _entropy(args, spec, report: RunReport, scale: float):
-    seq = local_entropy_sequence(
-        spec.ring, spec.map, spec.reference_ideal(), args.max_iter
-    )
+    seq = local_entropy_sequence(spec.ring, spec.map, spec.ideal, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
     if args.max_iter >= 3:
         est = estimate_limit(seq)
@@ -341,7 +339,7 @@ def _verify_ideal_independence(args, spec, report, scale):
     length(R/phi^n I) <= length(R/b^c) <= C(c+d-1, d) length(R/b).
     """
     ring, mono_map = spec.ring, spec.map
-    ideal = spec.reference_ideal()
+    ideal = spec.ideal
     if ideal is None:
         raise SpecError(
             "ideal field is required for the ideal-independence suite"

@@ -24,6 +24,7 @@ from .monomials import (
     RingSpec,
     _check_same_dim,
     _divisor_mask,
+    _faces,
     _pure_powers,
     _standard_count,
     colength,
@@ -386,12 +387,7 @@ def monomial_matrix_closed_form(
     products = [1]
     for factor in factors:
         products += [p * factor for p in products]
-    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in quotient]
-    top = max(
-        p for face, p in enumerate(products)
-        if all(s & face != s for s in supports)
-    )
-    rate = int_log(top) / period
+    rate = int_log(max(products[f] for f in _faces(quotient, d))) / period
     if not n_max:
         return (), rate
     cuts = [sorted({0, *(g[i] for g in quotient)}) for i in range(d)]

@@ -16,8 +16,10 @@ A transfer square adds a second, regular ring and the joining map:
     source_map [2,0] [0,2]
     xi [1,0] [0,1]             # image of each source variable
 
-All ring and map invariants are validated here, with messages anchored to
-the offending line.
+Every field, the ring, the map, the reference ideal and the source map
+are checked here, and each defect's message names its line.  Only the
+transfer commands build the square, so only they check that xi has finite
+length and that the square commutes (exit 3).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import SpecError
+from .errors import HypothesisError, SpecError
 from .monomials import MonomialIdeal, RingSpec, check_characteristic
 from .endos import MonomialMap, TransferSquare
 
@@ -44,38 +46,26 @@ _FIELDS = (
 
 @dataclass
 class SpecFile:
-    """Parsed and validated specification file; ``digest`` is the SHA-256
-    of its bytes."""
+    """Parsed and validated specification file; ``psi`` is the transfer
+    square's source map and ``digest`` the SHA-256 of the file's bytes."""
 
     variables: tuple[str, ...]
-    ideal: tuple[tuple[int, ...], ...] | None
+    ideal: MonomialIdeal | None
     sequence: tuple[tuple[int, ...], ...] | None
-    source_variables: tuple[str, ...] | None
-    source_map: tuple[tuple[int, ...], ...] | None
+    psi: MonomialMap | None
     xi: tuple[tuple[int, ...], ...] | None
     ring: RingSpec
     map: MonomialMap
     digest: str
 
-    def reference_ideal(self) -> MonomialIdeal | None:
-        if self.ideal is None:
-            return None
-        return MonomialIdeal(self.ideal, self.ring.dim_ambient)
-
-    def has_square(self) -> bool:
-        return self.source_variables is not None
-
     def square(self) -> TransferSquare:
-        if not self.has_square():
+        """The transfer square; xi's finite length is checked here, not at parse."""
+        if self.psi is None:
             raise SpecError(
                 "transfer square fields (source_variables, source_map, xi) "
                 "are missing"
             )
-        source_ring = RingSpec.polynomial(
-            self.ring.characteristic, len(self.source_variables)
-        )
-        psi = MonomialMap.from_columns(self.source_map, source_ring)
-        return TransferSquare(source_ring, self.ring, self.xi, psi, self.map)
+        return TransferSquare(self.psi.ring, self.ring, self.xi, self.psi, self.map)
 
 
 def _parse_vectors(payload: str, line_no: int, field: str):
@@ -113,12 +103,9 @@ def _parse_vectors(payload: str, line_no: int, field: str):
 
 
 def parse_spec(path: str) -> SpecFile:
-    """Read, parse and validate a specification file.  The file is read
-    once, so ``digest`` hashes exactly the bytes parsed.
-
-    Raises SpecError with a line-anchored message on any defect, including
-    violations of the ring and map invariants.
-    """
+    """Read, parse and validate a specification file, read once so that
+    ``digest`` hashes exactly the bytes parsed.  Raises SpecError on any
+    defect, with the line at fault in the message."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -143,109 +130,88 @@ def parse_spec(path: str) -> SpecFile:
             raise SpecError(f"missing required field {name!r}")
         return fields[name]
 
+    def names(field: str) -> tuple[str, ...]:
+        line_no, payload = require(field)
+        found = tuple(payload.split())
+        if not found:
+            raise SpecError(f"line {line_no}: {field} lists no names")
+        if len(set(found)) != len(found):
+            singular = field[:-1].replace("_", " ")
+            raise SpecError(f"line {line_no}: {singular} names are not unique")
+        return found
+
+    def vectors(field: str, dim: int, count: int | None = None):
+        """``count`` vectors (if given) of ``dim`` entries, or None if absent."""
+        if field not in fields:
+            return None
+        line_no, payload = fields[field]
+        vecs = _parse_vectors(payload, line_no, field)
+        if count is not None and len(vecs) != count:
+            raise SpecError(
+                f"line {line_no}: {field} needs {count} columns, got {len(vecs)}"
+            )
+        for v in vecs:
+            if len(v) != dim:
+                raise SpecError(
+                    f"line {line_no}: {field} vector {list(v)} has {len(v)} "
+                    f"entries, expected {dim}"
+                )
+        return vecs
+
+    def built(field: str, make, *args):
+        """``make(*args)``; a plain ValueError is re-raised at ``field``'s line."""
+        try:
+            return make(*args)
+        except HypothesisError:
+            raise
+        except ValueError as exc:
+            raise SpecError(f"line {fields[field][0]}: {exc}") from None
+
     line_no, payload = require("characteristic")
     try:
         characteristic = int(payload)
     except ValueError:
         raise SpecError(
-            f"line {line_no}: characteristic must be an integer, got "
-            f"{payload!r}"
+            f"line {line_no}: characteristic must be an integer, got {payload!r}"
         ) from None
-    try:
-        check_characteristic(characteristic)
-    except ValueError as exc:
-        raise SpecError(f"line {line_no}: {exc}") from None
+    built("characteristic", check_characteristic, characteristic)
 
-    line_no, payload = require("variables")
-    variables = tuple(payload.split())
-    if not variables:
-        raise SpecError(f"line {line_no}: variables lists no names")
-    if len(set(variables)) != len(variables):
-        raise SpecError(f"line {line_no}: variable names are not unique")
+    variables = names("variables")
     dim = len(variables)
-
-    def vectors_of(name: str, expected_dim: int | None = dim):
-        if name not in fields:
-            return None
-        line_no, payload = fields[name]
-        vecs = _parse_vectors(payload, line_no, name)
-        if expected_dim is not None:
-            for v in vecs:
-                if len(v) != expected_dim:
-                    raise SpecError(
-                        f"line {line_no}: {name} vector {list(v)} has "
-                        f"{len(v)} entries, expected {expected_dim}"
-                    )
-        return vecs
-
-    quotient = vectors_of("quotient") or ()
-    line_no, payload = require("map")
-    map_columns = _parse_vectors(payload, line_no, "map")
-    if len(map_columns) != dim:
-        raise SpecError(
-            f"line {line_no}: map needs {dim} columns, got {len(map_columns)}"
-        )
-    for v in map_columns:
-        if len(v) != dim:
-            raise SpecError(
-                f"line {line_no}: map column {list(v)} has {len(v)} entries, "
-                f"expected {dim}"
-            )
-
-    ideal = vectors_of("ideal")
-    sequence = vectors_of("sequence")
-
-    quot_line = fields["quotient"][0] if "quotient" in fields else None
-    try:
-        ring = RingSpec(characteristic, dim, MonomialIdeal(quotient, dim))
-    except ValueError as exc:
-        anchor = quot_line or fields["characteristic"][0]
-        raise SpecError(f"line {anchor}: {exc}") from None
-
-    map_line = fields["map"][0]
-    try:
-        mono_map = MonomialMap.from_columns(map_columns, ring)
-    except ValueError as exc:
-        raise SpecError(f"line {map_line}: {exc}") from None
+    quotient = vectors("quotient", dim)
+    require("map")
+    map_columns = vectors("map", dim, dim)
+    ideal = vectors("ideal", dim)
+    sequence = vectors("sequence", dim)
+    # with the characteristic checked, only a quotient generator fails here
+    ring = built(
+        "quotient", RingSpec, characteristic, dim, MonomialIdeal(quotient or (), dim)
+    )
+    mono_map = built("map", MonomialMap.from_columns, map_columns, ring)
+    if ideal is not None:
+        ideal = built("ideal", MonomialIdeal, ideal, dim)
 
     square_fields = [
         name for name in ("source_variables", "source_map", "xi") if name in fields
     ]
-    source_variables = source_map = xi = None
+    psi = xi = None
     if square_fields:
         if len(square_fields) != 3:
             raise SpecError(
                 "transfer square needs all of source_variables, source_map "
                 f"and xi; only {', '.join(square_fields)} present"
             )
-        line_no, payload = fields["source_variables"]
-        source_variables = tuple(payload.split())
-        if not source_variables:
-            raise SpecError(f"line {line_no}: source_variables lists no names")
-        if len(set(source_variables)) != len(source_variables):
-            raise SpecError(
-                f"line {line_no}: source variable names are not unique"
-            )
-        sdim = len(source_variables)
-        source_map = vectors_of("source_map", sdim)
-        if len(source_map) != sdim:
-            raise SpecError(
-                f"line {fields['source_map'][0]}: source_map needs {sdim} "
-                f"columns, got {len(source_map)}"
-            )
-        xi = vectors_of("xi", dim)
-        if len(xi) != sdim:
-            raise SpecError(
-                f"line {fields['xi'][0]}: xi needs one image per source "
-                f"variable ({sdim}), got {len(xi)}"
-            )
+        sdim = len(names("source_variables"))
+        source_map = vectors("source_map", sdim, sdim)
+        xi = vectors("xi", dim, sdim)
+        source_ring = RingSpec.polynomial(characteristic, sdim)
+        psi = built("source_map", MonomialMap.from_columns, source_map, source_ring)
 
     return SpecFile(
         variables=variables,
         ideal=ideal,
         sequence=sequence,
-        source_variables=source_variables,
-        source_map=source_map,
+        psi=psi,
         xi=xi,
         ring=ring,
         map=mono_map,

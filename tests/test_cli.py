@@ -1014,6 +1014,39 @@ def test_transfer_broken_square_is_exit_3(workdir, capsys):
     capsys.readouterr()
 
 
+def test_zero_source_map_column_is_malformed_for_every_command(workdir, capsys):
+    # the source map is built at parse: a zero column is exit 2, with its
+    # line, whether or not the command reads the square
+    (workdir / "psi0.spec").write_text(
+        "characteristic 2\nvariables X Y\nmap [2,0] [0,2]\n"
+        "source_variables U\nsource_map [0]\nxi [1,0]\n"
+    )
+    for command in ("entropy", "transfer"):
+        assert main([command, "--spec", "psi0.spec"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            "error: line 5: map column 1 is zero (not a local endomorphism)\n"
+            == captured.err
+        )
+
+
+def test_non_finite_xi_fails_only_the_transfer_commands(workdir, capsys):
+    # xi = (X) has infinite colength in k[X,Y]: the square is built, and its
+    # joining map checked, only by the commands that read it
+    (workdir / "xi.spec").write_text(
+        "characteristic 2\nvariables X Y\nmap [2,0] [0,2]\n"
+        "source_variables U\nsource_map [2]\nxi [1,0]\n"
+    )
+    assert main(["entropy", "--spec", "xi.spec", "--max-iter", "3"]) == 0
+    capsys.readouterr()
+    for argv in (["transfer"], ["verify", "transfer"]):
+        assert main(argv + ["--spec", "xi.spec"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not of finite length" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

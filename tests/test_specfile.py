@@ -31,12 +31,11 @@ def test_parse_full(tmp_path):
     assert spec.variables == ("X", "Y")
     assert spec.ring.quotient.generators == ((1, 1),)
     assert spec.map.columns == ((3, 0), (0, 3))
-    assert spec.ideal == ((2, 0), (0, 2))
+    assert spec.ideal.generators == ((0, 2), (2, 0))
     assert spec.sequence == ((1, 0), (0, 1))
     assert not spec.ring.regular
     assert spec.map.matrix == ((3, 0), (0, 3))
-    assert spec.reference_ideal().generators == ((0, 2), (2, 0))
-    assert not spec.has_square()
+    assert spec.psi is None
 
 
 def test_tabs_separate_like_spaces(tmp_path):
@@ -54,7 +53,7 @@ def test_tabs_separate_like_spaces(tmp_path):
 def test_parse_regular_defaults(tmp_path):
     spec = parse_spec(_write(tmp_path, "characteristic 0\nvariables X\nmap [2]\n"))
     assert spec.ring.regular
-    assert spec.reference_ideal() is None
+    assert spec.ideal is None
     assert spec.sequence is None
 
 
@@ -195,10 +194,53 @@ xi [1,0] [0,1]
 
 def test_parse_square(tmp_path):
     spec = parse_spec(_write(tmp_path, SQUARE))
-    assert spec.has_square()
+    assert spec.psi.ring.dim_ambient == 2
     square = spec.square()
     assert square.source_ring.regular
     assert square.xi_columns == ((1, 0), (0, 1))
+
+
+# one spec per check, with its full message: the checks of the ring, the
+# maps and the vector fields are each made once, at the line at fault
+ANCHORED = [
+    ("characteristic 2\nvariables X Y\nmap [2,0] [0,2]\n"
+     "source_variables U\nsource_map [0]\nxi [1,0]\n",
+     "line 5: map column 1 is zero (not a local endomorphism)"),
+    ("characteristic 0\nvariables X Y\nquotient [1,1] [0,0]\nmap [2,0] [0,3]\n",
+     "line 3: quotient generator 1 found; the quotient must sit inside the "
+     "ideal of the variables"),
+    ("quotient [1,1]\nvariables X Y\ncharacteristic 4\nmap [2,0] [0,2]\n",
+     "line 3: characteristic must be 0 or prime, got 4"),
+    ("characteristic two\nvariables X\nmap [2]\n",
+     "line 1: characteristic must be an integer, got 'two'"),
+    ("characteristic 0\nvariables\nmap [2]\n", "line 2: variables lists no names"),
+    ("characteristic 0\nvariables X Y\nmap [2,0]\n",
+     "line 3: map needs 2 columns, got 1"),
+    ("characteristic 0\nvariables X Y\nmap [2] [0,3]\n",
+     "line 3: map vector [2] has 1 entries, expected 2"),
+    ("characteristic 0\nvariables X Y\nmap [2,0] [0,3]\nsequence [1,0] [1]\n",
+     "line 4: sequence vector [1] has 1 entries, expected 2"),
+    (SQUARE.replace("xi [1,0] [0,1]", "xi [1,0]"), "line 6: xi needs 2 columns, got 1"),
+    (SQUARE.replace("xi [1,0] [0,1]", "xi [1,0] [1]"),
+     "line 6: xi vector [1] has 1 entries, expected 2"),
+    (SQUARE.replace("source_map [2,0] [0,2]", "source_map [2,0]"),
+     "line 5: source_map needs 2 columns, got 1"),
+    (SQUARE.replace("source_variables U V", "source_variables U U"),
+     "line 4: source variable names are not unique"),
+    (SQUARE.replace("source_variables U V", "source_variables"),
+     "line 4: source_variables lists no names"),
+    # two defects: the quotient is checked before the map, whatever their lines
+    ("characteristic 0\nvariables X Y\nmap [2,0] [0,0]\nquotient [0,1] [0,0]\n",
+     "line 4: quotient generator 1 found; the quotient must sit inside the "
+     "ideal of the variables"),
+]
+
+
+@pytest.mark.parametrize("text,message", ANCHORED)
+def test_each_check_is_anchored_to_its_line(tmp_path, text, message):
+    with pytest.raises(SpecError) as info:
+        parse_spec(_write(tmp_path, text))
+    assert str(info.value) == message
 
 
 def test_square_joining_map_must_be_finite_length(tmp_path):
