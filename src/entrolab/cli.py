@@ -1,12 +1,12 @@
 """Command-line front door.
 
 Subcommands: entropy, delta, koszul, verify, transfer, each taking only
-the flags it reads.  The frobenius, diagonal and monomial-matrix suites
-check every length against the closed form of a monomial-matrix map on
-any monomial quotient.  Reports are deterministic: identical invocations
-produce byte-identical stdout (wall time goes to stderr).  Exit codes: 0
-success, 2 malformed input, 3 failed hypothesis (finite length,
-regularity, commutation, the map a suite needs), 4 failed verdict.
+the flags it reads.  Every verdict compares integers: the closed-form
+suites check lengths on any monomial quotient, and transfer compares
+rates log(N)/L as integer powers.  Reports are deterministic: identical
+invocations produce byte-identical stdout (wall time goes to stderr).
+Exit codes: 0 success, 2 malformed input, 3 failed hypothesis (finite
+length, regularity, commutation, the map a suite needs), 4 failed verdict.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .monomials import MonomialIdeal, _pure_powers, colength_bruteforce
 from .endos import MonomialMap, compose, image_ideal
 from .koszul import pullback_homology
 from .entropy import (
+    _monomial_matrix,
     estimate_limit,
     int_log,
     local_entropy_sequence,
@@ -99,18 +100,16 @@ def _int_at_least(low: int):
     return integer
 
 
-def _finite_float(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{raw!r} is not finite")
-    return value
-
-
 def _t_values(raw: str) -> list[float]:
-    values = [_finite_float(tok) for tok in raw.split(",") if tok.strip()]
+    values = []
+    for tok in filter(str.strip, raw.split(",")):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{tok!r} is not a number") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{tok!r} is not finite")
+        values.append(value)
     if not values:
         raise argparse.ArgumentTypeError("lists no values")
     return values
@@ -127,17 +126,17 @@ _REQUIREMENTS = {
 
 def _suites(phi: MonomialMap) -> list[str]:
     """The suites of _REQUIREMENTS whose hypothesis the map meets, in their
-    order, from one scan of the positive entries of its matrix: one in
-    every row and column, on the diagonal, and there all equal to p."""
-    positive = [[j for j, e in enumerate(row) if e] for row in phi.matrix]
-    identity = [[j] for j in range(len(positive))]
-    if sorted(positive) != identity:
+    order: a monomial matrix, with its positive entries on the diagonal,
+    and there all equal to p."""
+    try:
+        source, power = _monomial_matrix(phi)
+    except HypothesisError:
         return []
-    if positive != identity:
+    if source != list(range(len(source))):
         return ["monomial-matrix"]
-    # diagonal entries are positive, so none equals a characteristic 0
+    # the entries are positive, so none equals a characteristic 0
     p = phi.ring.characteristic
-    frobenius = all(row[i] == p for i, row in enumerate(phi.matrix))
+    frobenius = all(e == p for e in power)
     return ["frobenius"] * frobenius + ["diagonal", "monomial-matrix"]
 
 
@@ -181,9 +180,7 @@ def _entropy(args, spec, report: RunReport, scale: float):
     seq = local_entropy_sequence(spec.ring, spec.map, spec.ideal, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
     if args.max_iter >= 3:
-        est = estimate_limit(seq)
-        report.footer.append(("slope", _fmt(est.estimate * scale)))
-        report.footer.append(("slope_method", est.method))
+        report.footer.append(("slope", _fmt(estimate_limit(seq) * scale)))
         report.footer.append(("last_a_n", _fmt(seq.rows[-1].log_average * scale)))
     suites = _suites(spec.map)
     if suites:
@@ -291,8 +288,12 @@ def _oracle_koszul_verdict(spec, complex_, lengths, n):
     return ("oracle-koszul", True, "; ".join(notes))
 
 
+def _rate(rate: tuple[int, int], scale: float) -> str:
+    return _fmt(int_log(rate[0]) / rate[1] * scale)  # (N, L): log(N)/L
+
+
 def _transfer(args, spec, report: RunReport, scale: float):
-    result = transfer_check(spec.square(), args.max_iter, args.tolerance)
+    result = transfer_check(spec.square(), args.max_iter)
     report.columns = ["ring", "n", "length", "a_n"]
     for label, seq in (
         ("source", result.source_sequence),
@@ -302,9 +303,8 @@ def _transfer(args, spec, report: RunReport, scale: float):
             report.rows.append(
                 [label, str(row.n), str(row.length), _fmt(row.log_average * scale)]
             )
-    report.footer.append(("source_estimate", _fmt(result.source_estimate * scale)))
-    report.footer.append(("target_estimate", _fmt(result.target_estimate * scale)))
-    report.footer.append(("tolerance", _fmt(args.tolerance)))
+    report.footer.append(("source_rate", _rate(result.source_rate, scale)))
+    report.footer.append(("target_rate", _rate(result.target_rate, scale)))
     report.footer.append(("agree", "yes" if result.agree else "no"))
     report.footer.append(("conclusion", result.conclusion))
 
@@ -374,16 +374,14 @@ def _verify_sandwich(args, spec, report, scale):
 
 
 def _verify_transfer(args, spec, report, scale):
-    result = transfer_check(spec.square(), args.max_iter, args.tolerance)
+    result = transfer_check(spec.square(), args.max_iter)
     report.columns = ["quantity", "value"]
-    report.rows.append(["source_estimate", _fmt(result.source_estimate * scale)])
-    report.rows.append(["target_estimate", _fmt(result.target_estimate * scale)])
-    gap = abs(result.source_estimate - result.target_estimate)
-    report.verdicts.append(
-        ("entropies-agree", result.agree,
-         f"|target - source| = {gap:.3e} against tolerance "
-         f"{_fmt(args.tolerance)}")
+    report.rows.append(["source_rate", _rate(result.source_rate, scale)])
+    report.rows.append(["target_rate", _rate(result.target_rate, scale)])
+    detail = "log({})/{} {} log({})/{}".format(
+        *result.target_rate, "=" if result.agree else "!=", *result.source_rate
     )
+    report.verdicts.append(("entropies-agree", result.agree, detail))
     report.footer.append(("conclusion", result.conclusion))
 
 
@@ -421,8 +419,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # each command's own parser, by name
 
-    def common(sp, *, t=False, oracle="", tolerance=False, max_iter=True):
-        sp.allow_abbrev = False  # or --t would be read as --tolerance
+    def common(sp, *, t=False, oracle="", max_iter=True):
+        sp.allow_abbrev = False  # --max is not read as --max-iter, nor --sp as --spec
         sp.add_argument("--spec", required=True, help="ring specification file")
         sp.add_argument(
             "--format", choices=("tsv", "report"), default="tsv",
@@ -443,8 +441,6 @@ def _parser() -> argparse.ArgumentParser:
             )
         if oracle:
             sp.add_argument("--oracle", action="store_true", help=oracle)
-        if tolerance:
-            sp.add_argument("--tolerance", type=_finite_float, default=1e-6)
 
     colength_oracle = "cross-check the colengths by column-by-column box enumeration"
     sp = sub.add_parser("entropy", help="colength growth of the iterates")
@@ -463,11 +459,11 @@ def _parser() -> argparse.ArgumentParser:
     sp.commands = suites.choices
     for suite in sorted(suite for _, suite in _HANDLERS if suite):
         leaf = suites.add_parser(suite)
-        common(leaf, t=suite == "sandwich", tolerance=suite == "transfer")
+        common(leaf, t=suite == "sandwich")
         leaf.set_defaults(command="verify", suite=suite)
 
     sp = sub.add_parser("transfer", help="compare growth across a commuting square")
-    common(sp, tolerance=True)
+    common(sp)
 
     for name, sp in sub.choices.items():  # handlers key on (command, suite)
         sp.set_defaults(command=name, suite=None)

@@ -2,9 +2,10 @@
 pullback along finite-length monomial endomorphisms.
 
 Everything here reports finite-n data: length sequences, log averages, a
-slope extrapolation, and per-n lower/upper tower counts whose log
-averages sandwich the functor entropy.  The bounds are checked on the
-integer counts; only the slope is a float estimate.
+least-squares slope, and per-n lower/upper tower counts whose log averages
+sandwich the functor entropy, besides the exact growth rate of a
+monomial-matrix map as a pair of integers.  The bounds and the transfer
+verdict are checked on integers; only the slope is a float estimate.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import (
+    HypothesisError,
     NotFiniteLengthError,
     NotRegularError,
     SquareCommutationError,
@@ -74,21 +76,6 @@ class EntropySequence:
 
 
 @dataclass(frozen=True)
-class LimitEstimate:
-    """Finite-n surrogate for the growth rate.
-
-    ``estimate`` is the headline number: the difference-accelerated slope
-    when the log-length differences still move geometrically, otherwise
-    the least-squares slope over the final half of the rows, which is
-    kept as the raw reading; ``method`` names the one chosen.
-    """
-
-    estimate: float
-    least_squares_slope: float
-    method: str
-
-
-@dataclass(frozen=True)
 class SandwichRow:
     t: float
     n: int
@@ -117,10 +104,9 @@ class SandwichReport:
 
 @dataclass(frozen=True)
 class TransferReport:
-    target_estimate: float
-    source_estimate: float
+    source_rate: tuple[int, int]  # (N, L): the rate is log(N)/L
+    target_rate: tuple[int, int]
     agree: bool
-    shared_value: float | None
     conclusion: str
     source_sequence: EntropySequence
     target_sequence: EntropySequence
@@ -210,44 +196,20 @@ def _row(n: int, length: int) -> EntropyRow:
     return EntropyRow(n, length, log / n, log)
 
 
-def _least_squares_slope(points: list[tuple[int, float]]) -> float:
+def estimate_limit(seq: EntropySequence) -> float:
+    """The least-squares slope of log(length) against n over the final
+    half of the rows of a sequence of at least 3 rows: a finite-n reading
+    of the growth rate, not a certified one."""
+    rows = seq.rows
+    if len(rows) < 3:
+        raise ValueError("estimate_limit needs at least 3 rows")
+    points = [(r.n, r.log_length) for r in rows[len(rows) // 2:]]
     k = len(points)
     mean_x = sum(x for x, _ in points) / k
     mean_y = sum(y for _, y in points) / k
     sxx = sum((x - mean_x) ** 2 for x, _ in points)
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in points)
     return sxy / sxx
-
-
-def estimate_limit(seq: EntropySequence) -> LimitEstimate:
-    """Extrapolate the growth rate from a finite sequence (>= 3 rows).
-
-    The least-squares slope of log(length) against n over the final half
-    of the rows is always computed.  When at least three consecutive
-    log-length differences are available and still vary, one step of
-    difference acceleration removes the leading geometric correction and
-    becomes the headline estimate; for already-flat sequences the
-    least-squares slope is the headline.
-    """
-    rows = seq.rows
-    if len(rows) < 3:
-        raise ValueError("estimate_limit needs at least 3 rows")
-    logs = [r.log_length for r in rows]
-    points = list(zip((r.n for r in rows), logs))
-    slope = _least_squares_slope(points[len(points) // 2:])
-    estimate, method = slope, "least-squares"
-    if len(rows) >= 4:
-        diffs = [b - a for a, b in zip(logs, logs[1:])]
-        d1, d2, d3 = diffs[-3:]
-        denom = d3 - 2 * d2 + d1
-        if abs(denom) > 1e-9 * max(1.0, abs(d3)):
-            estimate = d3 - (d3 - d2) ** 2 / denom
-            method = "accelerated-difference"
-    return LimitEstimate(
-        estimate=estimate,
-        least_squares_slope=slope,
-        method=method,
-    )
 
 
 def complexity_upper_bound(ring: RingSpec, phi: MonomialMap, n: int) -> int:
@@ -340,56 +302,79 @@ def sandwich_violations(report: SandwichReport) -> list[str]:
     ]
 
 
-def monomial_matrix_closed_form(
-    phi: MonomialMap, n_max: int = 8
-) -> tuple[tuple[int, ...], float]:
-    """Exact lengths of R/phi^n(m), n = 1..n_max (none for n_max = 0), and
-    the growth rate of a monomial-matrix map phi(X_j) = X_pi(j)^e_j on
-    R = k[X]/J for any monomial J, sharing no code with the colength
-    engine.
-
-    phi^n(m) = (X_i^N_i) with N_pi(j)(n) = e_j * N_j(n - 1) and N(0) = 1.
-    Whether a point lies in J changes along axis i only at the i-th
-    exponents of J's generators, so each such cut a stands for the
-    interval up to the next cut (the last to infinity), weighing its
-    overlap with [0, N_i); the length sums the products of the weights
-    over the J-standard points of the box of cuts.  On the pi-cycle of
-    length k through i, N_i grows like the k-th root of the product of
-    its e's.  The rate is the largest sum of those logs over a face (a
-    set of variables holding the support of no generator of J), found on
-    integers as log(max prod e^(L/k)) / L with L the lcm of the k's.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    d = phi.ring.dim_ambient
-    quotient = phi.ring.quotient.generators
-    # row i holds its one positive entry e_j at column j = source[i]
+def _monomial_matrix(phi: MonomialMap) -> tuple[list[int], list[int]]:
+    """(source, power) of a monomial-matrix map phi(X_j) = X_pi(j)^e_j:
+    row i of its matrix holds its one positive entry, power[i] = e_j, at
+    column source[i] = j.  Any other map raises HypothesisError."""
     positive = [[j for j, e in enumerate(row) if e] for row in phi.matrix]
-    if sorted(positive) != [[j] for j in range(d)]:
-        raise ValueError("map is not a monomial matrix")
+    if sorted(positive) != [[j] for j in range(len(positive))]:
+        raise HypothesisError("map is not a monomial matrix")
     source = [j for j, in positive]
-    power = [row[j] for row, j in zip(phi.matrix, source)]
+    return source, [row[j] for row, j in zip(phi.matrix, source)]
+
+
+def _exact_rate(phi: MonomialMap) -> tuple[int, int]:
+    """The growth rate log(N)/L, as the integers (N, L), of the lengths l_n
+    of R/phi^n(m) for a monomial-matrix map phi(X_j) = X_pi(j)^e_j on
+    R = k[X]/J, J monomial; other maps raise HypothesisError.
+
+    l_n counts the J-standard points of the box prod [0, N_i(n)), where
+    N_pi(j)(n) = e_j * N_j(n - 1), N(0) = 1, and N_i(n + k) = P * N_i(n) on
+    a pi-cycle of length k and product P.  The points supported in a face
+    (a set of variables holding no generator's support) are standard, and
+    the axes on which a standard point reaches J's largest exponent c form
+    a face: l_n lies between max_F prod_F N_i(n) and 2^d c^d times it.  So
+    the rate is max_F sum_F log(P)/k = log(N)/L, with L the lcm of the k's
+    and N = max_F prod_F P^(L/k).
+    """
+    source, power = _monomial_matrix(phi)
     cycles = []
-    for i in range(d):
+    for i in range(len(source)):
         k, product, j = 1, power[i], source[i]
         while j != i:
             k, product, j = k + 1, product * power[j], source[j]
         cycles.append((k, product))
     period = math.lcm(*(k for k, _ in cycles))
     factors = [product ** (period // k) for k, product in cycles]
+    quotient = phi.ring.quotient.generators
     if not quotient:
-        # every set of variables is a face and every factor is >= 1; the
-        # box of cuts is the origin alone, weighing prod N_i(n) = det^n
-        det = math.prod(power)
-        lengths = tuple(det**n for n in range(1, n_max + 1))
-        return lengths, int_log(math.prod(factors)) / period
+        # every set of variables is a face and every factor is >= 1
+        return math.prod(factors), period
     # products[face] over the bitmasks of variable sets, bit i for X_i
     products = [1]
     for factor in factors:
         products += [p * factor for p in products]
-    rate = int_log(max(products[f] for f in _faces(quotient, d))) / period
+    return max(products[f] for f in _faces(quotient, len(source))), period
+
+
+def monomial_matrix_closed_form(
+    phi: MonomialMap, n_max: int = 8
+) -> tuple[tuple[int, ...], float]:
+    """Exact lengths of R/phi^n(m), n = 1..n_max (none for n_max = 0), and
+    the growth rate, from ``_exact_rate``, of a monomial-matrix map
+    phi(X_j) = X_pi(j)^e_j on R = k[X]/J for any monomial J, sharing no
+    code with the colength engine.
+
+    phi^n(m) = (X_i^N_i), with N_i as in ``_exact_rate``.  Whether a point
+    lies in J changes along axis i only at the i-th exponents of J's
+    generators, so each such cut a stands for the interval up to the next
+    cut (the last to infinity), weighing its overlap with [0, N_i); the
+    length sums the products of the weights over the J-standard points of
+    the box of cuts.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    source, power = _monomial_matrix(phi)
+    top, period = _exact_rate(phi)
+    rate = int_log(top) / period
+    quotient = phi.ring.quotient.generators
+    if not quotient:
+        # the box of cuts is the origin alone, weighing prod N_i(n) = det^n
+        det = math.prod(power)
+        return tuple(det**n for n in range(1, n_max + 1)), rate
     if not n_max:
         return (), rate
+    d = len(source)
     cuts = [sorted({0, *(g[i] for g in quotient)}) for i in range(d)]
     # each standard point of the box of cuts, as its index on every axis
     standard = [
@@ -409,50 +394,38 @@ def monomial_matrix_closed_form(
     return tuple(lengths), rate
 
 
-def transfer_check(
-    square: TransferSquare,
-    n_max: int = 8,
-    tolerance: float = 1e-6,
-) -> TransferReport:
-    """Compare the growth rates of the two maps of a commuting square.
-
-    When the estimates agree within the tolerance, the pullback entropy of
-    the target map is constant in t and equals the shared value; otherwise
+def transfer_check(square: TransferSquare, n_max: int = 8) -> TransferReport:
+    """Compare the exact rates log(N)/L of the two maps of a commuting
+    square: they agree iff N_s^L_t = N_t^L_s.  Then the pullback entropy of
+    the target map is constant in t and equals the shared rate; otherwise
     only the one-sided chain
     local rate(target) <= functor entropy(target) <= local rate(source)
-    is reported.
+    holds.  On the regular source ring a finite-length map is a monomial
+    matrix; a target map that is not one raises HypothesisError.
     """
-    if n_max < 3:
-        raise ValueError("transfer_check needs n_max >= 3 to extrapolate")
     if not check_square(square):
         raise SquareCommutationError("transfer square does not commute")
+    # first, so that a map not of finite length raises NotFiniteLengthError
+    # before _exact_rate can call it no monomial matrix
     source_seq = local_entropy_sequence(
         square.source_ring, square.psi, None, n_max
     )
     target_seq = local_entropy_sequence(
         square.target_ring, square.phi, None, n_max
     )
-    source_est = estimate_limit(source_seq).estimate
-    target_est = estimate_limit(target_seq).estimate
-    agree = abs(source_est - target_est) <= tolerance
+    (n_s, l_s), (n_t, l_t) = _exact_rate(square.psi), _exact_rate(square.phi)
+    agree = n_s**l_t == n_t**l_s
+    source, target = int_log(n_s) / l_s, int_log(n_t) / l_t
     if agree:
-        shared = source_est
         conclusion = (
             "pullback entropy of the target map is constant in t and equal "
-            f"to {shared:.12g}"
+            f"to {source:.12g}"
         )
     else:
-        shared = None
         conclusion = (
-            "estimates disagree; only the one-sided chain holds: "
-            f"{target_est:.12g} <= functor entropy <= {source_est:.12g}"
+            "rates differ; only the one-sided chain holds: "
+            f"{target:.12g} <= functor entropy <= {source:.12g}"
         )
     return TransferReport(
-        target_estimate=target_est,
-        source_estimate=source_est,
-        agree=agree,
-        shared_value=shared,
-        conclusion=conclusion,
-        source_sequence=source_seq,
-        target_sequence=target_seq,
+        (n_s, l_s), (n_t, l_t), agree, conclusion, source_seq, target_seq
     )

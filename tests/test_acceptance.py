@@ -16,7 +16,6 @@ from entrolab import (
     check_square,
     colength,
     colength_bruteforce,
-    estimate_limit,
     homology_lengths,
     image_ideal,
     is_finite_length,
@@ -62,8 +61,9 @@ def test_criterion_2_monomial_matrix_determinant():
         assert length == 6 ** n
     seq = local_entropy_sequence(ring, phi, None, 6)
     assert [row.length for row in seq.rows] == [6 ** n for n in range(1, 7)]
-    est = estimate_limit(seq).estimate
-    assert abs(est - LOG6) < 1e-9
+    lengths, rate = monomial_matrix_closed_form(phi, 6)
+    assert lengths == tuple(row.length for row in seq.rows)
+    assert abs(rate - LOG6) < 1e-12
     print("criterion 2 (monomial matrix, |det|^n = 6^n): PASS")
 
 
@@ -95,8 +95,6 @@ def test_criterion_4_frobenius_on_quotient():
     lengths, rate = monomial_matrix_closed_form(frob, 8)
     assert lengths == tuple(row.length for row in seq.rows)
     assert abs(rate - LOG3) < 1e-12
-    est = estimate_limit(seq).estimate
-    assert abs(est - LOG3) < 1e-6
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(f"criterion 4 (quotient Frobenius, 2*3^n - 1): PASS ({elapsed:.3f}s)")
@@ -136,9 +134,10 @@ def test_criterion_6_reference_ideal_independence():
     q = minimalize({(2, 0), (0, 3)})
     seq_q = local_entropy_sequence(ring, phi, q, 8)
     seq_m = local_entropy_sequence(ring, phi, None, 8)
-    assert abs(estimate_limit(seq_q).estimate - LOG6) < 1e-9
-    assert abs(estimate_limit(seq_m).estimate - LOG6) < 1e-9
+    assert abs(monomial_matrix_closed_form(phi, 0)[1] - LOG6) < 1e-12
     for row_q, row_m in zip(seq_q.rows, seq_m.rows):
+        # R/phi^n(q) has exactly 6 = colength(q) times the length of R/phi^n(m)
+        assert row_q.length == 6 * row_m.length
         diff = row_q.log_average - row_m.log_average
         assert abs(diff - LOG6 / row_q.n) < 1e-9
     print("criterion 6 (reference ideal independence): PASS")
@@ -207,7 +206,8 @@ def test_criterion_9_transfer_square():
     assert is_finite_length(frob)
     report = transfer_check(square, 8)
     assert report.agree
-    assert abs(report.shared_value - 2 * LOG2) < 1e-9
+    # both rates are log(4)/1 = 2 log 2, compared as integers
+    assert report.source_rate == report.target_rate == (4, 1)
 
     broken = TransferSquare(
         ring, ring, ((1, 0), (0, 1)), frob,
@@ -220,4 +220,4 @@ def test_criterion_9_transfer_square():
         pass
     else:
         raise AssertionError("broken square was not rejected")
-    print("criterion 9 (transfer square: shared value 2 log 2): PASS")
+    print("criterion 9 (transfer square: shared rate log(4)/1): PASS")

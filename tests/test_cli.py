@@ -84,7 +84,6 @@ def test_entropy_golden(workdir, capsys):
             "3\t216\t5.37527840768\t1.79175946923",
             "4\t1296\t7.16703787691\t1.79175946923",
             "# slope\t1.79175946923",
-            "# slope_method\tleast-squares",
             "# last_a_n\t1.79175946923",
             "# prediction\tdiagonal\t1.79175946923",
             "",
@@ -467,7 +466,7 @@ ARGV_EDGES = [
 def test_benchmark_argvs_parse(monkeypatch, capsys):
     # main sends an argv that names a command, or a command and a verify
     # suite, straight to that leaf's parser; every argv the benchmark (which
-    # passes --t and --tolerance only to the suites that read them) or the
+    # passes --t only to the commands that read it) or the
     # golden table runs gives the namespace of the full parser, and every
     # edge argv its exit and output
     root = Path(__file__).parent.parent
@@ -770,7 +769,6 @@ def test_entropy_prediction_prefers_frobenius(capsys):
             "7\t16384\t9.70406052784\t1.38629436112",
             "8\t65536\t11.090354889\t1.38629436112",
             "# slope\t1.38629436112",
-            "# slope_method\tleast-squares",
             "# last_a_n\t1.38629436112",
             "# prediction\tfrobenius\t1.38629436112",
             "",
@@ -972,20 +970,33 @@ def test_verify_transfer_pass_and_fail(workdir, capsys):
     (workdir / "square.spec").write_text(SQUARE_OK)
     code, out = _run(capsys, ["verify", "transfer", "--spec", "square.spec"])
     assert code == 0
-    assert "# verdict\tentropies-agree\tPASS" in out
+    assert out.splitlines()[-1] == (
+        "# verdict\tentropies-agree\tPASS\tlog(4)/1 = log(4)/1"
+    )
 
     (workdir / "bad_square.spec").write_text(SQUARE_DISAGREE)
     code, out = _run(capsys, ["verify", "transfer", "--spec", "bad_square.spec"])
     assert code == 4
-    assert "# verdict\tentropies-agree\tFAIL" in out
+    assert out.splitlines()[2:5] == [
+        "quantity\tvalue", "source_rate\t1.79175946923",
+        "target_rate\t1.09861228867",
+    ]
+    assert out.splitlines()[-1] == (
+        "# verdict\tentropies-agree\tFAIL\tlog(3)/1 != log(6)/1"
+    )
 
 
 def test_transfer_command_reports_chain_without_failing(workdir, capsys):
     (workdir / "bad_square.spec").write_text(SQUARE_DISAGREE)
     code, out = _run(capsys, ["transfer", "--spec", "bad_square.spec"])
     assert code == 0
-    assert "# agree\tno" in out
-    assert "one-sided chain" in out
+    assert out.splitlines()[-4:] == [
+        "# source_rate\t1.79175946923",
+        "# target_rate\t1.09861228867",
+        "# agree\tno",
+        "# conclusion\trates differ; only the one-sided chain holds: "
+        "1.09861228867 <= functor entropy <= 1.79175946923",
+    ]
 
     (workdir / "square.spec").write_text(SQUARE_OK)
     code, out = _run(capsys, ["transfer", "--spec", "square.spec"])
@@ -1012,6 +1023,65 @@ def test_transfer_broken_square_is_exit_3(workdir, capsys):
     (workdir / "broken.spec").write_text(broken)
     assert main(["transfer", "--spec", "broken.spec"]) == 3
     capsys.readouterr()
+
+
+SPECS = Path(__file__).parent.parent / "specs"
+# X -> Y^3, Y -> X^3, Z -> Z^4 on k[X,Y,Z]/(X Y^3 Z^3) and on k[U,V,W]
+SQUARE_FACES = (
+    "characteristic 0\nvariables X Y Z\nquotient [1,3,3]\n"
+    "map [0,3,0] [3,0,0] [0,0,4]\nsource_variables U V W\n"
+    "source_map [0,3,0] [3,0,0] [0,0,4]\nxi [1,0,0] [0,1,0] [0,0,1]\n"
+)
+# X -> XY, Y -> Y^2 on k[X,Y]/(X^2), with lengths 2^(n+1) - 1, and U -> U^2
+SQUARE_SHEAR = (
+    "characteristic 0\nvariables X Y\nquotient [2,0]\nmap [1,1] [0,2]\n"
+    "source_variables U\nsource_map [2]\nxi [0,1]\n"
+)
+
+
+@pytest.mark.parametrize("n", ["3", "4", "8"])
+def test_verify_transfer_fails_on_the_swap_square_at_every_depth(capsys, n):
+    # source rate log(4)/2 = log 2, target rate log(2)/2: a float slope
+    # read these as equal at three or four iterates
+    spec = str(SPECS / "transfer_swap.ring")
+    code, out = _run(capsys, ["verify", "transfer", "--spec", spec, "--max-iter", n])
+    assert code == 4
+    assert out.splitlines()[-1] == (
+        "# verdict\tentropies-agree\tFAIL\tlog(2)/2 != log(4)/2"
+    )
+
+
+def test_transfer_chain_reads_the_exact_rates(workdir, capsys):
+    # the faces of X Y^3 Z^3 give the target log(144)/2, below the source's
+    # log 36; a difference-accelerated slope read 4.84 here
+    (workdir / "faces.spec").write_text(SQUARE_FACES)
+    code, out = _run(capsys, ["transfer", "--spec", "faces.spec"])
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "# conclusion\trates differ; only the one-sided chain holds: "
+        "2.48490664979 <= functor entropy <= 3.58351893846"
+    )
+    code, out = _run(capsys, ["entropy", "--spec", "faces.spec"])
+    assert code == 0
+    footer = [line.split("\t")[0] for line in out.splitlines() if line[0] == "#"]
+    assert footer == ["# command", "# input", "# slope", "# last_a_n",
+                      "# prediction"]
+
+
+def test_transfer_refuses_a_target_that_is_not_a_monomial_matrix(workdir, capsys):
+    (workdir / "shear.spec").write_text(SQUARE_SHEAR)
+    for argv in (["transfer"], ["verify", "transfer"]):
+        assert main(argv + ["--spec", "shear.spec"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: map is not a monomial matrix\n")
+
+
+def test_transfer_needs_one_row(capsys):
+    spec = str(SPECS / "frobenius_square.ring")
+    code, out = _run(capsys, ["transfer", "--spec", spec, "--max-iter", "1"])
+    assert code == 0
+    assert "# agree\tyes" in out.splitlines()
 
 
 def test_zero_source_map_column_is_malformed_for_every_command(workdir, capsys):
@@ -1054,8 +1124,8 @@ def test_non_finite_xi_fails_only_the_transfer_commands(workdir, capsys):
         ["entropy", "--max-iter", "-1"],
         ["entropy", "--max-iter", "two"],
         ["koszul", "--pullback-iter", "-1"],
-        ["transfer", "--tolerance", "nan"],
-        ["verify", "transfer", "--tolerance", "inf"],
+        # transfer compares integers and takes no tolerance
+        ["transfer", "--tolerance", "1e-6"],
         ["delta", "--t=nan"],
         ["delta", "--t=0,inf"],
         ["delta", "--t=,"],
@@ -1065,7 +1135,7 @@ def test_non_finite_xi_fails_only_the_transfer_commands(workdir, capsys):
         ["verify", "diagonal", "--t=1"],
         ["verify", "frobenius", "--tolerance", "0.5"],
         ["verify", "sandwich", "--tolerance", "0.5"],
-        # and a prefix of another flag is not read as that flag
+        # --t is read only by delta and verify sandwich
         ["verify", "transfer", "--t=0"],
         ["verify", "ideal-independence", "--t=0"],
     ],
@@ -1080,9 +1150,10 @@ def test_out_of_range_flags_exit_2(workdir, capsys, argv):
 
 def test_library_value_errors_exit_2(workdir, capsys):
     (workdir / "square.spec").write_text(SQUARE_OK)
-    assert main(["transfer", "--spec", "square.spec", "--max-iter", "2"]) == 2
+    # transfer and the closed-form suites extrapolate nothing, so two rows
+    # are enough
+    assert main(["transfer", "--spec", "square.spec", "--max-iter", "2"]) == 0
     (workdir / "diag23.spec").write_text(DIAG)
-    # the closed-form suites extrapolate nothing, so two rows are enough
     argv = ["verify", "diagonal", "--spec", "diag23.spec", "--max-iter", "2"]
     assert main(argv) == 0
     capsys.readouterr()

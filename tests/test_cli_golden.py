@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "cli_golden.tsv"
 SPECS = ["specs/diagonal235.ring", "specs/frobenius_cross.ring",
          "specs/frobenius_square.ring", "specs/koszul_redundant.ring",
-         "specs/koszul_regular.ring"]
+         "specs/koszul_regular.ring", "specs/transfer_swap.ring"]
 SUITES = ["diagonal", "monomial-matrix", "frobenius", "ideal-independence",
           "sandwich", "transfer"]
 

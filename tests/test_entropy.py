@@ -10,6 +10,7 @@ import pytest
 from entrolab import (
     EntropyRow,
     EntropySequence,
+    HypothesisError,
     MonomialMap,
     NotFiniteLengthError,
     NotRegularError,
@@ -369,25 +370,19 @@ def test_sequence_unit_ideal_is_rejected_before_finiteness():
 
 def test_estimate_limit_exact_geometric():
     seq = _fake_sequence([30**n for n in range(1, 7)])
-    est = estimate_limit(seq)
-    assert abs(est.estimate - math.log(30)) < 1e-9
-    assert abs(est.least_squares_slope - math.log(30)) < 1e-9
+    assert abs(estimate_limit(seq) - math.log(30)) < 1e-9
 
 
 def test_estimate_limit_affine_log():
     seq = _fake_sequence([6 * 6**n for n in range(1, 9)])
-    est = estimate_limit(seq)
-    assert abs(est.least_squares_slope - math.log(6)) < 1e-12
-    assert abs(est.estimate - math.log(6)) < 1e-12
-    # the log-length differences are all log 6: nothing to accelerate
-    assert est.method == "least-squares"
+    assert abs(estimate_limit(seq) - math.log(6)) < 1e-12
 
 
 def test_estimate_limit_geometric_correction():
+    # the slope over rows 6..10 of 2*3^n - 1 is no certified rate: it lies
+    # above log 3, by the slope of log(1 - 1/(2*3^n)), which is below 2e-4
     seq = _fake_sequence([2 * 3**n - 1 for n in range(1, 11)])
-    est = estimate_limit(seq)
-    assert est.method == "accelerated-difference"
-    assert abs(est.estimate - math.log(3)) < 1e-6
+    assert 0 < estimate_limit(seq) - math.log(3) < 2e-4
 
 
 def test_estimate_limit_needs_rows():
@@ -660,10 +655,9 @@ def test_ideal_independence_envelope():
     q = minimalize({(2, 0), (0, 3)})
     seq_q = local_entropy_sequence(R2, phi, q, 8)
     seq_m = local_entropy_sequence(R2, phi, None, 8)
-    est_q = estimate_limit(seq_q).estimate
-    est_m = estimate_limit(seq_m).estimate
-    assert abs(est_q - est_m) < 1e-9
+    assert abs(estimate_limit(seq_q) - estimate_limit(seq_m)) < 1e-9
     for row_q, row_m in zip(seq_q.rows, seq_m.rows):
+        assert row_q.length == 6 * row_m.length
         gap = row_q.log_average - row_m.log_average
         assert abs(gap - math.log(6) / row_q.n) < 1e-9
 
@@ -674,8 +668,12 @@ def test_transfer_check_frobenius_square():
     square = TransferSquare(ring, ring, ((1, 0), (0, 1)), frob, frob)
     report = transfer_check(square, 8)
     assert report.agree
-    assert abs(report.shared_value - 2 * math.log(2)) < 1e-9
-    assert "constant in t" in report.conclusion
+    # |det| = 4 on both sides: the rate is log(4)/1 = 2 log 2
+    assert report.source_rate == report.target_rate == (4, 1)
+    assert report.conclusion == (
+        "pullback entropy of the target map is constant in t and equal to "
+        f"{2 * math.log(2):.12g}"
+    )
 
 
 def test_transfer_check_rejects_broken_square():
@@ -696,6 +694,63 @@ def test_transfer_check_disagreement_reports_chain():
     square = TransferSquare(source, target, ((1, 0), (0, 1)), psi, phi)
     report = transfer_check(square, 8)
     assert not report.agree
-    assert report.shared_value is None
-    assert report.target_estimate < report.source_estimate
-    assert "one-sided chain" in report.conclusion
+    # the faces of XY are {X} and {Y}: the target rate is log 3, not log 6
+    assert (report.source_rate, report.target_rate) == ((6, 1), (3, 1))
+    assert report.conclusion == (
+        "rates differ; only the one-sided chain holds: "
+        f"{math.log(3):.12g} <= functor entropy <= {math.log(6):.12g}"
+    )
+
+
+def test_monomial_matrix_helper_raises_a_hypothesis_error():
+    # one reader of the matrix: the closed form, the exact rate, the
+    # transfer check and the suites all refuse the same maps the same way
+    shear = MonomialMap(((1, 0), (1, 1)), R2)
+    for call in (entropy_module._monomial_matrix, entropy_module._exact_rate,
+                 monomial_matrix_closed_form):
+        with pytest.raises(HypothesisError) as info:
+            call(shear)
+        assert type(info.value) is HypothesisError
+        assert str(info.value) == "map is not a monomial matrix"
+    assert _suites(shear) == []
+    swap = MonomialMap.from_columns([(0, 2), (3, 0)], R2)
+    assert entropy_module._monomial_matrix(swap) == ([1, 0], [3, 2])
+    assert entropy_module._exact_rate(swap) == (36, 2)
+
+
+def test_transfer_check_needs_a_monomial_matrix_target():
+    # X -> XY, Y -> Y^2 on k[X,Y]/(X^2) has rate log 2 but is not a monomial
+    # matrix; its square is refused rather than given a float verdict
+    target = RingSpec(0, 2, minimalize({(2, 0)}))
+    source = RingSpec.polynomial(0, 1)
+    phi = MonomialMap.from_columns([(1, 1), (0, 2)], target)
+    psi = MonomialMap.diagonal((2,), source)
+    square = TransferSquare(source, target, ((0, 1),), psi, phi)
+    with pytest.raises(HypothesisError, match="^map is not a monomial matrix$"):
+        transfer_check(square, 3)
+
+
+def test_transfer_agreement_matches_the_closed_form_rates():
+    # psi and phi share a monomial matrix, phi on a random quotient: the
+    # integer verdict agrees exactly when the closed-form float rates do
+    rng = random.Random(8128)
+    outcomes = set()
+    with_quotient = 0
+    for _ in range(240):
+        phi, _ = _closed_form_case(rng)
+        ring = phi.ring
+        source = RingSpec.polynomial(ring.characteristic, ring.dim_ambient)
+        psi = MonomialMap(phi.matrix, source)
+        identity = tuple(
+            tuple(int(i == j) for i in range(ring.dim_ambient))
+            for j in range(ring.dim_ambient)
+        )
+        report = transfer_check(
+            TransferSquare(source, ring, identity, psi, phi), rng.randint(1, 4)
+        )
+        rates = [monomial_matrix_closed_form(f, 0)[1] for f in (psi, phi)]
+        assert report.agree == (abs(rates[0] - rates[1]) < 1e-12), phi
+        outcomes.add(report.agree)
+        with_quotient += bool(ring.quotient.generators)
+    assert outcomes == {True, False}
+    assert 40 <= with_quotient <= 200
