@@ -204,7 +204,7 @@ def test_criterion_9_transfer_square():
     square = TransferSquare(ring, ring, ((1, 0), (0, 1)), frob, frob)
     assert check_square(square)
     assert is_finite_length(frob)
-    report = transfer_check(square, 8)
+    report = transfer_check(square)
     assert report.agree
     # both rates are log(4)/1 = 2 log 2, compared as integers
     assert report.source_rate == report.target_rate == (4, 1)
@@ -215,7 +215,7 @@ def test_criterion_9_transfer_square():
     )
     assert not check_square(broken)
     try:
-        transfer_check(broken, 8)
+        transfer_check(broken)
     except SquareCommutationError:
         pass
     else:

@@ -155,7 +155,7 @@ def test_koszul_oracle_and_errors(workdir, capsys):
     assert code == 0
     # the ring is not regular, so only H^0 is checked
     assert out.endswith(
-        "# verdict\toracle-koszul\tPASS\tbox enumeration agrees at H^0\n"
+        "# verdict\toracle-koszul\tPASS\tpivot count agrees at H^0\n"
     )
 
     # (X) alone in two variables is rejected as a sequence
@@ -172,9 +172,9 @@ def test_koszul_oracle_and_errors(workdir, capsys):
 
 
 def test_koszul_oracle_on_a_six_entry_sequence(workdir, capsys):
-    # with its quotient the ring is not regular and only H^0 is checked, on
-    # a box of 18 * 18 * 27 monomials; without it every degree is also
-    # checked by flatness, at 3^(3 * 2) = 729 times its length at n = 0
+    # with its quotient the ring is not regular and only H^0 is checked;
+    # without it every degree is also checked by flatness, at
+    # 3^(3 * 2) = 729 times its length at n = 0
     (workdir / "six.spec").write_text(CUBE3_SIX)
     (workdir / "plain.spec").write_text(CUBE3_SIX.replace("quotient [1,1,0]\n", ""))
     argv = ["koszul", "--pullback-iter", "2", "--oracle", "--spec"]
@@ -182,30 +182,30 @@ def test_koszul_oracle_on_a_six_entry_sequence(workdir, capsys):
     assert code == 0
     assert "\n0\t945\t" in out and "# region\t55,37,63\n" in out
     assert out.endswith(
-        "# verdict\toracle-koszul\tPASS\tbox enumeration agrees at H^0\n"
+        "# verdict\toracle-koszul\tPASS\tpivot count agrees at H^0\n"
     )
     code, out = _run(capsys, argv + ["plain.spec"])
     assert code == 0
     assert "\n0\t7290\t" in out and "# region\t54,36,63\n" in out
     assert out.endswith(
-        "# verdict\toracle-koszul\tPASS\tbox enumeration agrees at H^0; "
+        "# verdict\toracle-koszul\tPASS\tpivot count agrees at H^0; "
         "every degree is 729 times its length at n = 0 (flatness)\n"
     )
 
 
-def test_koszul_oracle_skips_a_box_over_the_cap(workdir, capsys):
-    # 2^10 * 3^10 and 729^2 monomials both exceed BRUTE_BOX_CAP = 200000;
-    # flatness still checks the regular ring
+def test_koszul_oracle_checks_h0_past_any_box_size(workdir, capsys):
+    # the pivot count checks H^0 at any depth, here on boxes of 2^10 * 3^10
+    # and 729^2 monomials, and flatness every degree of the regular ring
     (workdir / "diag23.spec").write_text(DIAG + "sequence [1,0] [0,1] [1,1]\n")
     (workdir / "cross3.spec").write_text(
         CROSS_FROB2.replace("characteristic 2", "characteristic 3")
         .replace("map [2,0] [0,2]", "map [3,0] [0,3]")
     )
-    skipped = "box exceeds 200000 monomials; H^0 cross-check skipped"
+    checked = "pivot count agrees at H^0"
     for spec, n, detail in (
-        ("diag23.spec", "10", f"{skipped}; every degree is 60466176 times "
+        ("diag23.spec", "10", f"{checked}; every degree is 60466176 times "
          "its length at n = 0 (flatness)"),
-        ("cross3.spec", "6", skipped),
+        ("cross3.spec", "6", checked),
     ):
         code, out = _run(
             capsys, ["koszul", "--spec", spec, "--pullback-iter", n, "--oracle"]
@@ -216,7 +216,7 @@ def test_koszul_oracle_skips_a_box_over_the_cap(workdir, capsys):
 
 def test_koszul_oracle_catches_a_wrong_slice_count(capsys, monkeypatch):
     # one more dimension in H^0 of every nonempty slice: the cell sum then
-    # overcounts H^0, and box enumeration shares no slice count with it
+    # overcounts H^0, and the pivot count shares no slice count with it
     spec = str(Path(__file__).parent.parent / "specs" / "frobenius_cross.ring")
     argv = ["koszul", "--spec", spec, "--oracle"]
     original = entrolab.koszul._active_dims
@@ -233,7 +233,7 @@ def test_koszul_oracle_catches_a_wrong_slice_count(capsys, monkeypatch):
     assert code == 4
     assert "\n0\t5\t" in out  # the 4 multidegrees with an active subset
     assert out.endswith(
-        "# verdict\toracle-koszul\tFAIL\tbox enumeration gives H^0 = 1\n"
+        "# verdict\toracle-koszul\tFAIL\tpivot count gives H^0 = 1\n"
     )
 
 
@@ -307,10 +307,35 @@ def test_entropy_oracle_verdict(workdir, capsys):
         capsys, ["entropy", "--spec", "diag23.spec", "--max-iter", "8", "--oracle"]
     )
     assert code == 0
-    # the boxes are 6^n: 6^6 = 46656 <= BRUTE_BOX_CAP = 200000 < 6^7
+    # every row, however large its box: 6^8 monomials at n = 8
     assert (
-        "# verdict\toracle-colength\tPASS\tbox enumeration agrees for n <= 6"
+        "# verdict\toracle-colength\tPASS\tpivot count agrees for n <= 8"
         in out.splitlines()
+    )
+
+
+def test_entropy_oracle_catches_a_count_fault_past_any_box(workdir, capsys,
+                                                          monkeypatch):
+    # a count one too high wherever the length exceeds 200,000: on
+    # k[X,Y]/(X^100 Y^100) every row is counted, and the first hit is
+    # n = 7, with 6^7 - 28 * 2087 = 221500 standard monomials in a box of
+    # 128 * 2187 = 279936
+    count = entrolab.entropy._standard_count
+
+    def one_over_when_long(vectors, ring):
+        length, *rest = count(vectors, ring)
+        return (length + (length > 200_000), *rest)
+
+    (workdir / "diag23q.spec").write_text(DIAG + "quotient [100,100]\n")
+    argv = ["entropy", "--spec", "diag23q.spec", "--max-iter", "8", "--oracle"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(entrolab.entropy, "_standard_count", one_over_when_long)
+    code, out = _run(capsys, argv)
+    assert code == 4
+    assert "7\t221501\t" in out
+    assert out.splitlines()[-1] == (
+        "# verdict\toracle-colength\tFAIL\tpivot count gives 221500 at n = 7"
     )
 
 
@@ -368,7 +393,7 @@ def test_delta_non_regular_is_lower_only(workdir, capsys):
             "1\t2\t0.472955074528",
             "1\t3\t0.569350067034",
             "# profile\tmax_length=1\twidth=1",
-            "# verdict\toracle-colength\tPASS\tbox enumeration agrees for n <= 3",
+            "# verdict\toracle-colength\tPASS\tpivot count agrees for n <= 3",
             "",
         ]
     )
@@ -1013,6 +1038,19 @@ def test_transfer_builds_each_sequence_once(workdir, capsys, monkeypatch):
     # one source and one target sequence, each on a regular ring, so one
     # count each whatever the number of iterates
     assert len(calls) == 2
+
+
+def test_verify_transfer_counts_no_length(capsys, monkeypatch):
+    # the verdict compares exact rates, so --max-iter moves nothing and no
+    # sequence is counted, at any depth
+    calls = count_calls(monkeypatch, entrolab.monomials, "_standard_count")
+    spec = str(Path(__file__).parent.parent / "specs" / "transfer_swap.ring")
+    argv = ["verify", "transfer", "--spec", spec, "--max-iter"]
+    code, out = _run(capsys, argv + ["40"])
+    assert code == 4
+    assert calls == []
+    shallow = _run(capsys, argv + ["1"])
+    assert (shallow[0], shallow[1].splitlines()[1:]) == (4, out.splitlines()[1:])
 
 
 def test_transfer_broken_square_is_exit_3(workdir, capsys):

@@ -38,8 +38,8 @@ from entrolab import (
 import entrolab.endos as endos_module
 import entrolab.entropy as entropy_module
 import entrolab.monomials as monomials_module
-from entrolab.monomials import _pure_powers
-from entrolab.cli import BRUTE_BOX_CAP, _suites
+from entrolab.monomials import _pivot_count, _pure_powers
+from entrolab.cli import _suites
 from entrolab.koszul import (
     KoszulComplex,
     generator_profile,
@@ -163,8 +163,9 @@ def _random_sequence_case(rng, dim, with_quotient, twin_columns):
 
 def test_sequence_matches_the_definition_random():
     # row n is the colength of the image of the reference ideal under the
-    # n-th composed power, and box enumeration agrees where the box is small,
-    # on regular rings (rows from the determinant) as well as on quotients
+    # n-th composed power, the pivot count agrees at every n, and box
+    # enumeration where the box holds at most 200,000 monomials, on regular
+    # rings (rows from the determinant) as well as on quotients
     rng = random.Random(8128)
     brute = regular = twins = diagonal = 0
     for k in range(48):
@@ -178,8 +179,9 @@ def test_sequence_matches_the_definition_random():
         for row in seq.rows:
             image = image_ideal(iterate(phi, row.n), ideal)
             assert row.length == colength(image, ring), (phi, ideal, row.n)
-            bounds = _pure_powers(ideal_sum(image, ring.quotient).generators, dim)
-            if math.prod(bounds) <= BRUTE_BOX_CAP:
+            gens = ideal_sum(image, ring.quotient).generators
+            assert row.length == _pivot_count(gens, dim), (phi, ideal, row.n)
+            if math.prod(_pure_powers(gens, dim)) <= 200_000:
                 assert row.length == colength_bruteforce(image, ring)
                 brute += 1
                 regular += ring.regular
@@ -666,7 +668,7 @@ def test_transfer_check_frobenius_square():
     ring = RingSpec.polynomial(2, 2)
     frob = MonomialMap.frobenius(ring)
     square = TransferSquare(ring, ring, ((1, 0), (0, 1)), frob, frob)
-    report = transfer_check(square, 8)
+    report = transfer_check(square)
     assert report.agree
     # |det| = 4 on both sides: the rate is log(4)/1 = 2 log 2
     assert report.source_rate == report.target_rate == (4, 1)
@@ -683,7 +685,7 @@ def test_transfer_check_rejects_broken_square():
         ring, ring, ((1, 0), (0, 1)), frob, MonomialMap.diagonal((2, 3), ring)
     )
     with pytest.raises(SquareCommutationError):
-        transfer_check(broken, 8)
+        transfer_check(broken)
 
 
 def test_transfer_check_disagreement_reports_chain():
@@ -692,7 +694,7 @@ def test_transfer_check_disagreement_reports_chain():
     psi = MonomialMap.diagonal((2, 3), source)
     phi = MonomialMap.diagonal((2, 3), target)
     square = TransferSquare(source, target, ((1, 0), (0, 1)), psi, phi)
-    report = transfer_check(square, 8)
+    report = transfer_check(square)
     assert not report.agree
     # the faces of XY are {X} and {Y}: the target rate is log 3, not log 6
     assert (report.source_rate, report.target_rate) == ((6, 1), (3, 1))
@@ -727,7 +729,7 @@ def test_transfer_check_needs_a_monomial_matrix_target():
     psi = MonomialMap.diagonal((2,), source)
     square = TransferSquare(source, target, ((0, 1),), psi, phi)
     with pytest.raises(HypothesisError, match="^map is not a monomial matrix$"):
-        transfer_check(square, 3)
+        transfer_check(square)
 
 
 def test_transfer_agreement_matches_the_closed_form_rates():
@@ -745,9 +747,7 @@ def test_transfer_agreement_matches_the_closed_form_rates():
             tuple(int(i == j) for i in range(ring.dim_ambient))
             for j in range(ring.dim_ambient)
         )
-        report = transfer_check(
-            TransferSquare(source, ring, identity, psi, phi), rng.randint(1, 4)
-        )
+        report = transfer_check(TransferSquare(source, ring, identity, psi, phi))
         rates = [monomial_matrix_closed_form(f, 0)[1] for f in (psi, phi)]
         assert report.agree == (abs(rates[0] - rates[1]) < 1e-12), phi
         outcomes.add(report.agree)

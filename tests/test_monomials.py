@@ -315,6 +315,51 @@ def test_colength_bruteforce_is_independent_of_the_cell_sum(monkeypatch):
         assert colength_bruteforce(ideal, ring) == expected
 
 
+def _pivot_cases(seed, count):
+    """``count`` seeded (ideal, ring) pairs, d = 1 to 4, with 0 to 2
+    quotient generators."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        dim = 1 + k % 4
+        quotient = _random_quotient(rng, dim)[:rng.randint(0, 2)]
+        ring = RingSpec(0, dim, minimalize(quotient, dim))
+        ideal = minimalize(random_m_primary_ideal(rng, dim, 7 if dim < 4 else 4, 5), dim)
+        cases.append((ideal, ring))
+    return cases
+
+
+def test_pivot_count_matches_bruteforce_random():
+    quotients = set()
+    for ideal, ring in _pivot_cases(2357, 1200):
+        gens = ideal.generators + ring.quotient.generators
+        expected = colength_bruteforce(ideal, ring)
+        assert monomials._pivot_count(gens, ring.dim_ambient) == expected, gens
+        quotients.add(len(ring.quotient.generators))
+    assert quotients == {0, 1, 2}
+    # generators as given: repeated, redundant, the zero vector, or with a
+    # variable lacking a pure power
+    assert monomials._pivot_count([(2, 0), (0, 3), (1, 1), (1, 1), (2, 2)], 2) == 4
+    assert monomials._pivot_count([(0, 0), (1, 1)], 2) == 0
+    assert monomials._pivot_count([(3,), (3,), (5,)], 1) == 3
+    with pytest.raises(NotFiniteLengthError):
+        monomials._pivot_count([(2, 0), (1, 1)], 2)
+
+
+def test_pivot_count_is_independent_of_the_cell_sum(monkeypatch):
+    cases = [(ideal, ring, colength(ideal, ring))
+             for ideal, ring in _pivot_cases(31, 80)]
+
+    def engine(*args):
+        raise AssertionError("the pivot count called the colength engine")
+
+    for name in ("_cell_sum", "_divisor_tables", "_standard_count"):
+        monkeypatch.setattr(monomials, name, engine)
+    for ideal, ring, expected in cases:
+        gens = ideal.generators + ring.quotient.generators
+        assert monomials._pivot_count(gens, ring.dim_ambient) == expected
+
+
 def _antichain(rng, dim, count, side):
     """``count`` generators with distinct coordinates on every axis, below
     the pure powers of exponent ``side``: ascending on the first axis and
