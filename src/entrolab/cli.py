@@ -27,8 +27,10 @@ from .koszul import pullback_homology
 from .entropy import (
     _monomial_matrix,
     estimate_limit,
+    exact_rate,
     int_log,
     local_entropy_sequence,
+    log_rate,
     monomial_matrix_closed_form,
     sandwich,
     sandwich_violations,
@@ -165,8 +167,8 @@ def _entropy(args, spec, report: RunReport, scale: float):
         report.footer.append(("last_a_n", _fmt(seq.rows[-1].log_average * scale)))
     suites = _suites(spec.map)
     if suites:
-        rate = monomial_matrix_closed_form(spec.map, 0)[1]
-        report.footer.append(("prediction", suites[0], _fmt(rate * scale)))
+        rate = _rate(exact_rate(spec.map), scale)
+        report.footer.append(("prediction", suites[0], rate))
     if args.oracle:
         report.verdicts.append(_oracle_lengths_verdict(seq))
 
@@ -256,7 +258,7 @@ def _oracle_koszul_verdict(spec, complex_, lengths, n):
         return ("oracle-koszul", False, f"pivot count gives H^0 = {h0}")
     notes = ["pivot count agrees at H^0"]
     if ring.regular and n:
-        factor = monomial_matrix_closed_form(spec.map, n)[0][-1]
+        factor = monomial_matrix_closed_form(spec.map, n)[-1]
         base = pullback_homology(ring, spec.sequence, spec.map, 0)[1].lengths
         for degree, length in sorted(base.items()):
             if factor * length != lengths.length(degree):
@@ -269,7 +271,7 @@ def _oracle_koszul_verdict(spec, complex_, lengths, n):
 
 
 def _rate(rate: tuple[int, int], scale: float) -> str:
-    return _fmt(int_log(rate[0]) / rate[1] * scale)  # (N, L): log(N)/L
+    return _fmt(log_rate(rate) * scale)
 
 
 def _transfer(args, spec, report: RunReport, scale: float):
@@ -296,10 +298,11 @@ def _verify_closed_form(args, spec, report: RunReport, scale: float):
         raise HypothesisError(
             f"verify {args.suite} requires {_REQUIREMENTS[args.suite]}"
         )
-    lengths, rate = monomial_matrix_closed_form(spec.map, args.max_iter)
+    lengths = monomial_matrix_closed_form(spec.map, args.max_iter)
     seq = local_entropy_sequence(spec.ring, spec.map, None, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
-    report.footer.append(("prediction", args.suite, _fmt(rate * scale)))
+    rate = _rate(exact_rate(spec.map), scale)
+    report.footer.append(("prediction", args.suite, rate))
     wrong = [(row.n, length) for row, length in zip(seq.rows, lengths)
              if row.length != length]
     report.verdicts.append((

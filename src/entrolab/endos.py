@@ -103,22 +103,6 @@ class MonomialMap:
         return cls.diagonal((ring.characteristic,) * ring.dim_ambient, ring)
 
 
-def apply_to_monomial(phi: MonomialMap, v: Vec) -> Vec:
-    """Exponent vector of the image monomial: the matrix-vector product A.v."""
-    if len(v) != phi.ring.dim_ambient:
-        raise DimensionMismatchError(
-            f"vector of length {len(v)} fed to a map on {phi.ring.dim_ambient} variables"
-        )
-    return _matvec(phi.matrix, tuple(int(e) for e in v))
-
-
-def compose(phi: MonomialMap, psi: MonomialMap) -> MonomialMap:
-    """First apply psi, then phi; the matrix is the product A_phi . A_psi."""
-    if phi.ring != psi.ring:
-        raise ValueError("cannot compose maps on different rings")
-    return MonomialMap(_matmul(phi.matrix, psi.matrix), phi.ring)
-
-
 def _matpow(a, n: int) -> Matrix:
     # a^n, n >= 1, by binary exponentiation
     result = None

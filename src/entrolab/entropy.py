@@ -3,9 +3,10 @@ pullback along finite-length monomial endomorphisms.
 
 Everything here reports finite-n data: length sequences, log averages, a
 least-squares slope, and per-n lower/upper tower counts whose log averages
-sandwich the functor entropy, besides the exact growth rate of a
-monomial-matrix map as a pair of integers.  The bounds and the transfer
-verdict are checked on integers; only the slope is a float estimate.
+sandwich the functor entropy, besides the exact growth rate log(N)/L of a
+monomial-matrix map, held as the integers (N, L).  The bounds and the
+transfer verdict are checked on integers; only the slope is a float
+estimate.
 """
 
 from __future__ import annotations
@@ -215,6 +216,8 @@ def complexity_upper_bound(ring: RingSpec, phi: MonomialMap, n: int) -> int:
     on a regular ring: the length of ring/(n-th iterate image of the
     maximal ideal).  Independent of t, since every tower step carries
     shift zero."""
+    if phi.ring != ring:
+        raise ValueError("map does not act on the given ring")
     if not ring.regular:
         raise NotRegularError(
             "the upper complexity bound is only certified over a regular ring"
@@ -260,7 +263,7 @@ def sandwich(
     )
     upper_seq, upper = None, [None] * n_max
     if ring.regular:
-        lengths = monomial_matrix_closed_form(phi, n_max)[0]
+        lengths = monomial_matrix_closed_form(phi, n_max)
         upper_rows = tuple(map(_row, itertools.count(1), lengths))
         upper_seq = EntropySequence(upper_rows, ring.maximal_ideal(), phi)
         upper = [row.log_average for row in upper_rows]
@@ -311,7 +314,7 @@ def _monomial_matrix(phi: MonomialMap) -> tuple[list[int], list[int]]:
     return source, [row[j] for row, j in zip(phi.matrix, source)]
 
 
-def _exact_rate(phi: MonomialMap) -> tuple[int, int]:
+def exact_rate(phi: MonomialMap) -> tuple[int, int]:
     """The growth rate log(N)/L, as the integers (N, L), of the lengths l_n
     of R/phi^n(m) for a monomial-matrix map phi(X_j) = X_pi(j)^e_j on
     R = k[X]/J, J monomial; other maps raise HypothesisError.
@@ -345,33 +348,32 @@ def _exact_rate(phi: MonomialMap) -> tuple[int, int]:
     return max(products[f] for f in _faces(quotient, len(source))), period
 
 
-def monomial_matrix_closed_form(
-    phi: MonomialMap, n_max: int = 8
-) -> tuple[tuple[int, ...], float]:
-    """Exact lengths of R/phi^n(m), n = 1..n_max (none for n_max = 0), and
-    the growth rate, from ``_exact_rate``, of a monomial-matrix map
-    phi(X_j) = X_pi(j)^e_j on R = k[X]/J for any monomial J, sharing no
-    code with the colength engine.
+def log_rate(rate: tuple[int, int]) -> float:
+    """The growth rate log(N)/L that the exact rate (N, L) stands for."""
+    return int_log(rate[0]) / rate[1]
 
-    phi^n(m) = (X_i^N_i), with N_i as in ``_exact_rate``.  Whether a point
+
+def monomial_matrix_closed_form(phi: MonomialMap, n_max: int = 8) -> tuple[int, ...]:
+    """Exact lengths of R/phi^n(m), n = 1..n_max, for a monomial-matrix map
+    phi(X_j) = X_pi(j)^e_j on R = k[X]/J for any monomial J, sharing no
+    code with the colength engine; other maps raise HypothesisError.  Their
+    growth rate is ``exact_rate``.
+
+    phi^n(m) = (X_i^N_i), with N_i as in ``exact_rate``.  Whether a point
     lies in J changes along axis i only at the i-th exponents of J's
     generators, so each such cut a stands for the interval up to the next
     cut (the last to infinity), weighing its overlap with [0, N_i); the
     length sums the products of the weights over the J-standard points of
     the box of cuts.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     source, power = _monomial_matrix(phi)
-    top, period = _exact_rate(phi)
-    rate = int_log(top) / period
     quotient = phi.ring.quotient.generators
     if not quotient:
         # the box of cuts is the origin alone, weighing prod N_i(n) = det^n
         det = math.prod(power)
-        return tuple(det**n for n in range(1, n_max + 1)), rate
-    if not n_max:
-        return (), rate
+        return tuple(det**n for n in range(1, n_max + 1))
     d = len(source)
     cuts = [sorted({0, *(g[i] for g in quotient)}) for i in range(d)]
     # each standard point of the box of cuts, as its index on every axis
@@ -389,7 +391,7 @@ def monomial_matrix_closed_form(
         lengths.append(sum(
             math.prod(map(list.__getitem__, weights, point)) for point in standard
         ))
-    return tuple(lengths), rate
+    return tuple(lengths)
 
 
 def transfer_check(square: TransferSquare) -> TransferReport:
@@ -405,21 +407,21 @@ def transfer_check(square: TransferSquare) -> TransferReport:
     if not check_square(square):
         raise SquareCommutationError("transfer square does not commute")
     # first, so that a map not of finite length raises NotFiniteLengthError
-    # before _exact_rate can call it no monomial matrix
+    # before exact_rate can call it no monomial matrix
     for phi in (square.psi, square.phi):
         if not is_finite_length(phi):
             raise NotFiniteLengthError("endomorphism is not of finite length")
-    (n_s, l_s), (n_t, l_t) = _exact_rate(square.psi), _exact_rate(square.phi)
+    source, target = exact_rate(square.psi), exact_rate(square.phi)
+    (n_s, l_s), (n_t, l_t) = source, target
     agree = n_s**l_t == n_t**l_s
-    source, target = int_log(n_s) / l_s, int_log(n_t) / l_t
     if agree:
         conclusion = (
             "pullback entropy of the target map is constant in t and equal "
-            f"to {source:.12g}"
+            f"to {log_rate(source):.12g}"
         )
     else:
         conclusion = (
             "rates differ; only the one-sided chain holds: "
-            f"{target:.12g} <= functor entropy <= {source:.12g}"
+            f"{log_rate(target):.12g} <= functor entropy <= {log_rate(source):.12g}"
         )
-    return TransferReport((n_s, l_s), (n_t, l_t), agree, conclusion)
+    return TransferReport(source, target, agree, conclusion)

@@ -166,8 +166,8 @@ class KoszulComplex:
     with the quotient, an ideal of finite colength.  ``m`` is the length
     of the whole sequence.  Construction only validates it; the kept
     entries, their shifts and the divisor table are found the first time a
-    slice is ranked, and ``shifts`` and ``diff`` are those of the kept
-    entries.  The differential is checked to square to zero."""
+    slice is ranked, and ``shifts`` are those of the kept entries.  The
+    differential is checked to square to zero."""
 
     def __init__(self, ring: RingSpec, sequence):
         d = ring.dim_ambient
@@ -203,10 +203,6 @@ class KoszulComplex:
     @cached_property
     def shifts(self) -> list[Vec]:
         return _subset_shifts(self._kept, self.ring.dim_ambient)
-
-    @cached_property
-    def diff(self) -> tuple:
-        return _differential(len(self._kept))
 
     @cached_property
     def _cuts(self) -> tuple:

@@ -14,6 +14,8 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 
+from entrolab.koszul import _differential
+
 
 def random_m_primary_ideal(rng, dim, max_exp=6, max_extra=3):
     """Pure powers of every variable plus a few extra monomials."""
@@ -230,14 +232,15 @@ def koszul_homology_oracle(characteristic, quotient_gens, sequence, box):
 
 
 def dd_product_terms(complex_):
-    """Symbolic double-differential terms of a complex: map from
-    (source subset, target subset, exponent vector) to the accumulated
-    coefficient, subsets as bitmasks.  The two dropped entries multiply to
+    """Symbolic double-differential terms of the package's differential on
+    a complex's kept entries: map from (source subset, target subset,
+    exponent vector) to the accumulated coefficient, subsets as bitmasks.  The two dropped entries multiply to
     the shift of the subset source ^ target.  All values must be zero."""
+    diff = _differential(len(complex_._kept))
     acc = {}
-    for src, entries in enumerate(complex_.diff):
+    for src, entries in enumerate(diff):
         for mid, s1 in entries:
-            for tgt, s2 in complex_.diff[mid]:
+            for tgt, s2 in diff[mid]:
                 key = (src, tgt, complex_.shifts[src ^ tgt])
                 acc[key] = acc.get(key, 0) + s1 * s2
     return acc

@@ -16,6 +16,7 @@ from entrolab import (
     check_square,
     colength,
     colength_bruteforce,
+    exact_rate,
     homology_lengths,
     image_ideal,
     is_finite_length,
@@ -27,6 +28,7 @@ from entrolab import (
     sandwich_violations,
     transfer_check,
 )
+from entrolab.entropy import log_rate
 
 from helpers import (
     dd_product_terms,
@@ -61,9 +63,9 @@ def test_criterion_2_monomial_matrix_determinant():
         assert length == 6 ** n
     seq = local_entropy_sequence(ring, phi, None, 6)
     assert [row.length for row in seq.rows] == [6 ** n for n in range(1, 7)]
-    lengths, rate = monomial_matrix_closed_form(phi, 6)
-    assert lengths == tuple(row.length for row in seq.rows)
-    assert abs(rate - LOG6) < 1e-12
+    assert monomial_matrix_closed_form(phi, 6) == tuple(row.length for row in seq.rows)
+    assert exact_rate(phi) == (36, 2)
+    assert abs(log_rate(exact_rate(phi)) - LOG6) < 1e-12
     print("criterion 2 (monomial matrix, |det|^n = 6^n): PASS")
 
 
@@ -74,9 +76,8 @@ def test_criterion_3_frobenius_regular():
     for row in seq.rows:
         assert row.length == 4 ** row.n
         assert abs(row.log_average - 2 * LOG2) < 1e-9
-    lengths, rate = monomial_matrix_closed_form(frob, 8)
-    assert lengths == tuple(row.length for row in seq.rows)
-    assert abs(rate - 2 * LOG2) < 1e-12
+    assert monomial_matrix_closed_form(frob, 8) == tuple(row.length for row in seq.rows)
+    assert abs(log_rate(exact_rate(frob)) - 2 * LOG2) < 1e-12
     print("criterion 3 (regular Frobenius, 4^n and 2 log 2): PASS")
 
 
@@ -92,9 +93,8 @@ def test_criterion_4_frobenius_on_quotient():
         if row.n <= 5:
             image = image_ideal(iterate(frob, row.n), m)
             assert colength_bruteforce(image, ring) == row.length
-    lengths, rate = monomial_matrix_closed_form(frob, 8)
-    assert lengths == tuple(row.length for row in seq.rows)
-    assert abs(rate - LOG3) < 1e-12
+    assert monomial_matrix_closed_form(frob, 8) == tuple(row.length for row in seq.rows)
+    assert abs(log_rate(exact_rate(frob)) - LOG3) < 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(f"criterion 4 (quotient Frobenius, 2*3^n - 1): PASS ({elapsed:.3f}s)")
@@ -134,7 +134,7 @@ def test_criterion_6_reference_ideal_independence():
     q = minimalize({(2, 0), (0, 3)})
     seq_q = local_entropy_sequence(ring, phi, q, 8)
     seq_m = local_entropy_sequence(ring, phi, None, 8)
-    assert abs(monomial_matrix_closed_form(phi, 0)[1] - LOG6) < 1e-12
+    assert abs(log_rate(exact_rate(phi)) - LOG6) < 1e-12
     for row_q, row_m in zip(seq_q.rows, seq_m.rows):
         # R/phi^n(q) has exactly 6 = colength(q) times the length of R/phi^n(m)
         assert row_q.length == 6 * row_m.length

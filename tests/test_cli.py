@@ -726,7 +726,7 @@ def test_verify_monomial_matrix(workdir, capsys):
 def test_verify_exact_lengths_fail(workdir, capsys, monkeypatch):
     # a closed form that disagrees with the count fails the verdict (exit 4)
     def off_by_one(phi, n_max):
-        return tuple(6 ** n + (n == 3) for n in range(1, n_max + 1)), 0.0
+        return tuple(6 ** n + (n == 3) for n in range(1, n_max + 1))
 
     monkeypatch.setattr(entrolab.cli, "monomial_matrix_closed_form", off_by_one)
     (workdir / "diag23.spec").write_text(DIAG)
@@ -1239,6 +1239,7 @@ def _random_spec_text(rng):
 
 
 def _random_argv(rng):
+    """A command with a random pick of the flags it reads, valid or not."""
     command = rng.choice(["entropy", "delta", "koszul", "verify", "transfer"])
     argv = [command]
     if command == "verify":
@@ -1248,15 +1249,15 @@ def _random_argv(rng):
                  "ideal-independence", "sandwich", "transfer"]
             )
         )
+    leaf = argv[-1]
     argv += ["--spec", "fuzz.spec"]
-    if rng.random() < 0.7:
+    if command == "koszul":
+        if rng.random() < 0.7:
+            argv += ["--pullback-iter", rng.choice(["0", "1", "2", "-1", "x"])]
+    elif rng.random() < 0.7:
         argv += ["--max-iter", rng.choice(["1", "2", "3", "4", "0", "-2", "x"])]
-    if command in ("delta", "verify") and rng.random() < 0.5:
+    if leaf in ("delta", "sandwich") and rng.random() < 0.5:
         argv.append("--t=" + rng.choice(["0", "-1,0,1", "0.5", "nan", "1,inf", ""]))
-    if command in ("verify", "transfer") and rng.random() < 0.5:
-        argv += ["--tolerance", rng.choice(["1e-6", "0.5", "nan", "-inf"])]
-    if command == "koszul" and rng.random() < 0.7:
-        argv += ["--pullback-iter", rng.choice(["0", "1", "2", "-1"])]
     if command in ("entropy", "delta", "koszul") and rng.random() < 0.3:
         argv.append("--oracle")
     if rng.random() < 0.3:

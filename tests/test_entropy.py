@@ -17,11 +17,11 @@ from entrolab import (
     RingSpec,
     SquareCommutationError,
     TransferSquare,
-    apply_to_monomial,
     colength,
     colength_bruteforce,
     complexity_upper_bound,
     estimate_limit,
+    exact_rate,
     ideal_sum,
     image_ideal,
     int_log,
@@ -37,6 +37,7 @@ from entrolab import (
 )
 import entrolab.endos as endos_module
 import entrolab.entropy as entropy_module
+from entrolab.entropy import log_rate
 import entrolab.monomials as monomials_module
 from entrolab.monomials import _pivot_count, _pure_powers
 from entrolab.cli import _suites
@@ -238,7 +239,7 @@ def test_sequence_builds_no_map_power(monkeypatch):
         # from the reference ideal
         assert all(matrix is phi.matrix for matrix in matrices)
         assert len(matrices) == sum(len(vectors) for vectors, _ in counts)
-        first = [apply_to_monomial(phi, g) for g in ideal.generators]
+        first = [endos_module._matvec(phi.matrix, g) for g in ideal.generators]
         assert counts[0][0] == first
         assert len(seq.rows) == n_max
 
@@ -312,7 +313,8 @@ def test_regular_finite_length_maps_keep_images_minimal():
         det = math.prod(e for row in phi.matrix for e in row if e)
         for n in (1, 2, 3):
             power = iterate(phi, n)
-            images = {apply_to_monomial(power, g) for g in ideal.generators}
+            images = {endos_module._matvec(power.matrix, g)
+                      for g in ideal.generators}
             assert len(images) == len(ideal.generators)
             image = minimalize(images, dim)
             assert set(image.generators) == images
@@ -403,6 +405,20 @@ def test_complexity_upper_bound():
     quotient = RingSpec(3, 2, minimalize({(1, 1)}))
     with pytest.raises(NotRegularError):
         complexity_upper_bound(quotient, MonomialMap.frobenius(quotient), 1)
+    # X -> X^2, Y -> Y^3 on F_3[X,Y], or on Q[X,Y]/(XY), does not act on
+    # Q[X,Y]: the bound refuses it, as the sequence and the sandwich do,
+    # rather than give a regular-ring count for a map on another ring
+    f3 = RingSpec.polynomial(3, 2)
+    assert complexity_upper_bound(f3, MonomialMap.diagonal((2, 3), f3), 2) == 36
+    for ring in (f3, RingSpec(0, 2, minimalize({(1, 1)}))):
+        other = MonomialMap.diagonal((2, 3), ring)
+        for call in (
+            lambda: complexity_upper_bound(R2, other, 2),
+            lambda: local_entropy_sequence(R2, other, None, 2),
+            lambda: sandwich(R2, other, None, [0.0], 2),
+        ):
+            with pytest.raises(ValueError, match="^map does not act on the given"):
+                call()
 
 
 def test_sandwich_identity_map():
@@ -485,7 +501,7 @@ def test_sandwich_upper_counts_come_from_the_closed_form(monkeypatch):
         assert not sandwich_violations(report)
         upper = [row.length for row in report.upper_sequence.rows]
         assert upper == [det**n for n in range(1, n_max + 1)]
-        assert tuple(upper) == monomial_matrix_closed_form(phi, n_max)[0]
+        assert tuple(upper) == monomial_matrix_closed_form(phi, n_max)
         assert report.upper_sequence.ideal_used == ring.maximal_ideal()
     assert limits == []
 
@@ -535,34 +551,36 @@ def test_sandwich_violations_compare_tower_counts():
 
 def test_diagonal_closed_form():
     ring = RingSpec.polynomial(0, 3)
-    lengths, rate = monomial_matrix_closed_form(
-        MonomialMap.diagonal((2, 3, 5), ring), 6
-    )
-    assert lengths == tuple(30 ** n for n in range(1, 7))
-    assert abs(rate - math.log(30)) < 1e-12
+    diag = MonomialMap.diagonal((2, 3, 5), ring)
+    assert monomial_matrix_closed_form(diag, 6) == tuple(30**n for n in range(1, 7))
+    assert exact_rate(diag) == (30, 1)
     identity = MonomialMap.diagonal((1, 1, 1), ring)
-    assert monomial_matrix_closed_form(identity, 3) == ((1, 1, 1), 0.0)
+    assert monomial_matrix_closed_form(identity, 3) == (1, 1, 1)
+    assert log_rate(exact_rate(identity)) == 0.0
     square = MonomialMap.diagonal((4, 4), R2)
-    assert abs(monomial_matrix_closed_form(square)[1] - 4 * math.log(2)) < 1e-12
+    assert exact_rate(square) == (16, 1)
+    assert abs(log_rate(exact_rate(square)) - 4 * math.log(2)) < 1e-12
     # k[X,Y]/(XY) with (2, 3): 2^n + 3^n - 1; with Z -> Z^5 the face {X, Z}
     # wins, and (XY, YZ) leaves the faces {X, Z} and {Y}
     cross = RingSpec(0, 2, minimalize({(1, 1)}))
-    lengths, rate = monomial_matrix_closed_form(MonomialMap.diagonal((2, 3), cross))
+    phi = MonomialMap.diagonal((2, 3), cross)
+    lengths = monomial_matrix_closed_form(phi)
     assert lengths == tuple(2 ** n + 3 ** n - 1 for n in range(1, 9))
-    assert abs(rate - math.log(3)) < 1e-12
+    assert exact_rate(phi) == (3, 1)
     for quotient, expected in (({(1, 1, 0)}, 15), ({(1, 1, 0), (0, 1, 1)}, 10)):
         ring = RingSpec(0, 3, minimalize(quotient))
-        rate = monomial_matrix_closed_form(MonomialMap.diagonal((2, 3, 5), ring))[1]
-        assert abs(rate - math.log(expected)) < 1e-12
+        assert exact_rate(MonomialMap.diagonal((2, 3, 5), ring)) == (expected, 1)
     # a permutation of period 2 takes half the log of the cycle's product
     swap = MonomialMap.from_columns([(0, 2), (3, 0)], R2)
-    lengths, rate = monomial_matrix_closed_form(swap, 4)
-    assert lengths == (6, 36, 216, 1296) and abs(rate - math.log(6)) < 1e-12
+    assert monomial_matrix_closed_form(swap, 4) == (6, 36, 216, 1296)
+    assert exact_rate(swap) == (36, 2)
+    assert abs(log_rate(exact_rate(swap)) - math.log(6)) < 1e-12
     with pytest.raises(ValueError, match="not a monomial matrix"):
         monomial_matrix_closed_form(MonomialMap(((1, 0), (1, 1)), R2))
-    assert monomial_matrix_closed_form(swap, 0) == ((), rate)
-    with pytest.raises(ValueError, match="n_max"):
-        monomial_matrix_closed_form(square, -1)
+    # the lengths start at n = 1, on a polynomial ring and on a quotient
+    for psi, n_max in ((swap, 0), (square, -1), (phi, 0)):
+        with pytest.raises(ValueError, match="n_max"):
+            monomial_matrix_closed_form(psi, n_max)
 
 
 def test_regular_closed_form_rate_is_the_face_table_maximum():
@@ -588,12 +606,12 @@ def test_regular_closed_form_rate_is_the_face_table_maximum():
                       for i, (k, product) in enumerate(cycles) if face >> i & 1)
             for face in range(1 << dim)
         ]
-        assert monomial_matrix_closed_form(phi, 0)[1] == int_log(max(table)) / period
+        assert exact_rate(phi) == (max(table), period)
 
 
 def test_frobenius_prediction():
     def frobenius_rate(ring):
-        return monomial_matrix_closed_form(MonomialMap.frobenius(ring), 0)[1]
+        return log_rate(exact_rate(MonomialMap.frobenius(ring)))
 
     assert abs(frobenius_rate(RingSpec.polynomial(2, 2)) - 2 * math.log(2)) < 1e-12
     cross = RingSpec(3, 2, minimalize({(1, 1)}))
@@ -641,12 +659,13 @@ def test_monomial_matrix_closed_form_matches_the_engine_random():
     for _ in range(320):
         phi, is_permuted = _closed_form_case(rng)
         n_max = rng.randint(1, 8)
-        lengths, _ = monomial_matrix_closed_form(phi, n_max)
+        lengths = monomial_matrix_closed_form(phi, n_max)
         seq = local_entropy_sequence(phi.ring, phi, None, n_max)
         assert lengths == tuple(row.length for row in seq.rows), phi
         # every cycle length of a permutation of at most 3 variables
         # divides 6, so far out the lengths grow by e^(6 rate) every 6 steps
-        lengths, rate = monomial_matrix_closed_form(phi, 126)
+        lengths = monomial_matrix_closed_form(phi, 126)
+        rate = log_rate(exact_rate(phi))
         assert abs(int_log(lengths[125]) - int_log(lengths[119]) - 6 * rate) < 1e-6
         permuted += is_permuted
     assert permuted >= 100
@@ -708,7 +727,7 @@ def test_monomial_matrix_helper_raises_a_hypothesis_error():
     # one reader of the matrix: the closed form, the exact rate, the
     # transfer check and the suites all refuse the same maps the same way
     shear = MonomialMap(((1, 0), (1, 1)), R2)
-    for call in (entropy_module._monomial_matrix, entropy_module._exact_rate,
+    for call in (entropy_module._monomial_matrix, exact_rate,
                  monomial_matrix_closed_form):
         with pytest.raises(HypothesisError) as info:
             call(shear)
@@ -717,7 +736,7 @@ def test_monomial_matrix_helper_raises_a_hypothesis_error():
     assert _suites(shear) == []
     swap = MonomialMap.from_columns([(0, 2), (3, 0)], R2)
     assert entropy_module._monomial_matrix(swap) == ([1, 0], [3, 2])
-    assert entropy_module._exact_rate(swap) == (36, 2)
+    assert exact_rate(swap) == (36, 2)
 
 
 def test_transfer_check_needs_a_monomial_matrix_target():
@@ -734,7 +753,7 @@ def test_transfer_check_needs_a_monomial_matrix_target():
 
 def test_transfer_agreement_matches_the_closed_form_rates():
     # psi and phi share a monomial matrix, phi on a random quotient: the
-    # integer verdict agrees exactly when the closed-form float rates do
+    # integer verdict agrees exactly when the float rates do
     rng = random.Random(8128)
     outcomes = set()
     with_quotient = 0
@@ -748,7 +767,7 @@ def test_transfer_agreement_matches_the_closed_form_rates():
             for j in range(ring.dim_ambient)
         )
         report = transfer_check(TransferSquare(source, ring, identity, psi, phi))
-        rates = [monomial_matrix_closed_form(f, 0)[1] for f in (psi, phi)]
+        rates = [log_rate(exact_rate(f)) for f in (psi, phi)]
         assert report.agree == (abs(rates[0] - rates[1]) < 1e-12), phi
         outcomes.add(report.agree)
         with_quotient += bool(ring.quotient.generators)
