@@ -122,28 +122,29 @@ def local_entropy_sequence(
 
     The reference ideal defaults to the maximal ideal; any ideal primary
     to it yields the same growth rate.  No power of phi and no ideal is
-    built: the first images are phi's matrix times the minimal generators
-    of the reference ideal I.
+    built.  As I is primary to the maximal ideal m modulo the quotient J,
+    phi(I) + J and phi(m) + J have the same radical, so phi is of finite
+    length, read off its d columns, iff the images of I with J are primary
+    to m.
 
-    On a regular ring only row 1 is counted, and the length of row n is
-    that of row 1 times |det A|^(n - 1), where |det A| is the product of
-    the positive entries of phi's matrix A.  The finite-length test has
-    then shown that A is a monomial matrix, phi(X_j) = X_pi(j)^e_j: I is
-    proper, so phi(I) lies in the ideal of phi(m), which is m-primary with
-    phi(I), and d monomials, none of them 1, generate an m-primary ideal
-    only as pure powers of distinct variables.  For any m-primary monomial
-    ideal I', write u_pi(j) = e_j * q_j + r_j with 0 <= r_j < e_j.  Then
-    X^u lies in phi(I') iff e_j * g_j <= u_pi(j), that is g_j <= q_j, for
-    all j and some generator g of I', iff X^q lies in I'.  So the standard
-    monomials of phi(I') are the pairs of a standard monomial X^q of I' and
-    a remainder r, and length(R/phi(I')) = prod(e_j) * length(R/I').
-    Taking I' = phi^(n-1)(I) gives the rows.
+    On a regular ring no image is counted: the length of row n is
+    length(R/I) * |det A|^n, where |det A| is the product of the positive
+    entries of phi's matrix A.  Finite length shows that A is a monomial
+    matrix, phi(X_j) = X_pi(j)^e_j: d monomials, none of them 1, generate
+    an m-primary ideal only as pure powers of distinct variables.  For any
+    m-primary monomial ideal I', write u_pi(j) = e_j * q_j + r_j with
+    0 <= r_j < e_j.  Then X^u lies in phi(I') iff e_j * g_j <= u_pi(j),
+    that is g_j <= q_j, for all j and some generator g of I', iff X^q lies
+    in I'.  So the standard monomials of phi(I') are the pairs of a
+    standard monomial X^q of I' and a remainder r, and length(R/phi(I')) =
+    prod(e_j) * length(R/I').  Taking I' = phi^(n-1)(I), down to I' = I,
+    gives the rows.
 
-    On a quotient by J each row maps the carried vectors by A and counts
-    them with the quotient.  The images that another image or a quotient
-    generator divides are dropped before the next row, read off the row's
-    feet table: phi(J) lies in J, so phi(I) + J = phi(I') + J whenever
-    I + J = I' + J.
+    On a quotient by J each row maps the carried vectors by A, starting
+    from the minimal generators of I, and counts them with the quotient.
+    The images that another image or a quotient generator divides are
+    dropped before the next row, read off the row's feet table: phi(J)
+    lies in J, so phi(I) + J = phi(I') + J whenever I + J = I' + J.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -155,29 +156,24 @@ def local_entropy_sequence(
         raise ValueError("reference ideal must be proper")
     _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
     quotient = ring.quotient.generators
-    d = ring.dim_ambient
-    if _pure_powers(ideal.generators + quotient, d) is None:
+    if _pure_powers(ideal.generators + quotient, ring.dim_ambient) is None:
         raise NotFiniteLengthError(
             "reference ideal is not primary to the maximal ideal"
         )
-    # the ideal lies in and is primary to the maximal ideal m modulo the
-    # quotient J, so phi(ideal) + J and phi(m) + J have the same radical:
-    # phi is of finite length iff the first images with J are primary to m
-    matrix = phi.matrix
-    vectors = [_matvec(matrix, g) for g in ideal.generators]
-    if _pure_powers([*vectors, *quotient], d) is None:
+    if not is_finite_length(phi):
         raise NotFiniteLengthError("endomorphism is not of finite length")
+    matrix = phi.matrix
     rows = []
     if not quotient:
-        length = _standard_count(vectors, ring)[0]
+        length = _standard_count(ideal.generators, ring)[0]
         det = math.prod(e for row in matrix for e in row if e)
         for n in range(1, n_max + 1):
-            rows.append(_row(n, length))
             length *= det
+            rows.append(_row(n, length))
         return EntropySequence(tuple(rows), ideal, phi)
+    vectors = ideal.generators
     for n in range(1, n_max + 1):
-        if n > 1:
-            vectors = [_matvec(matrix, v) for v in vectors]
+        vectors = [_matvec(matrix, v) for v in vectors]
         length, gens, feet = _standard_count(vectors, ring)
         rows.append(_row(n, length))
         if n < n_max:

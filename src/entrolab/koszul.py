@@ -42,7 +42,7 @@ from .monomials import (
     MonomialIdeal,
     RingSpec,
     Vec,
-    _cell_sum,
+    _cell_volumes,
     _check_vec,
     _divisor_mask,
     _divisor_tables,
@@ -324,10 +324,11 @@ def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
     Otherwise subset S of the kept entries is active at v iff X^(v -
     shift_S) is a standard monomial of the ring, so a slice is a function
     of the divisor mask of the cuts shift_S + g at v, and the kept lengths
-    are one cell sum over the grid the cuts cut, each distinct mask weighed
-    once.  The cut shift_S + 0 for the empty S is 0, and the generated
-    ideal is m-primary and kills the cohomology, so every unbounded cell is
-    acyclic: the bounded cells hold all of it.
+    sum volume times slice dimensions over the cell volumes of the grid the
+    cuts cut, each distinct mask weighed once.  The cut shift_S + 0 for the
+    empty S is 0, and the generated ideal is m-primary and kills the
+    cohomology, so every unbounded cell is acyclic: the bounded cells hold
+    all of it.
 
     Each factor K(0) multiplies the series sum_j l(H^(-j)) s^j by 1 + s,
     so for k dropped entries l(H^(-j) K(x)) = sum_i C(k, i) l(H^(-j+i)
@@ -339,7 +340,10 @@ def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
     if complex_.ring.regular and len(kept) == d:
         sums = {0: prod(map(sum, kept))}
     else:
-        sums = _cell_sum(complex_._cuts, complex_._cut_dims)
+        sums = {}
+        for mask, volume in _cell_volumes(complex_._cuts).items():
+            for degree, dim in complex_._cut_dims(mask).items():
+                sums[degree] = sums.get(degree, 0) + volume * dim
     series = [sums.get(-j, 0) for j in range(complex_.m + 1)]
     for _ in range(complex_.m - len(kept)):
         series = [a + b for a, b in zip(series, [0, *series])]

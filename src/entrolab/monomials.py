@@ -255,17 +255,17 @@ class RingSpec:
         return ideal
 
 
-def _cell_sum(tables, weigh) -> dict:
-    """Sum of volume * weigh(mask) over the bounded cells of the grid cut
-    by the vectors of the ``_divisor_tables`` result ``tables``.
+def _cell_volumes(tables) -> dict:
+    """Summed volume of the bounded cells of the grid cut by the vectors of
+    the ``_divisor_tables`` result ``tables``, keyed by cell mask.
 
     An axis is cut at its coordinates; a cell's mask is the AND of its
     axes' prefix masks, so the walk goes axis by axis, merging cells whose
-    partial masks agree (later axes treat them alike), and ``weigh`` maps
-    each distinct final mask, once, to a dict of ints.  The caller
-    guarantees that the sum is the sum over the whole orthant: the vectors
-    include the zero vector, so every axis starts at 0, and every cell
-    past an axis's last coordinate weighs nothing.
+    partial masks agree (later axes treat them alike), and each distinct
+    final mask appears once.  The caller guarantees that the bounded cells
+    are all that count: the vectors include the zero vector, so every axis
+    starts at 0 and every bounded mask is nonzero, and the caller's weight
+    vanishes on every cell past an axis's last coordinate.
     """
     full, axes = tables
     volumes = {full: 1}
@@ -277,11 +277,7 @@ def _cell_sum(tables, weigh) -> dict:
                 key = partial & mask
                 merged[key] = merged.get(key, 0) + volume * width
         volumes = merged
-    totals: dict = {}
-    for mask, volume in volumes.items():
-        for key, w in weigh(mask).items():
-            totals[key] = totals.get(key, 0) + volume * w
-    return totals
+    return volumes
 
 
 def _standard_count(vectors, ring: RingSpec) -> tuple[int, list, tuple]:
@@ -293,24 +289,25 @@ def _standard_count(vectors, ring: RingSpec) -> tuple[int, list, tuple]:
     initial segment of the last axis, whose length is the least last
     coordinate among the generators whose first d - 1 coordinates (their
     feet) divide the point.  That column height depends only on the divisor
-    mask over the feet, so the count is a cell sum over the grid the feet
-    cut in d - 1 axes.  The generators, minimal or not (a generator
-    divisible by another never sets a height), are sorted colexicographically,
-    last coordinate first, so a mask's height is read off its lowest set
-    bit, and a generator divisible by another generator (or equal to an
-    earlier one) is exactly one whose feet mask has a bit below its own.
+    mask over the feet, so the count sums volume times height over the
+    cell volumes of the grid the feet cut in d - 1 axes.  The generators,
+    minimal or not (a generator divisible by another never sets a height),
+    are sorted colexicographically, last coordinate first, so a mask's
+    height is read off its lowest set bit, and a generator divisible by
+    another generator (or equal to an earlier one) is exactly one whose
+    feet mask has a bit below its own.
     The pure power of X_d has the zero foot, and past the last coordinate
     of an axis i < d the pure power of X_i divides with height 0, so the
-    cell sum's precondition holds.
+    precondition of ``_cell_volumes`` holds.
     """
     gens = sorted([*vectors, *ring.quotient.generators], key=lambda g: g[::-1])
     heights = [g[-1] for g in gens]
-
-    def column(mask):
-        return {"standard": heights[(mask & -mask).bit_length() - 1]}
-
     feet = _divisor_tables([g[:-1] for g in gens])
-    return _cell_sum(feet, column).get("standard", 0), gens, feet
+    count = sum(
+        volume * heights[(mask & -mask).bit_length() - 1]
+        for mask, volume in _cell_volumes(feet).items()
+    )
+    return count, gens, feet
 
 
 def colength(ideal: MonomialIdeal, ring: RingSpec) -> int:

@@ -238,22 +238,25 @@ def test_koszul_oracle_catches_a_wrong_slice_count(capsys, monkeypatch):
 
 
 def test_koszul_oracle_catches_a_cell_sum_off_flatness(workdir, capsys, monkeypatch):
-    # one more dimension in H^-1 of every cell sum leaves H^0 right but
-    # breaks length(H^-1) = 6 * length at n = 0 on k[X,Y] with X^2, Y^3;
-    # the three kept entries X^2, XY, Y^2 outnumber the variables, so the
-    # cell walk runs (a system of parameters is counted in closed form)
+    # one more unit of volume on the cell where X^2 and XY divide but Y^2
+    # does not, whose slice has H^0 = 0 and H^-1 = 1, leaves H^0 right but
+    # breaks length(H^-1) = 6 * length at n = 0 on k[X,Y] with X^2, Y^3:
+    # 6 * (3 + 1) = 24 against 18 + 1.  A fault that scaled with the map,
+    # per mask or per slice, would pass.  The three kept entries X^2, XY,
+    # Y^2 outnumber the variables, so the cell walk runs (a system of
+    # parameters is counted in closed form)
     (workdir / "diag23.spec").write_text(DIAG + "sequence [2,0] [1,1] [0,2]\n")
     argv = ["koszul", "--spec", "diag23.spec", "--pullback-iter", "1", "--oracle"]
-    original = entrolab.koszul._cell_sum
+    original = entrolab.koszul._cell_volumes
 
-    def wrong(tables, weigh):
-        sums = original(tables, weigh)
-        sums[-1] = sums.get(-1, 0) + 1
-        return sums
+    def wrong(tables):
+        volumes = original(tables)
+        volumes[0b111] = volumes.get(0b111, 0) + 1
+        return volumes
 
     assert main(argv) == 0
     capsys.readouterr()
-    monkeypatch.setattr(entrolab.koszul, "_cell_sum", wrong)
+    monkeypatch.setattr(entrolab.koszul, "_cell_volumes", wrong)
     code, out = _run(capsys, argv)
     assert code == 4
     assert out.endswith(
@@ -918,13 +921,18 @@ def test_ideal_independence_bracket_is_sharp(workdir, capsys, ideal, length_q,
 
 def test_ideal_independence_bracket_catches_count_faults(workdir, capsys,
                                                          monkeypatch):
-    # a count one short on k[X] with X -> X^2 and I = (X^3) gives
-    # length_q = 5 against 3 * length_m = 3 at n = 1
+    # on k[X] with X -> X^2 a regular-ring sequence counts only
+    # length(R/I), once; a count one short makes length(R/m) = 0, and the
+    # rows cannot be logged
     count = entrolab.entropy._standard_count
 
     def one_short(vectors, ring):
         length, *rest = count(vectors, ring)
         return (length - 1, *rest)
+
+    def one_over_on_x3(vectors, ring):
+        length, *rest = count(vectors, ring)
+        return (length + (list(vectors) == [(3,)]), *rest)
 
     (workdir / "line.spec").write_text(
         "characteristic 0\nvariables X\nmap [2]\nideal [3]\n"
@@ -932,10 +940,17 @@ def test_ideal_independence_bracket_catches_count_faults(workdir, capsys,
     argv = ["verify", "ideal-independence", "--spec", "line.spec", "--max-iter", "3"]
     with monkeypatch.context() as patch:
         patch.setattr(entrolab.entropy, "_standard_count", one_short)
+        code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == "error: int_log requires a positive integer\n"
+    # one over on the count of I = (X^3) alone gives length_q = 4 * 2 = 8
+    # against length_m = 2 and 3 * length_m = 6 at n = 1
+    with monkeypatch.context() as patch:
+        patch.setattr(entrolab.entropy, "_standard_count", one_over_on_x3)
         code, out = _run(capsys, argv)
     assert code == 4
     assert out.splitlines()[-1] == (
-        "# verdict\tlength-bracket\tFAIL\tlength_q = 5 lies outside [1, 3] at n = 1"
+        "# verdict\tlength-bracket\tFAIL\tlength_q = 8 lies outside [2, 6] at n = 1"
     )
     # a reference-ideal row counted below length_m fails the left side
     sequence = entrolab.cli.local_entropy_sequence
@@ -973,7 +988,8 @@ def test_verify_sandwich(workdir, capsys):
 def test_count_fault_breaks_the_sandwich(capsys, monkeypatch):
     # the upper counts come from the closed form, not from the engine that
     # counts the lower ones, so a count one too high shows: on k[X,Y,Z]
-    # with the sequence X, Y, Z, peak = 1 and L_1 = 31 > 1 * U_1 = 30
+    # with the sequence X, Y, Z, peak = 1, the one count of length(R/m) = 1
+    # reads 2, and L_1 = 2 * 30 = 60 > 1 * U_1 = 30
     count = entrolab.entropy._standard_count
 
     def one_over(vectors, ring):
@@ -987,7 +1003,7 @@ def test_count_fault_breaks_the_sandwich(capsys, monkeypatch):
         assert code == 4, argv
         assert out.splitlines()[-1] == (
             "# verdict\tsandwich\tFAIL\t"
-            "n=1: lower tower count 31 lies outside [30, 30]"
+            "n=1: lower tower count 60 lies outside [30, 30]"
         )
 
 

@@ -202,6 +202,37 @@ def test_regular_sequence_of_a_permuted_map_matches_box_enumeration():
         assert row.length == colength_bruteforce(image, R2), row.n
 
 
+def test_regular_image_count_is_det_times_the_reference_count_random():
+    # the identity a regular-ring sequence rests on, checked with the
+    # engine it replaces: the images of a random m-primary I under a
+    # monomial matrix A, permuted or not, count |det A| times I, and box
+    # enumeration agrees where the box holds at most 200,000 monomials
+    rng = random.Random(6007)
+    brute = permuted = 0
+    for k in range(96):
+        d = 1 + k % 4
+        ring = RingSpec.polynomial((0, 2, 3)[k // 4 % 3], d)
+        perm = rng.sample(range(d), d)
+        exps = [rng.randint(1, 4) for _ in range(d)]
+        phi = MonomialMap.from_columns(
+            [tuple(exps[j] if i == perm[j] else 0 for i in range(d))
+             for j in range(d)],
+            ring,
+        )
+        gens = random_m_primary_ideal(rng, d, 5, 4)
+        images = [endos_module._matvec(phi.matrix, g) for g in gens]
+        count = monomials_module._standard_count(gens, ring)[0]
+        expected = math.prod(exps) * count
+        assert monomials_module._standard_count(images, ring)[0] == expected, (
+            gens, phi.matrix)
+        if math.prod(_pure_powers(images, d)) <= 200_000:
+            image = image_ideal(phi, minimalize(gens, d))
+            assert colength_bruteforce(image, ring) == expected, (gens, phi.matrix)
+            brute += 1
+        permuted += perm != sorted(perm)
+    assert brute >= 60 and permuted >= 40, (brute, permuted)
+
+
 def _count_row_work(monkeypatch):
     """Lists of the matrices the sequence maps by and of the argument
     tuples of its row counts."""
@@ -245,9 +276,8 @@ def test_sequence_builds_no_map_power(monkeypatch):
 
 
 def test_sequence_maps_each_ideal_once(monkeypatch):
-    # the finiteness test reads the first images instead of mapping the
-    # maximal ideal once more, and on a regular ring row 1 is the only
-    # row counted
+    # on a regular ring the finiteness test reads phi's columns, the one
+    # count is of the reference ideal itself, and no vector is mapped
     path = Path(__file__).parent.parent / "specs" / "diagonal235.ring"
     spec = parse_spec(str(path))
     image_ideals = count_calls(monkeypatch, endos_module, "image_ideal")
@@ -255,8 +285,10 @@ def test_sequence_maps_each_ideal_once(monkeypatch):
     seq = local_entropy_sequence(spec.ring, spec.map, None, 6)
     assert [row.length for row in seq.rows] == [30**n for n in range(1, 7)]
     assert image_ideals == []
-    assert len(counts) == 1
-    assert len(matrices) == 3
+    assert [list(vectors) for vectors, _ in counts] == [
+        list(spec.ring.maximal_ideal().generators)
+    ]
+    assert len(matrices) == 0
 
 
 def test_sequence_drops_divisible_images_on_quotients(monkeypatch):

@@ -371,10 +371,10 @@ def test_regular_systems_of_parameters_match_oracle_random(monkeypatch):
     # a pure power of each variable plus copies and multiples of entries,
     # pulled back along a random monomial matrix, some permuting the
     # variables: the kept entries are d pure powers, counted in closed form
-    # with no cell sum and no table, and every degree must match the oracle;
-    # cases too large for the oracle are drawn again
+    # with no cell walk and no table, and every degree must match the
+    # oracle; cases too large for the oracle are drawn again
     rng = random.Random(2121)
-    cell_sums = count_calls(monkeypatch, monomials, "_cell_sum")
+    cell_walks = count_calls(monkeypatch, monomials, "_cell_volumes")
     tables = count_calls(monkeypatch, monomials, "_divisor_tables")
     permuted = 0
     for d, char, n in itertools.product((2, 3, 4), (0, 2, 3), (0, 1, 2)):
@@ -390,12 +390,12 @@ def test_regular_systems_of_parameters_match_oracle_random(monkeypatch):
             columns = [tuple(exps[j] if i == perm[j] else 0 for i in range(d))
                        for j in range(d)]
             phi = MonomialMap.from_columns(columns, ring)
-            cell_sums.clear()
+            cell_walks.clear()
             tables.clear()
             complex_, lengths, _ = pullback_homology(ring, seq, phi, n)
             if math.prod(lengths.region) << len(seq) <= 40000:
                 break
-        assert (cell_sums, tables) == ([], []), (seq, columns, n)
+        assert (cell_walks, tables) == ([], []), (seq, columns, n)
         assert len(complex_._kept) == d
         oracle = koszul_homology_oracle(char, (), complex_.sequence, lengths.region)
         assert lengths.lengths == oracle, (d, char, seq, columns, n)
@@ -407,14 +407,14 @@ def test_only_a_system_of_parameters_skips_the_cell_sum(monkeypatch):
     # on k[X,Y], (X^2, Y^3, X^2 Y) keeps 2 entries, one per variable, and is
     # counted in closed form; (X^2, XY, Y^2) keeps 3, which outnumber the
     # variables, so the cell walk runs once over one table
-    cell_sums = count_calls(monkeypatch, monomials, "_cell_sum")
+    cell_walks = count_calls(monkeypatch, monomials, "_cell_volumes")
     tables = count_calls(monkeypatch, monomials, "_divisor_tables")
     lengths = homology_lengths(KoszulComplex(R2, [(2, 0), (0, 3), (2, 1)]))
     assert lengths.lengths == {0: 6, -1: 6, -2: 0, -3: 0}
-    assert (len(cell_sums), len(tables)) == (0, 0)
+    assert (len(cell_walks), len(tables)) == (0, 0)
     lengths = homology_lengths(KoszulComplex(R2, [(2, 0), (1, 1), (0, 2)]))
     assert lengths.lengths == {0: 3, -1: 3, -2: 0, -3: 0}
-    assert (len(cell_sums), len(tables)) == (1, 1)
+    assert (len(cell_walks), len(tables)) == (1, 1)
 
 
 def test_long_sequences_match_oracle():

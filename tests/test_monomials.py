@@ -309,7 +309,7 @@ def test_colength_bruteforce_is_independent_of_the_cell_sum(monkeypatch):
     def engine(*args):
         raise AssertionError("the oracle called the cell-sum engine")
 
-    for name in ("_cell_sum", "_divisor_tables", "_divisor_mask"):
+    for name in ("_cell_volumes", "_divisor_tables", "_divisor_mask"):
         monkeypatch.setattr(monomials, name, engine)
     for ideal, ring, expected in cases:
         assert colength_bruteforce(ideal, ring) == expected
@@ -353,7 +353,7 @@ def test_pivot_count_is_independent_of_the_cell_sum(monkeypatch):
     def engine(*args):
         raise AssertionError("the pivot count called the colength engine")
 
-    for name in ("_cell_sum", "_divisor_tables", "_standard_count"):
+    for name in ("_cell_volumes", "_divisor_tables", "_standard_count"):
         monkeypatch.setattr(monomials, name, engine)
     for ideal, ring, expected in cases:
         gens = ideal.generators + ring.quotient.generators
@@ -390,7 +390,7 @@ def test_colength_matches_bruteforce_on_wide_antichains():
 
 
 def test_colength_work_is_one_mask_per_column(monkeypatch):
-    # one divisor table over the feet, no corner bisected, and one weighed
+    # one divisor table over the feet, no corner bisected, and one summed
     # mask per distinct column; a walk over all d axes would need about g^d
     cases = [
         (ideal, RingSpec.polynomial(0, ideal.ambient_dim))
@@ -398,8 +398,8 @@ def test_colength_work_is_one_mask_per_column(monkeypatch):
                       for dim, count, side, _ in ANTICHAINS]
         + [minimalize({(7,), (9,)}), minimalize({(3, 0), (0, 4), (1, 1)})]
     ]
-    tables, weighed = [], []
-    divisor_tables, cell_sum = monomials._divisor_tables, monomials._cell_sum
+    tables, walks = [], []
+    divisor_tables, cell_volumes = monomials._divisor_tables, monomials._cell_volumes
 
     def counted_tables(vectors):
         tables.append(vectors)
@@ -408,19 +408,20 @@ def test_colength_work_is_one_mask_per_column(monkeypatch):
     def bisected(tables, v):
         raise AssertionError("colength bisected a corner")
 
-    def counted_sum(tables, weigh):
-        return cell_sum(tables, lambda mask: weighed.append(mask) or weigh(mask))
+    def counted_volumes(tables):
+        walks.append(cell_volumes(tables))
+        return walks[-1]
 
     monkeypatch.setattr(monomials, "_divisor_tables", counted_tables)
     monkeypatch.setattr(monomials, "_divisor_mask", bisected)
-    monkeypatch.setattr(monomials, "_cell_sum", counted_sum)
+    monkeypatch.setattr(monomials, "_cell_volumes", counted_volumes)
     for ideal, ring in cases:
         tables.clear()
-        weighed.clear()
+        walks.clear()
         colength(ideal, ring)
         g, d = len(ideal.generators), ideal.ambient_dim
-        assert len(tables) == 1
-        assert 0 < len(weighed) <= (g + 1) ** (d - 1), (d, g, len(weighed))
+        assert (len(tables), len(walks)) == (1, 1)
+        assert 0 < len(walks[0]) <= (g + 1) ** (d - 1), (d, g, len(walks[0]))
 
 
 def test_colength_checks_the_dimension():
@@ -433,10 +434,12 @@ def _nonzero(totals):
 
 
 def test_cell_sum_matches_pointwise_sum_random():
-    # random tables on 1-4 axes that meet the cell sum's precondition: the
-    # zero vector, so every axis starts at 0, and a cap vector on every
-    # axis, so each unbounded cell weighs 0.  Some of the other vectors
-    # have no coordinate at 0
+    # random tables on 1-4 axes that meet the precondition of the cell
+    # walk: the zero vector, so every axis starts at 0, and a cap vector on
+    # every axis, so each unbounded cell weighs 0.  Some of the other
+    # vectors have no coordinate at 0.  Under a random weight, nonzero on
+    # every uncapped mask, the pointwise sum keyed by mask recovers each
+    # mask's volume
     rng = random.Random(1313)
     for k in range(240):
         dim = 1 + k % 4
@@ -451,22 +454,17 @@ def test_cell_sum_matches_pointwise_sum_random():
         rng.shuffle(vectors)
         caps = sum(1 << i for i, v in enumerate(vectors) if 7 in v)
         tables = monomials._divisor_tables(vectors)
+        weights = collections.defaultdict(lambda: rng.randint(1, 3))
 
         def weigh(mask):
-            if mask & caps:
-                return {"a": 0, "b": 0}
-            return {"a": (mask * 0x9E3779B1 >> 5) % 4 - 1, "b": mask.bit_count() % 3}
+            return {mask: 0 if mask & caps else weights[mask]}
 
         expected = cell_sum_pointwise(tables, weigh)
         assert expected is not None, vectors
-        calls = collections.Counter()
-
-        def counted(mask):
-            calls[mask] += 1
-            return weigh(mask)
-
-        assert _nonzero(monomials._cell_sum(tables, counted)) == _nonzero(expected)
-        assert max(calls.values()) == 1, vectors
+        volumes = monomials._cell_volumes(tables)
+        assert 0 not in volumes and not any(mask & caps for mask in volumes)
+        assert _nonzero({mask: volume * weights[mask]
+                         for mask, volume in volumes.items()}) == _nonzero(expected)
 
 
 def _lacking_pure_power(rng, dim, count):
