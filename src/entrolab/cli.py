@@ -18,7 +18,6 @@ import math
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .errors import HypothesisError, SpecError
 from .monomials import _pivot_count, _pure_powers
@@ -46,15 +45,18 @@ EXIT_VERDICT = 4
 _LOG_SCALES = {"e": 1.0, "2": 1.0 / math.log(2), "10": 1.0 / math.log(10)}
 
 
-@dataclass
 class RunReport:
-    command: str = ""
-    digest: str = ""
-    columns: list[str] = field(default_factory=list)
-    rows: list[list[str]] = field(default_factory=list)
-    notices: list[str] = field(default_factory=list)
-    footer: list[tuple[str, ...]] = field(default_factory=list)
-    verdicts: list[tuple[str, bool, str]] = field(default_factory=list)
+    """What a subcommand found, filled in place by its handler and
+    rendered once."""
+
+    def __init__(self):
+        self.command = ""
+        self.digest = ""
+        self.columns: list[str] = []
+        self.rows: list[list[str]] = []
+        self.notices: list[str] = []
+        self.footer: list[tuple[str, ...]] = []
+        self.verdicts: list[tuple[str, bool, str]] = []
 
 
 def _fmt(x: float) -> str:

@@ -10,13 +10,13 @@ no matter how fast the exponents grow.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotFiniteLengthError
 from .monomials import (
     MonomialIdeal,
     RingSpec,
     Vec,
+    _Value,
     _check_vec,
     _divisor_mask,
     _divisor_tables,
@@ -38,8 +38,7 @@ def _matvec(a, v: Vec) -> Vec:
     return tuple([sum(map(operator.mul, row, v)) for row in a])
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(_Value):
     """A monomial endomorphism of ``ring``.
 
     ``matrix`` is stored row-major; column j is the exponent vector of the
@@ -48,23 +47,21 @@ class MonomialMap:
     quotient ideal, so that it is well defined on the ring.
     """
 
-    matrix: Matrix
-    ring: RingSpec
+    __slots__ = _fields = ("matrix", "ring")
 
-    def __post_init__(self):
-        d = self.ring.dim_ambient
-        rows = tuple([tuple(map(int, row)) for row in self.matrix])
+    def __init__(self, matrix: Matrix, ring: RingSpec):
+        d = ring.dim_ambient
+        rows = tuple([tuple(map(int, row)) for row in matrix])
         if len(rows) != d or any(len(row) != d for row in rows):
             raise DimensionMismatchError(f"matrix must be {d}x{d}")
         if min(map(min, rows)) < 0:
             raise ValueError("matrix entries must be nonnegative")
-        object.__setattr__(self, "matrix", rows)
         for j, column in enumerate(zip(*rows)):
             if not any(column):
                 raise ValueError(
                     f"map column {j + 1} is zero (not a local endomorphism)"
                 )
-        quotient = self.ring.quotient.generators
+        quotient = ring.quotient.generators
         tables = _divisor_tables(quotient)
         for g in quotient:
             if not _divisor_mask(tables, _matvec(rows, g)):
@@ -72,6 +69,8 @@ class MonomialMap:
                     f"map is not well defined on the quotient: the image of "
                     f"generator {g} leaves the quotient ideal"
                 )
+        object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "ring", ring)
 
     @property
     def columns(self) -> tuple[Vec, ...]:
@@ -142,8 +141,7 @@ def is_finite_length(phi: MonomialMap) -> bool:
     return _pure_powers(gens, ring.dim_ambient) is not None
 
 
-@dataclass(frozen=True)
-class TransferSquare:
+class TransferSquare(_Value):
     """A commuting-square candidate: psi acting on a regular source ring,
     phi on the target ring, joined by a finite-length homomorphism that
     sends the j-th source variable to the monomial with exponent vector
@@ -153,42 +151,50 @@ class TransferSquare:
     commutation itself is queried through ``check_square``.
     """
 
-    source_ring: RingSpec
-    target_ring: RingSpec
-    xi_columns: tuple[Vec, ...]
-    psi: MonomialMap
-    phi: MonomialMap
+    __slots__ = _fields = (
+        "source_ring", "target_ring", "xi_columns", "psi", "phi"
+    )
 
-    def __post_init__(self):
-        cols = tuple(tuple(int(e) for e in c) for c in self.xi_columns)
-        object.__setattr__(self, "xi_columns", cols)
-        if not self.source_ring.regular:
+    def __init__(
+        self,
+        source_ring: RingSpec,
+        target_ring: RingSpec,
+        xi_columns: tuple[Vec, ...],
+        psi: MonomialMap,
+        phi: MonomialMap,
+    ):
+        cols = tuple(tuple(int(e) for e in c) for c in xi_columns)
+        if not source_ring.regular:
             raise ValueError("source ring of a transfer square must be regular")
-        if self.source_ring.characteristic != self.target_ring.characteristic:
+        if source_ring.characteristic != target_ring.characteristic:
             raise ValueError("transfer square rings must share a characteristic")
-        if self.psi.ring != self.source_ring:
+        if psi.ring != source_ring:
             raise ValueError("psi must act on the source ring")
-        if self.phi.ring != self.target_ring:
+        if phi.ring != target_ring:
             raise ValueError("phi must act on the target ring")
-        if len(cols) != self.source_ring.dim_ambient:
+        if len(cols) != source_ring.dim_ambient:
             raise DimensionMismatchError(
                 "need one image vector per source variable"
             )
-        dt = self.target_ring.dim_ambient
+        dt = target_ring.dim_ambient
         for c in cols:
             if len(c) != dt:
                 raise DimensionMismatchError(
                     "image vectors must live in the target ring"
                 )
+            _check_vec(c)  # before the sum: (-1, 1) sums to 0
             if sum(c) == 0:
                 raise ValueError("joining map must send variables into the "
                                  "maximal ideal")
-        for c in cols:  # exponent vectors: no negative entry
-            _check_vec(c)
-        if _pure_powers(self.target_ring.quotient.generators + cols, dt) is None:
+        if _pure_powers(target_ring.quotient.generators + cols, dt) is None:
             raise NotFiniteLengthError(
                 "joining map of the transfer square is not of finite length"
             )
+        object.__setattr__(self, "source_ring", source_ring)
+        object.__setattr__(self, "target_ring", target_ring)
+        object.__setattr__(self, "xi_columns", cols)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "phi", phi)
 
 
 def check_square(square: TransferSquare) -> bool:

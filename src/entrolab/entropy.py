@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     HypothesisError,
@@ -41,7 +41,7 @@ from .endos import (
     is_finite_length,
     iterate,
 )
-from .koszul import GeneratorProfile, KoszulComplex, generator_profile, homology_lengths
+from .koszul import KoszulComplex, generator_profile, homology_lengths
 
 _LN2 = math.log(2)
 
@@ -58,35 +58,32 @@ def int_log(n: int) -> float:
     return math.log(n >> shift) + shift * _LN2
 
 
-@dataclass(frozen=True)
-class EntropyRow:
-    n: int
-    length: int
-    log_average: float  # log(length) / n
-    log_length: float  # log(length), taken once for every reader
+class EntropyRow(namedtuple("EntropyRow", "n length log_average log_length")):
+    """One entry of a sequence: ``log_average`` is log(length) / n, and
+    ``log_length`` is log(length), taken once for every reader."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EntropySequence:
+class EntropySequence(namedtuple("EntropySequence", "rows ideal_used map")):
     """Colength growth data for the iterates of a map against a fixed
     reference ideal."""
 
-    rows: tuple[EntropyRow, ...]
-    ideal_used: MonomialIdeal
-    map: MonomialMap
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SandwichRow:
-    t: float
-    n: int
-    lower_logavg: float
-    upper_logavg: float | None  # None: not certified on a non-regular ring
-    gap_bound: float
+class SandwichRow(
+    namedtuple("SandwichRow", "t n lower_logavg upper_logavg gap_bound")
+):
+    """One (t, n) row of a sandwich; ``upper_logavg`` is None when the
+    upper bound is not certified, on a non-regular ring."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(
+    namedtuple("SandwichReport", "rows profile lower_sequence upper_sequence")
+):
     """Lower/upper complexity bounds in log-average form, a row per t and n.
 
     Row invariants: lower_logavg <= upper_logavg, and their gap is at most
@@ -97,18 +94,16 @@ class SandwichReport:
     the lower bound only.
     """
 
-    rows: tuple[SandwichRow, ...]
-    profile: GeneratorProfile
-    lower_sequence: EntropySequence
-    upper_sequence: EntropySequence | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    source_rate: tuple[int, int]  # (N, L): the rate is log(N)/L
-    target_rate: tuple[int, int]
-    agree: bool
-    conclusion: str
+class TransferReport(
+    namedtuple("TransferReport", "source_rate target_rate agree conclusion")
+):
+    """The verdict of a transfer square: each rate is held as (N, L), the
+    rate being log(N)/L."""
+
+    __slots__ = ()
 
 
 def local_entropy_sequence(

@@ -33,7 +33,7 @@ point) run only where critical cells sit in adjacent degrees.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 from math import gcd, prod
 
@@ -87,8 +87,7 @@ def _normalized(row: dict[int, int], p: int) -> dict[int, int]:
     return {c: x // g for c, x in row.items() if x}
 
 
-@dataclass
-class HomologyLengths:
+class HomologyLengths(namedtuple("HomologyLengths", "lengths region")):
     """Length of each cohomology module, keyed by cohomological degree.
 
     ``region`` is, on each axis, the sum of the entries' coordinates plus
@@ -96,20 +95,17 @@ class HomologyLengths:
     shift_S + g of the full sequence: every multidegree outside the box of
     these sides has acyclic slices."""
 
-    lengths: dict[int, int]
-    region: tuple[int, ...]
+    __slots__ = ()
 
     def length(self, degree: int) -> int:
         return self.lengths.get(degree, 0)
 
 
-@dataclass(frozen=True)
-class GeneratorProfile:
+class GeneratorProfile(namedtuple("GeneratorProfile", "peak width")):
     """Shape constants of a generator: ``peak`` is the largest cohomology
     length, ``width`` the largest |degree| with nonzero cohomology."""
 
-    peak: int
-    width: int
+    __slots__ = ()
 
 
 @cache

@@ -12,7 +12,6 @@ import itertools
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotFiniteLengthError
 
@@ -61,8 +60,45 @@ def _divisor_mask(tables, v) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class _Value:
+    """Base of the validated value types.  A subclass names its fields in
+    ``_fields`` and its ``__init__`` stores them with object.__setattr__
+    once its checks pass; the instance is immutable from then on, and
+    compares, hashes, prints and pickles by its fields.  MonomialIdeal and
+    RingSpec, compared on every job, spell out their own ``__eq__`` and
+    ``__hash__``: a loop over the fields costs twice as much."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        pairs = zip(self._fields, self._values())
+        fields = ", ".join(f"{f}={v!r}" for f, v in pairs)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MonomialIdeal(_Value):
     """A monomial ideal, held as its minimal generating set.
 
     Construction minimalizes and sorts the generators, so the stored form
@@ -71,16 +107,28 @@ class MonomialIdeal:
     is the zero ideal.
     """
 
-    generators: tuple[Vec, ...]
-    ambient_dim: int
+    __slots__ = _fields = ("generators", "ambient_dim")
 
-    def __post_init__(self):
-        gens = sorted({_check_vec(g, self.ambient_dim) for g in self.generators})
+    def __init__(self, generators: tuple[Vec, ...], ambient_dim: int):
+        gens = sorted({_check_vec(g, ambient_dim) for g in generators})
         tables = _divisor_tables(gens)
         minimal = [
             g for k, g in enumerate(gens) if _divisor_mask(tables, g) == 1 << k
         ]
         object.__setattr__(self, "generators", tuple(minimal))
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators, self.ambient_dim) == (
+            other.generators, other.ambient_dim
+        )
+
+    def __hash__(self):
+        return hash((self.generators, self.ambient_dim))
 
     @property
     def is_zero(self) -> bool:
@@ -202,8 +250,7 @@ def check_characteristic(p: int) -> None:
         raise ValueError(f"characteristic must be 0 or prime, got {p}")
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(_Value):
     """A quotient k[X_1..X_d]/J of a polynomial ring by a monomial ideal,
     viewed as a local ring at the ideal of the variables.
 
@@ -213,24 +260,41 @@ class RingSpec:
     (X_1, ..., X_d).
     """
 
-    characteristic: int
-    dim_ambient: int
-    quotient: MonomialIdeal
+    _fields = ("characteristic", "dim_ambient", "quotient")
+    __slots__ = _fields + ("_maximal_ideal",)
 
-    def __post_init__(self):
-        check_characteristic(self.characteristic)
-        if self.dim_ambient < 1:
+    def __init__(
+        self, characteristic: int, dim_ambient: int, quotient: MonomialIdeal
+    ):
+        check_characteristic(characteristic)
+        if dim_ambient < 1:
             raise ValueError("need at least one variable")
-        if self.quotient.ambient_dim != self.dim_ambient:
+        if quotient.ambient_dim != dim_ambient:
             raise DimensionMismatchError(
                 "quotient ideal does not match the ambient variable count"
             )
-        for g in self.quotient.generators:
+        for g in quotient.generators:
             if sum(g) == 0:
                 raise ValueError(
                     "quotient generator 1 found; the quotient must sit inside "
                     "the ideal of the variables"
                 )
+        object.__setattr__(self, "characteristic", characteristic)
+        object.__setattr__(self, "dim_ambient", dim_ambient)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "_maximal_ideal", None)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.characteristic, self.dim_ambient, self.quotient) == (
+            other.characteristic, other.dim_ambient, other.quotient
+        )
+
+    def __hash__(self):
+        return hash((self.characteristic, self.dim_ambient, self.quotient))
 
     @property
     def regular(self) -> bool:
@@ -244,7 +308,7 @@ class RingSpec:
     def maximal_ideal(self) -> MonomialIdeal:
         """(X_1, ..., X_d), built on the first call and kept on this ring
         (not a field, so equality and hashing ignore it)."""
-        ideal = self.__dict__.get("_maximal_ideal")
+        ideal = self._maximal_ideal
         if ideal is None:
             gens = tuple(
                 tuple(1 if j == i else 0 for j in range(self.dim_ambient))

@@ -25,7 +25,7 @@ length and that the square commutes (exit 3).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import HypothesisError, SpecError
 from .monomials import MonomialIdeal, RingSpec, check_characteristic
@@ -44,19 +44,15 @@ _FIELDS = (
 )
 
 
-@dataclass
-class SpecFile:
-    """Parsed and validated specification file; ``psi`` is the transfer
-    square's source map and ``digest`` the SHA-256 of the file's bytes."""
+class SpecFile(
+    namedtuple("SpecFile", "variables ideal sequence psi xi ring map digest")
+):
+    """Parsed and validated specification file.  ``ideal``, ``sequence``,
+    ``psi`` and ``xi`` are None when the file leaves them out; ``psi`` is
+    the transfer square's source map and ``digest`` the SHA-256 of the
+    file's bytes."""
 
-    variables: tuple[str, ...]
-    ideal: MonomialIdeal | None
-    sequence: tuple[tuple[int, ...], ...] | None
-    psi: MonomialMap | None
-    xi: tuple[tuple[int, ...], ...] | None
-    ring: RingSpec
-    map: MonomialMap
-    digest: str
+    __slots__ = ()
 
     def square(self) -> TransferSquare:
         """The transfer square; xi's finite length is checked here, not at parse."""

@@ -1,6 +1,5 @@
 """Command-line behavior: golden outputs, determinism, exit codes."""
 
-import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -290,6 +289,31 @@ def test_repeated_main_calls_match_fresh_processes(workdir, capsys):
         assert (code, out.encode()) == (fresh.returncode, fresh.stdout), argv
         codes.append(code)
     assert codes == [0, 2, 0, 0, 0]
+
+
+def test_importing_the_cli_loads_no_module_outside_entrolab():
+    # with the standard-library modules entrolab imports itself already
+    # loaded, importing the CLI adds only entrolab's own modules: nothing
+    # such as dataclasses, inspect or typing is paid for at start-up; -B,
+    # as -I ignores PYTHONDONTWRITEBYTECODE, leaves no bytecode behind
+    stdlib = (
+        "__future__ argparse bisect collections functools hashlib itertools "
+        "json math operator shlex sys time"
+    ).split()
+    package_root = str(Path(entrolab.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r}); "
+        f"import {', '.join(stdlib)}; before = set(sys.modules); "
+        "import entrolab.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    loaded = fresh.stdout.split()
+    assert "entrolab.cli" in loaded
+    assert [m for m in loaded if m.partition(".")[0] != "entrolab"] == []
 
 
 def test_entropy_log_base_rescales_display(workdir, capsys):
@@ -960,8 +984,8 @@ def test_ideal_independence_bracket_catches_count_faults(workdir, capsys,
         if ideal is None:
             return seq
         rows = list(seq.rows)
-        rows[2] = dataclasses.replace(rows[2], length=52)
-        return dataclasses.replace(seq, rows=tuple(rows))
+        rows[2] = rows[2]._replace(length=52)
+        return seq._replace(rows=tuple(rows))
 
     monkeypatch.setattr(entrolab.cli, "local_entropy_sequence", low_third_row)
     cross = Path(__file__).parent.parent / "specs" / "frobenius_cross.ring"

@@ -291,6 +291,26 @@ def test_transfer_square_checks():
         )
 
 
+def test_transfer_square_checks_entries_before_the_maximal_ideal():
+    # each xi vector is checked in turn: its length, then its entries, then
+    # that it is not the unit; so a negative entry is named even when the
+    # entries sum to 0
+    plane = RingSpec.polynomial(2, 2)
+    frob = MonomialMap.frobenius(plane)
+    cases = [
+        ([(-1, 1), (0, 1)], ValueError,
+         r"exponent vector \(-1, 1\) has a negative entry"),
+        ([(-1, 1, 0), (0, 1)], DimensionMismatchError,
+         "image vectors must live in the target ring"),
+        ([(0, 0), (-1, 1)], ValueError,
+         "joining map must send variables into the maximal ideal"),
+    ]
+    for xi, error, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            TransferSquare(plane, plane, xi, frob, frob)
+        assert type(info.value) is error, xi
+
+
 def test_square_commutation_via_variable_inclusion():
     # k[U] -> k[X1,X2] with U -> X2 commutes with psi(U)=U^3, phi=diag(2,3)
     # at the matrix level even though the inclusion is not finite length;

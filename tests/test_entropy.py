@@ -1,6 +1,5 @@
 """Entropy sequences, limit extrapolation, bounds, and the transfer check."""
 
-import dataclasses
 import math
 import random
 from pathlib import Path
@@ -251,13 +250,13 @@ def test_sequence_builds_no_map_power(monkeypatch):
     phi = MonomialMap.from_columns([(0, 2), (3, 0)], ring)  # X -> Y^2, Y -> X^3
     ideal = minimalize({(3, 0), (1, 1), (0, 2)})
     built = []
-    post_init = MonomialMap.__post_init__
+    init = MonomialMap.__init__
 
-    def counted_post_init(self):
+    def counted_init(self, *args):
         built.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(MonomialMap, "__post_init__", counted_post_init)
+    monkeypatch.setattr(MonomialMap, "__init__", counted_init)
     matrices, counts = _count_row_work(monkeypatch)
     for n_max in (1, 6, 12):
         built.clear()
@@ -360,15 +359,13 @@ def test_sequence_row_work_is_one_table(monkeypatch):
     # first use, and never more carried vectors than reference generators
     tables = count_calls(monkeypatch, monomials_module, "_divisor_tables")
     ideals = []
-    post_init = monomials_module.MonomialIdeal.__post_init__
+    init = monomials_module.MonomialIdeal.__init__
 
-    def counted_post_init(self):
+    def counted_init(self, *args):
         ideals.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(
-        monomials_module.MonomialIdeal, "__post_init__", counted_post_init
-    )
+    monkeypatch.setattr(monomials_module.MonomialIdeal, "__init__", counted_init)
     _, counts = _count_row_work(monkeypatch)
     rng = random.Random(31)
     for k in range(16):
@@ -557,9 +554,8 @@ def test_sandwich_violations_compare_tower_counts():
 
     def with_lower(lengths):
         rows = tuple(_fake_sequence(lengths).rows)
-        return dataclasses.replace(
-            report,
-            lower_sequence=dataclasses.replace(report.lower_sequence, rows=rows),
+        return report._replace(
+            lower_sequence=report.lower_sequence._replace(rows=rows)
         )
 
     upper = [row.length for row in report.upper_sequence.rows]

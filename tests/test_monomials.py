@@ -2,26 +2,35 @@
 
 import collections
 import itertools
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
 from entrolab import (
     DimensionMismatchError,
+    KoszulComplex,
     MonomialIdeal,
     MonomialMap,
     NotFiniteLengthError,
     RingSpec,
+    TransferSquare,
     colength,
     colength_bruteforce,
+    homology_lengths,
     ideal_sum,
     image_ideal,
     krull_dimension,
+    local_entropy_sequence,
     minimalize,
+    sandwich,
+    transfer_check,
 )
 
 import entrolab.monomials as monomials
 from entrolab.monomials import _pure_powers
+from entrolab.specfile import parse_spec
 from helpers import (
     cell_sum_pointwise,
     count_calls,
@@ -589,3 +598,100 @@ def test_maximal_ideal():
         (1, 0, 0),
     )
     assert colength(ring.maximal_ideal(), ring) == 1
+
+
+def _value_objects():
+    """A fresh instance of each validated type and each result record."""
+    ring = RingSpec(3, 2, minimalize({(1, 1)}))
+    frob = MonomialMap.frobenius(ring)
+    line, plane = RingSpec.polynomial(0, 1), RingSpec.polynomial(0, 2)
+    cube = MonomialMap.diagonal((3,), line)
+    square = TransferSquare(line, line, ((2,),), cube, cube)
+    seq = local_entropy_sequence(ring, frob, n_max=1)
+    diagonal = MonomialMap.diagonal((2, 3), plane)
+    report = sandwich(plane, diagonal, [(1, 0), (0, 1)], [0.0], 1)
+    spec = Path(__file__).parent.parent / "specs" / "frobenius_cross.ring"
+    return {
+        "MonomialIdeal": ring.quotient,
+        "RingSpec": ring,
+        "MonomialMap": frob,
+        "TransferSquare": square,
+        "EntropyRow": seq.rows[0],
+        "EntropySequence": seq,
+        "SandwichRow": report.rows[0],
+        "SandwichReport": report,
+        "TransferReport": transfer_check(square),
+        "HomologyLengths": homology_lengths(KoszulComplex(ring, [(1, 0), (0, 1)])),
+        "GeneratorProfile": report.profile,
+        "SpecFile": parse_spec(spec),
+    }
+
+
+VALIDATED = ("MonomialIdeal", "RingSpec", "MonomialMap", "TransferSquare")
+
+REPRS = {
+    "MonomialIdeal": "MonomialIdeal(generators=((1, 1),), ambient_dim=2)",
+    "RingSpec": (
+        "RingSpec(characteristic=3, dim_ambient=2, "
+        "quotient=MonomialIdeal(generators=((1, 1),), ambient_dim=2))"
+    ),
+    "MonomialMap": (
+        "MonomialMap(matrix=((3, 0), (0, 3)), ring=RingSpec(characteristic=3, "
+        "dim_ambient=2, quotient=MonomialIdeal(generators=((1, 1),), "
+        "ambient_dim=2)))"
+    ),
+    "EntropyRow": (
+        "EntropyRow(n=1, length=5, log_average=1.6094379124341003, "
+        "log_length=1.6094379124341003)"
+    ),
+    "SandwichRow": (
+        "SandwichRow(t=0.0, n=1, lower_logavg=1.791759469228055, "
+        "upper_logavg=1.791759469228055, gap_bound=0.0)"
+    ),
+    "TransferReport": (
+        "TransferReport(source_rate=(3, 1), target_rate=(3, 1), agree=True, "
+        "conclusion='pullback entropy of the target map is constant in t and "
+        "equal to 1.09861228867')"
+    ),
+    "HomologyLengths": "HomologyLengths(lengths={0: 1, -1: 1, -2: 0}, region=(2, 2))",
+    "GeneratorProfile": "GeneratorProfile(peak=1, width=0)",
+}
+
+
+def test_value_types_compare_hash_and_print_by_their_fields():
+    # two builds from equal inputs are equal, distinct objects that hash
+    # alike, refuse assignment, and print as "Name(field=value, ...)"; the
+    # records copy with _replace, the validated types only through their
+    # checks (pickling reruns them)
+    first, second = _value_objects(), _value_objects()
+    for name, value in first.items():
+        other = second[name]
+        fields = type(value)._fields
+        assert type(value).__name__ == name
+        assert value is not other and value == other and not value != other, name
+        if name != "HomologyLengths":  # its lengths are a dict
+            assert hash(value) == hash(other), name
+        assert pickle.loads(pickle.dumps(value)) == value, name
+        with pytest.raises(AttributeError):
+            setattr(value, fields[0], getattr(other, fields[0]))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        shown = ", ".join(f"{f}={getattr(value, f)!r}" for f in fields)
+        assert repr(value) == REPRS.get(name, f"{name}({shown})")
+        if name in VALIDATED:
+            assert not hasattr(value, "_replace"), name
+            with pytest.raises(AttributeError):
+                delattr(value, fields[0])
+            continue
+        changed = value._replace(**{fields[-1]: "changed"})
+        assert type(changed) is type(value) and changed != value
+        assert tuple(changed) == tuple(value)[:-1] + ("changed",)
+        assert value == other, name
+    # a ring's cached maximal ideal is no field
+    ring = first["RingSpec"]
+    ring.maximal_ideal()
+    assert ring == second["RingSpec"] and hash(ring) == hash(second["RingSpec"])
+    assert "_maximal_ideal" not in repr(ring)
+    # equality is per type: an ideal never equals a tuple of its fields
+    ideal = first["MonomialIdeal"]
+    assert ideal != (ideal.generators, ideal.ambient_dim)
