@@ -1,9 +1,10 @@
 """Command-line front door.
 
 Subcommands: entropy, delta, koszul, verify, transfer, each taking only
-the flags it reads.  Every verdict compares integers: the closed-form
-suites check lengths on any monomial quotient, and transfer compares
-rates log(N)/L as integer powers.  Reports are deterministic: identical
+the flags it reads.  Every verdict compares integers: the monomial-matrix
+suites check every length by a pivot count and the printed rate by an
+integer bracket, on any monomial quotient; transfer compares rates
+log(N)/L as integer powers.  Reports are deterministic: identical
 invocations produce byte-identical stdout (wall time goes to stderr).
 Exit codes: 0 success, 2 malformed input, 3 failed hypothesis (finite
 length, regularity, commutation, the map a suite needs), 4 failed verdict.
@@ -25,12 +26,12 @@ from .endos import MonomialMap, _matmul, _matvec
 from .koszul import pullback_homology
 from .entropy import (
     _monomial_matrix,
+    _rate_bracket_violations,
     estimate_limit,
     exact_rate,
     int_log,
     local_entropy_sequence,
     log_rate,
-    monomial_matrix_closed_form,
     sandwich,
     sandwich_violations,
     transfer_check,
@@ -142,7 +143,7 @@ def _suites(phi: MonomialMap) -> list[str]:
     return ["frobenius"] * frobenius + ["diagonal", "monomial-matrix"]
 
 
-def _oracle_lengths_verdict(seq):
+def _oracle_lengths_verdict(seq, name="oracle-colength"):
     """Check every length of the sequence with ``_pivot_count``.  The images
     come from composed powers of the map's matrix, not from the sequence's
     image-by-image iteration, so the check stays independent of it."""
@@ -155,10 +156,8 @@ def _oracle_lengths_verdict(seq):
         images = [_matvec(power, g) for g in seq.ideal_used.generators]
         length = _pivot_count(images + quotient, ring.dim_ambient)
         if length != row.length:
-            return ("oracle-colength", False,
-                    f"pivot count gives {length} at n = {row.n}")
-    return ("oracle-colength", True,
-            f"pivot count agrees for n <= {seq.rows[-1].n}")
+            return (name, False, f"pivot count gives {length} at n = {row.n}")
+    return (name, True, f"pivot count agrees for n <= {seq.rows[-1].n}")
 
 
 def _entropy(args, spec, report: RunReport, scale: float):
@@ -245,14 +244,14 @@ def _oracle_koszul_verdict(spec, complex_, lengths, n):
     ``_pivot_count`` checks it on any ring and at any depth, with no cell
     walk and no slice count: this is the independent part.  On a regular
     ring a finite-length phi is flat (Matsumura, Commutative Ring Theory,
-    23.1), so for n >= 1 every degree is length(R/phi^n m), from the closed
-    form, times the length of the complex on the sequence itself.  That
-    catches cell-walk and region errors, which grow with the exponents.  It
-    does not catch a wrong slice count: for a monomial-matrix map every
-    slice of the pullback is a slice of the base, so such an error scales
-    exactly and passes.  When the kept entries are a system of parameters,
-    both sides come from the same closed form, so flatness compares it
-    with itself and H^0 by the pivot count is the only independent check."""
+    23.1), so for n >= 1 every degree is length(R/phi^n m) = |det A|^n,
+    read off phi's matrix A, times its length at n = 0.  That catches
+    cell-walk and region errors, which grow with the exponents.  It does
+    not catch a wrong slice count: for a monomial-matrix map every slice of
+    the pullback is a slice of the base, so such an error scales exactly
+    and passes.  When the kept entries are a system of parameters, both
+    sides are products of exponents, so flatness compares a product with
+    itself and H^0 by the pivot count is the only independent check."""
     ring = spec.ring
     h0 = _pivot_count([*complex_.sequence, *ring.quotient.generators],
                       ring.dim_ambient)
@@ -260,7 +259,7 @@ def _oracle_koszul_verdict(spec, complex_, lengths, n):
         return ("oracle-koszul", False, f"pivot count gives H^0 = {h0}")
     notes = ["pivot count agrees at H^0"]
     if ring.regular and n:
-        factor = monomial_matrix_closed_form(spec.map, n)[-1]
+        factor = math.prod(_monomial_matrix(spec.map)[1]) ** n
         base = pullback_homology(ring, spec.sequence, spec.map, 0)[1].lengths
         for degree, length in sorted(base.items()):
             if factor * length != lengths.length(degree):
@@ -295,22 +294,21 @@ def _transfer(args, spec, report: RunReport, scale: float):
     report.footer.append(("conclusion", result.conclusion))
 
 
-def _verify_closed_form(args, spec, report: RunReport, scale: float):
+def _verify_exact_rate(args, spec, report: RunReport, scale: float):
     if args.suite not in _suites(spec.map):
         raise HypothesisError(
             f"verify {args.suite} requires {_REQUIREMENTS[args.suite]}"
         )
-    lengths = monomial_matrix_closed_form(spec.map, args.max_iter)
     seq = local_entropy_sequence(spec.ring, spec.map, None, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
-    rate = _rate(exact_rate(spec.map), scale)
-    report.footer.append(("prediction", args.suite, rate))
-    wrong = [(row.n, length) for row, length in zip(seq.rows, lengths)
-             if row.length != length]
+    rate = exact_rate(spec.map)
+    report.footer.append(("prediction", args.suite, _rate(rate, scale)))
+    report.verdicts.append(_oracle_lengths_verdict(seq, "exact-lengths"))
+    problems = _rate_bracket_violations(seq)
     report.verdicts.append((
-        "exact-lengths", not wrong,
-        "closed form gives {1} at n = {0}".format(*wrong[0]) if wrong
-        else "length_n equals the closed form at every n",
+        "rate-bracket", not problems, problems[0] if problems else
+        "face products bracket length_n and match log({})/{} for n <= {}"
+        .format(*rate, args.max_iter),
     ))
 
 
@@ -387,7 +385,7 @@ _HANDLERS = {
     ("delta", None): _delta,
     ("koszul", None): _koszul,
     ("transfer", None): _transfer,
-    **{("verify", suite): _verify_closed_form for suite in _REQUIREMENTS},
+    **{("verify", suite): _verify_exact_rate for suite in _REQUIREMENTS},
     ("verify", "ideal-independence"): _verify_ideal_independence,
     ("verify", "sandwich"): _verify_sandwich,
     ("verify", "transfer"): _verify_transfer,

@@ -4,16 +4,15 @@ pullback along finite-length monomial endomorphisms.
 Everything here reports finite-n data: length sequences, log averages, a
 least-squares slope, and per-n lower/upper tower counts whose log averages
 sandwich the functor entropy, besides the exact growth rate log(N)/L of a
-monomial-matrix map, held as the integers (N, L).  The bounds and the
+monomial-matrix map, held as the integers (N, L), and the integer bracket
+of the lengths that this rate stands on.  The bounds, the bracket and the
 transfer verdict are checked on integers; only the slope is a float
 estimate.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from collections import namedtuple
 
 from .errors import (
@@ -28,6 +27,7 @@ from .monomials import (
     _check_same_dim,
     _divisor_mask,
     _faces,
+    _pivot_count,
     _pure_powers,
     _standard_count,
     colength,
@@ -236,10 +236,10 @@ def sandwich(
     H^0 of its n-th pullback is the ring modulo the n-th iterate image of
     that ideal, so the lower tower count at n is that colength.  The upper
     count, the length of R/phi^n(m), is certified only over a regular ring.
-    There a finite-length map is a monomial matrix, so the upper counts
-    come from ``monomial_matrix_closed_form``, which shares no code with
-    the colength engine behind the lower ones.  On any other ring the rows
-    carry the lower bound only.
+    There a finite-length map is a monomial matrix, so the upper count is
+    |det A|^n, read off its matrix A and not from the colength engine
+    behind the lower counts.  On any other ring the rows carry the lower
+    bound only.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -248,14 +248,14 @@ def sandwich(
     base = KoszulComplex(ring, sequence)
     profile = generator_profile(homology_lengths(base))
     # first, so that a map not of finite length raises NotFiniteLengthError
-    # before the closed form can call it no monomial matrix
+    # before _monomial_matrix can call it no monomial matrix
     lower_seq = local_entropy_sequence(
         ring, phi, MonomialIdeal(base.sequence, ring.dim_ambient), n_max
     )
     upper_seq, upper = None, [None] * n_max
     if ring.regular:
-        lengths = monomial_matrix_closed_form(phi, n_max)
-        upper_rows = tuple(map(_row, itertools.count(1), lengths))
+        det = math.prod(_monomial_matrix(phi)[1])
+        upper_rows = tuple(_row(n, det**n) for n in range(1, n_max + 1))
         upper_seq = EntropySequence(upper_rows, ring.maximal_ideal(), phi)
         upper = [row.log_average for row in upper_rows]
     rows = []
@@ -294,6 +294,35 @@ def sandwich_violations(report: SandwichReport) -> list[str]:
     ]
 
 
+def _rate_bracket_violations(seq: EntropySequence) -> list[str]:
+    """A message for every n at which the lengths l_n of R/phi^n(m), the
+    rows of ``seq`` for a monomial-matrix phi, break the bracket proved in
+    ``exact_rate``: low_n <= l_n <= C * low_n, and low_n = N^k at every
+    n = kL for its (N, L).  low_n comes from the cycle recursion, not from
+    ``exact_rate``, so the second check tests it; C is a pivot count."""
+    source, power = _monomial_matrix(seq.map)
+    quotient = list(seq.map.ring.quotient.generators)
+    d = len(source)
+    faces = _faces(quotient, d)
+    # every N_i(n) is >= 1, so the largest product is over a maximal face
+    faces = [[i for i in range(d) if f >> i & 1] for f in faces
+             if not any(f != g and f & g == f for g in faces)]
+    box = [max((g[i] for g in quotient), default=0) + 1 for i in range(d)]
+    walls = [tuple(b * (i == j) for j in range(d)) for i, b in enumerate(box)]
+    corners = _pivot_count(quotient + walls, d)
+    (rate_n, period), sides, problems = exact_rate(seq.map), [1] * d, []
+    for row in seq.rows:
+        sides = [e * sides[j] for e, j in zip(power, source)]
+        low = max(math.prod(sides[i] for i in face) for face in faces)
+        if not low <= row.length <= corners * low:
+            problems.append(f"n={row.n}: length {row.length} lies outside "
+                            f"[{low}, {corners} * {low}]")
+        if row.n % period == 0 and low != rate_n ** (row.n // period):
+            problems.append(f"n={row.n}: the largest face product {low} "
+                            f"is not {rate_n}^{row.n // period}")
+    return problems
+
+
 def _monomial_matrix(phi: MonomialMap) -> tuple[list[int], list[int]]:
     """(source, power) of a monomial-matrix map phi(X_j) = X_pi(j)^e_j:
     row i of its matrix holds its one positive entry, power[i] = e_j, at
@@ -310,14 +339,20 @@ def exact_rate(phi: MonomialMap) -> tuple[int, int]:
     of R/phi^n(m) for a monomial-matrix map phi(X_j) = X_pi(j)^e_j on
     R = k[X]/J, J monomial; other maps raise HypothesisError.
 
-    l_n counts the J-standard points of the box prod [0, N_i(n)), where
-    N_pi(j)(n) = e_j * N_j(n - 1), N(0) = 1, and N_i(n + k) = P * N_i(n) on
-    a pi-cycle of length k and product P.  The points supported in a face
-    (a set of variables holding no generator's support) are standard, and
-    the axes on which a standard point reaches J's largest exponent c form
-    a face: l_n lies between max_F prod_F N_i(n) and 2^d c^d times it.  So
-    the rate is max_F sum_F log(P)/k = log(N)/L, with L the lcm of the k's
-    and N = max_F prod_F P^(L/k).
+    phi^n(m) = (X_i^N_i(n)), where N_pi(j)(n) = e_j * N_j(n - 1), N(0) = 1,
+    and N_i(n + k) = P * N_i(n) on a pi-cycle of length k and product P, so
+    l_n counts the J-standard points of the box prod [0, N_i(n)).  Let
+    low_n = max_F prod_F N_i(n) over the faces F, the sets of variables
+    holding no generator's support, and C the number of J-standard points
+    of the box prod [0, c_i], c_i the largest i-th exponent of J.  Then
+    low_n <= l_n <= C * low_n.  Below: a point supported in a face is
+    standard.  Above: membership in J depends only on the corner
+    a = min(u, c), and for a standard corner the axes T = {i : a_i = c_i}
+    form a face, since a generator supported in T would divide a.  A point
+    with corner a agrees with a off T, so at most prod_T N_i(n) <= low_n
+    such points lie in the box.  So the rate is max_F sum_F log(P)/k =
+    log(N)/L, with L the lcm of the k's and N = max_F prod_F P^(L/k), and
+    low_kL = N^k.
     """
     source, power = _monomial_matrix(phi)
     cycles = []
@@ -342,47 +377,6 @@ def exact_rate(phi: MonomialMap) -> tuple[int, int]:
 def log_rate(rate: tuple[int, int]) -> float:
     """The growth rate log(N)/L that the exact rate (N, L) stands for."""
     return int_log(rate[0]) / rate[1]
-
-
-def monomial_matrix_closed_form(phi: MonomialMap, n_max: int = 8) -> tuple[int, ...]:
-    """Exact lengths of R/phi^n(m), n = 1..n_max, for a monomial-matrix map
-    phi(X_j) = X_pi(j)^e_j on R = k[X]/J for any monomial J, sharing no
-    code with the colength engine; other maps raise HypothesisError.  Their
-    growth rate is ``exact_rate``.
-
-    phi^n(m) = (X_i^N_i), with N_i as in ``exact_rate``.  Whether a point
-    lies in J changes along axis i only at the i-th exponents of J's
-    generators, so each such cut a stands for the interval up to the next
-    cut (the last to infinity), weighing its overlap with [0, N_i); the
-    length sums the products of the weights over the J-standard points of
-    the box of cuts.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    source, power = _monomial_matrix(phi)
-    quotient = phi.ring.quotient.generators
-    if not quotient:
-        # the box of cuts is the origin alone, weighing prod N_i(n) = det^n
-        det = math.prod(power)
-        return tuple(det**n for n in range(1, n_max + 1))
-    d = len(source)
-    cuts = [sorted({0, *(g[i] for g in quotient)}) for i in range(d)]
-    # each standard point of the box of cuts, as its index on every axis
-    standard = [
-        tuple(map(list.index, cuts, a)) for a in itertools.product(*cuts)
-        if not any(all(map(operator.le, g, a)) for g in quotient)
-    ]
-    sides, lengths = [1] * d, []
-    for _ in range(n_max):
-        sides = [e * sides[j] for e, j in zip(power, source)]
-        weights = [
-            [max(min(b, side) - a, 0) for a, b in zip(c, c[1:] + [side])]
-            for c, side in zip(cuts, sides)
-        ]
-        lengths.append(sum(
-            math.prod(map(list.__getitem__, weights, point)) for point in standard
-        ))
-    return tuple(lengths)
 
 
 def transfer_check(square: TransferSquare) -> TransferReport:

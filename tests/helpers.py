@@ -14,7 +14,9 @@ import sys
 from bisect import bisect_right
 from fractions import Fraction
 
+from entrolab.endos import _matpow
 from entrolab.koszul import _differential
+from entrolab.monomials import _pivot_count
 
 
 def random_m_primary_ideal(rng, dim, max_exp=6, max_extra=3):
@@ -262,3 +264,17 @@ def count_calls(monkeypatch, owner, name):
                 and getattr(module, name, None) is original):
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def pivot_lengths(phi, ns):
+    """length(R/phi^n(m)) for each n in ``ns`` by the pivot count on the
+    columns of A^n and the quotient: no cell walk and no image-by-image
+    iteration."""
+    d = phi.ring.dim_ambient
+    quotient = list(phi.ring.quotient.generators)
+    lengths = []
+    for n in ns:
+        power = _matpow(phi.matrix, n)
+        columns = [tuple(row[j] for row in power) for j in range(d)]
+        lengths.append(_pivot_count(columns + quotient, d))
+    return tuple(lengths)

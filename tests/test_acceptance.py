@@ -23,7 +23,6 @@ from entrolab import (
     iterate,
     local_entropy_sequence,
     minimalize,
-    monomial_matrix_closed_form,
     sandwich,
     sandwich_violations,
     transfer_check,
@@ -33,6 +32,7 @@ from entrolab.entropy import log_rate
 from helpers import (
     dd_product_terms,
     koszul_homology_oracle,
+    pivot_lengths,
     random_m_primary_ideal,
     random_monomial_sequence,
 )
@@ -48,6 +48,7 @@ def test_criterion_1_diagonal_closed_form():
     for row in seq.rows:
         assert row.length == 30 ** row.n
         assert abs(row.log_average - LOG30) < 1e-9
+    assert pivot_lengths(phi, range(1, 9)) == tuple(30 ** n for n in range(1, 9))
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     print(f"criterion 1 (diagonal closed form, 30^n): PASS ({elapsed:.3f}s)")
@@ -63,7 +64,7 @@ def test_criterion_2_monomial_matrix_determinant():
         assert length == 6 ** n
     seq = local_entropy_sequence(ring, phi, None, 6)
     assert [row.length for row in seq.rows] == [6 ** n for n in range(1, 7)]
-    assert monomial_matrix_closed_form(phi, 6) == tuple(row.length for row in seq.rows)
+    assert pivot_lengths(phi, range(1, 7)) == tuple(6 ** n for n in range(1, 7))
     assert exact_rate(phi) == (36, 2)
     assert abs(log_rate(exact_rate(phi)) - LOG6) < 1e-12
     print("criterion 2 (monomial matrix, |det|^n = 6^n): PASS")
@@ -76,7 +77,7 @@ def test_criterion_3_frobenius_regular():
     for row in seq.rows:
         assert row.length == 4 ** row.n
         assert abs(row.log_average - 2 * LOG2) < 1e-9
-    assert monomial_matrix_closed_form(frob, 8) == tuple(row.length for row in seq.rows)
+    assert pivot_lengths(frob, range(1, 9)) == tuple(4 ** n for n in range(1, 9))
     assert abs(log_rate(exact_rate(frob)) - 2 * LOG2) < 1e-12
     print("criterion 3 (regular Frobenius, 4^n and 2 log 2): PASS")
 
@@ -93,7 +94,7 @@ def test_criterion_4_frobenius_on_quotient():
         if row.n <= 5:
             image = image_ideal(iterate(frob, row.n), m)
             assert colength_bruteforce(image, ring) == row.length
-    assert monomial_matrix_closed_form(frob, 8) == tuple(row.length for row in seq.rows)
+    assert pivot_lengths(frob, range(1, 9)) == tuple(2 * 3 ** n - 1 for n in range(1, 9))
     assert abs(log_rate(exact_rate(frob)) - LOG3) < 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

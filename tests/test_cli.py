@@ -701,7 +701,9 @@ def test_verify_diagonal(workdir, capsys):
             _digest_line(DIAG),
             *SEQUENCE_6N,
             "# prediction\tdiagonal\t1.79175946923",
-            "# verdict\texact-lengths\tPASS\tlength_n equals the closed form at every n",
+            "# verdict\texact-lengths\tPASS\tpivot count agrees for n <= 8",
+            "# verdict\trate-bracket\tPASS\tface products bracket length_n "
+            "and match log(6)/1 for n <= 8",
             "",
         ]
     )
@@ -730,6 +732,7 @@ def test_verify_diagonal_on_quotients(workdir, capsys):
     assert code == 0
     assert f"# prediction\tdiagonal\t{math.log(15):.12g}" in out
     assert "# verdict\texact-lengths\tPASS" in out
+    assert "# verdict\trate-bracket\tPASS" in out
 
 
 def test_verify_monomial_matrix(workdir, capsys):
@@ -743,7 +746,9 @@ def test_verify_monomial_matrix(workdir, capsys):
             _digest_line(swap),
             *SEQUENCE_6N,
             "# prediction\tmonomial-matrix\t1.79175946923",
-            "# verdict\texact-lengths\tPASS\tlength_n equals the closed form at every n",
+            "# verdict\texact-lengths\tPASS\tpivot count agrees for n <= 8",
+            "# verdict\trate-bracket\tPASS\tface products bracket length_n "
+            "and match log(36)/2 for n <= 8",
             "",
         ]
     )
@@ -751,17 +756,23 @@ def test_verify_monomial_matrix(workdir, capsys):
 
 
 def test_verify_exact_lengths_fail(workdir, capsys, monkeypatch):
-    # a closed form that disagrees with the count fails the verdict (exit 4)
-    def off_by_one(phi, n_max):
-        return tuple(6 ** n + (n == 3) for n in range(1, n_max + 1))
+    # a pivot count that disagrees with the engine fails the verdict (exit
+    # 4); a count one off at n = 3 stays inside the rate bracket
+    count = entrolab.cli._pivot_count
 
-    monkeypatch.setattr(entrolab.cli, "monomial_matrix_closed_form", off_by_one)
+    def off_by_one(gens, dim):
+        length = count(gens, dim)
+        return length + (length == 6 ** 3)
+
+    monkeypatch.setattr(entrolab.cli, "_pivot_count", off_by_one)
     (workdir / "diag23.spec").write_text(DIAG)
     code, out = _run(capsys, ["verify", "diagonal", "--spec", "diag23.spec"])
     assert code == 4
-    assert out.splitlines()[-1] == (
-        "# verdict\texact-lengths\tFAIL\tclosed form gives 217 at n = 3"
-    )
+    assert out.splitlines()[-2:] == [
+        "# verdict\texact-lengths\tFAIL\tpivot count gives 217 at n = 3",
+        "# verdict\trate-bracket\tPASS\tface products bracket length_n "
+        "and match log(6)/1 for n <= 8",
+    ]
 
 
 def test_verify_frobenius_on_quotient(workdir, capsys):
@@ -783,7 +794,9 @@ def test_verify_frobenius_on_quotient(workdir, capsys):
             "7\t4373\t8.38320455141\t1.1976006502",
             "8\t13121\t9.48196927911\t1.18524615989",
             "# prediction\tfrobenius\t1.09861228867",
-            "# verdict\texact-lengths\tPASS\tlength_n equals the closed form at every n",
+            "# verdict\texact-lengths\tPASS\tpivot count agrees for n <= 8",
+            "# verdict\trate-bracket\tPASS\tface products bracket length_n "
+            "and match log(3)/1 for n <= 8",
             "",
         ]
     )
@@ -798,7 +811,11 @@ def test_verify_frobenius_cross_at_every_depth(capsys, n):
     argv = ["verify", "frobenius", "--spec", str(spec), "--max-iter", str(n)]
     code, out = _run(capsys, argv)
     assert code == 0
-    assert out.splitlines()[-1].startswith("# verdict\texact-lengths\tPASS\t")
+    assert out.splitlines()[-2:] == [
+        f"# verdict\texact-lengths\tPASS\tpivot count agrees for n <= {n}",
+        "# verdict\trate-bracket\tPASS\tface products bracket length_n "
+        f"and match log(3)/1 for n <= {n}",
+    ]
 
 
 def test_entropy_prediction_prefers_frobenius(capsys):
@@ -1010,8 +1027,8 @@ def test_verify_sandwich(workdir, capsys):
 
 
 def test_count_fault_breaks_the_sandwich(capsys, monkeypatch):
-    # the upper counts come from the closed form, not from the engine that
-    # counts the lower ones, so a count one too high shows: on k[X,Y,Z]
+    # the upper counts |det A|^n are read off the matrix, not from the
+    # engine that counts the lower ones, so a count one too high shows: on k[X,Y,Z]
     # with the sequence X, Y, Z, peak = 1, the one count of length(R/m) = 1
     # reads 2, and L_1 = 2 * 30 = 60 > 1 * U_1 = 30
     count = entrolab.entropy._standard_count

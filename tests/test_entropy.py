@@ -29,14 +29,13 @@ from entrolab import (
     krull_dimension,
     local_entropy_sequence,
     minimalize,
-    monomial_matrix_closed_form,
     sandwich,
     sandwich_violations,
     transfer_check,
 )
 import entrolab.endos as endos_module
 import entrolab.entropy as entropy_module
-from entrolab.entropy import log_rate
+from entrolab.entropy import _rate_bracket_violations, log_rate
 import entrolab.monomials as monomials_module
 from entrolab.monomials import _pivot_count, _pure_powers
 from entrolab.cli import _suites
@@ -48,7 +47,7 @@ from entrolab.koszul import (
     pullback,
 )
 from entrolab.specfile import parse_spec
-from helpers import count_calls, random_m_primary_ideal
+from helpers import count_calls, pivot_lengths, random_m_primary_ideal
 
 R2 = RingSpec.polynomial(0, 2)
 R3 = RingSpec.polynomial(0, 3)
@@ -507,8 +506,15 @@ def test_sandwich_monotone_chain_random():
 
 def test_sandwich_upper_counts_come_from_the_closed_form(monkeypatch):
     # the engine counts the lower sequence once; the upper counts
-    # length(R/phi^n m) = |det A|^n come from the closed form, and no
-    # float extrapolation is made
+    # length(R/phi^n m) = |det A|^n are read off the matrix, not from the
+    # engine: a count one too high moves the lower counts only.  No float
+    # extrapolation is made
+    count = entropy_module._standard_count
+
+    def one_over(vectors, ring):
+        length, *rest = count(vectors, ring)
+        return (length + 1, *rest)
+
     rng = random.Random(2024)
     engine = count_calls(monkeypatch, entropy_module, "local_entropy_sequence")
     limits = count_calls(monkeypatch, entropy_module, "estimate_limit")
@@ -530,14 +536,20 @@ def test_sandwich_upper_counts_come_from_the_closed_form(monkeypatch):
         assert not sandwich_violations(report)
         upper = [row.length for row in report.upper_sequence.rows]
         assert upper == [det**n for n in range(1, n_max + 1)]
-        assert tuple(upper) == monomial_matrix_closed_form(phi, n_max)
         assert report.upper_sequence.ideal_used == ring.maximal_ideal()
+        with monkeypatch.context() as patch:
+            patch.setattr(entropy_module, "_standard_count", one_over)
+            faulty = sandwich(ring, phi, sequence, [0.0], n_max)
+        assert [row.length for row in faulty.upper_sequence.rows] == upper
+        assert [row.length for row in faulty.lower_sequence.rows] != [
+            row.length for row in report.lower_sequence.rows
+        ]
     assert limits == []
 
 
 def test_sandwich_rejects_a_map_not_of_finite_length_first():
     # the lower counts come first: a map that is not of finite length is a
-    # failed hypothesis, not the closed form's "not a monomial matrix"
+    # failed hypothesis, not "not a monomial matrix" from the matrix reader
     collapse = MonomialMap.from_columns([(1, 1), (1, 1)], R2)
     for sequence in (None, [(2, 0), (0, 1)]):
         with pytest.raises(NotFiniteLengthError):
@@ -577,13 +589,21 @@ def test_sandwich_violations_compare_tower_counts():
     ]
 
 
+def _lengths(phi, n_max=8):
+    seq = local_entropy_sequence(phi.ring, phi, None, n_max)
+    assert not _rate_bracket_violations(seq), phi
+    lengths = tuple(row.length for row in seq.rows)
+    assert lengths == pivot_lengths(phi, range(1, n_max + 1))
+    return lengths
+
+
 def test_diagonal_closed_form():
     ring = RingSpec.polynomial(0, 3)
     diag = MonomialMap.diagonal((2, 3, 5), ring)
-    assert monomial_matrix_closed_form(diag, 6) == tuple(30**n for n in range(1, 7))
+    assert _lengths(diag, 6) == tuple(30**n for n in range(1, 7))
     assert exact_rate(diag) == (30, 1)
     identity = MonomialMap.diagonal((1, 1, 1), ring)
-    assert monomial_matrix_closed_form(identity, 3) == (1, 1, 1)
+    assert _lengths(identity, 3) == (1, 1, 1)
     assert log_rate(exact_rate(identity)) == 0.0
     square = MonomialMap.diagonal((4, 4), R2)
     assert exact_rate(square) == (16, 1)
@@ -592,7 +612,7 @@ def test_diagonal_closed_form():
     # wins, and (XY, YZ) leaves the faces {X, Z} and {Y}
     cross = RingSpec(0, 2, minimalize({(1, 1)}))
     phi = MonomialMap.diagonal((2, 3), cross)
-    lengths = monomial_matrix_closed_form(phi)
+    lengths = _lengths(phi)
     assert lengths == tuple(2 ** n + 3 ** n - 1 for n in range(1, 9))
     assert exact_rate(phi) == (3, 1)
     for quotient, expected in (({(1, 1, 0)}, 15), ({(1, 1, 0), (0, 1, 1)}, 10)):
@@ -600,15 +620,44 @@ def test_diagonal_closed_form():
         assert exact_rate(MonomialMap.diagonal((2, 3, 5), ring)) == (expected, 1)
     # a permutation of period 2 takes half the log of the cycle's product
     swap = MonomialMap.from_columns([(0, 2), (3, 0)], R2)
-    assert monomial_matrix_closed_form(swap, 4) == (6, 36, 216, 1296)
+    assert _lengths(swap, 4) == (6, 36, 216, 1296)
     assert exact_rate(swap) == (36, 2)
     assert abs(log_rate(exact_rate(swap)) - math.log(6)) < 1e-12
     with pytest.raises(ValueError, match="not a monomial matrix"):
-        monomial_matrix_closed_form(MonomialMap(((1, 0), (1, 1)), R2))
+        exact_rate(MonomialMap(((1, 0), (1, 1)), R2))
     # the lengths start at n = 1, on a polynomial ring and on a quotient
     for psi, n_max in ((swap, 0), (square, -1), (phi, 0)):
         with pytest.raises(ValueError, match="n_max"):
-            monomial_matrix_closed_form(psi, n_max)
+            local_entropy_sequence(psi.ring, psi, None, n_max)
+
+
+def test_rate_bracket_catches_a_wrong_face_or_rate(monkeypatch):
+    # X -> Y, Y -> X^2 on k[X,Y]/(X^3 Y^2): C = 11 corners of [0,3] x [0,2]
+    # are standard, and the faces {X}, {Y} give low_n = 2, 2, 4, 4, ...
+    spec = parse_spec(Path(__file__).parent.parent / "specs" / "transfer_swap.ring")
+    seq = local_entropy_sequence(spec.ring, spec.map, None, 8)
+    assert [row.length for row in seq.rows] == [2, 4, 8, 14, 22, 34, 50, 74]
+    assert not _rate_bracket_violations(seq)
+    assert exact_rate(spec.map) == (2, 2)
+    # with every subset a face, low_4 = 16 exceeds l_4 = 14
+    monkeypatch.setattr(entropy_module, "_faces", lambda q, d: list(range(1 << d)))
+    assert _rate_bracket_violations(seq)[0] == "n=4: length 14 lies outside [16, 11 * 16]"
+    monkeypatch.undo()
+    # a wrong rate breaks the second check alone, at every even n
+    monkeypatch.setattr(entropy_module, "exact_rate", lambda phi: (3, 2))
+    assert _rate_bracket_violations(seq) == [
+        f"n={n}: the largest face product {2 ** (n // 2)} is not 3^{n // 2}"
+        for n in (2, 4, 6, 8)
+    ]
+    monkeypatch.undo()
+    # a length one past C * low_n, or one below low_n, is named with its n
+    rows = list(seq.rows)
+    rows[0] = rows[0]._replace(length=11 * 2 + 1)
+    rows[3] = rows[3]._replace(length=3)
+    assert _rate_bracket_violations(seq._replace(rows=tuple(rows))) == [
+        "n=1: length 23 lies outside [2, 11 * 2]",
+        "n=4: length 3 lies outside [4, 11 * 4]",
+    ]
 
 
 def test_regular_closed_form_rate_is_the_face_table_maximum():
@@ -657,7 +706,7 @@ def test_frobenius_prediction():
         assert abs(frobenius_rate(ring) - expected) < 1e-12
 
 
-def _closed_form_case(rng):
+def _monomial_matrix_case(rng):
     """A random monomial-matrix map on a random quotient.  Half the drawn
     quotient generators come with their images under the permutation; a
     draw on which the map is not well defined is drawn again."""
@@ -678,23 +727,22 @@ def _closed_form_case(rng):
     try:
         return MonomialMap.from_columns(columns, ring), perm != sorted(perm)
     except ValueError:
-        return _closed_form_case(rng)
+        return _monomial_matrix_case(rng)
 
 
-def test_monomial_matrix_closed_form_matches_the_engine_random():
+def test_monomial_matrix_lengths_meet_the_bracket_and_the_pivot_count_random():
     rng = random.Random(6174)
     permuted = 0
     for _ in range(320):
-        phi, is_permuted = _closed_form_case(rng)
+        phi, is_permuted = _monomial_matrix_case(rng)
         n_max = rng.randint(1, 8)
-        lengths = monomial_matrix_closed_form(phi, n_max)
-        seq = local_entropy_sequence(phi.ring, phi, None, n_max)
-        assert lengths == tuple(row.length for row in seq.rows), phi
+        # the engine's lengths equal the pivot count and meet the bracket
+        _lengths(phi, n_max)
         # every cycle length of a permutation of at most 3 variables
         # divides 6, so far out the lengths grow by e^(6 rate) every 6 steps
-        lengths = monomial_matrix_closed_form(phi, 126)
+        far, farther = pivot_lengths(phi, (120, 126))
         rate = log_rate(exact_rate(phi))
-        assert abs(int_log(lengths[125]) - int_log(lengths[119]) - 6 * rate) < 1e-6
+        assert abs(int_log(farther) - int_log(far) - 6 * rate) < 1e-6
         permuted += is_permuted
     assert permuted >= 100
 
@@ -752,11 +800,16 @@ def test_transfer_check_disagreement_reports_chain():
 
 
 def test_monomial_matrix_helper_raises_a_hypothesis_error():
-    # one reader of the matrix: the closed form, the exact rate, the
+    # one reader of the matrix: the exact rate, the rate bracket, the
     # transfer check and the suites all refuse the same maps the same way
     shear = MonomialMap(((1, 0), (1, 1)), R2)
-    for call in (entropy_module._monomial_matrix, exact_rate,
-                 monomial_matrix_closed_form):
+
+    def bracket(phi):
+        return _rate_bracket_violations(
+            EntropySequence((), R2.maximal_ideal(), phi)
+        )
+
+    for call in (entropy_module._monomial_matrix, exact_rate, bracket):
         with pytest.raises(HypothesisError) as info:
             call(shear)
         assert type(info.value) is HypothesisError
@@ -786,7 +839,7 @@ def test_transfer_agreement_matches_the_closed_form_rates():
     outcomes = set()
     with_quotient = 0
     for _ in range(240):
-        phi, _ = _closed_form_case(rng)
+        phi, _ = _monomial_matrix_case(rng)
         ring = phi.ring
         source = RingSpec.polynomial(ring.characteristic, ring.dim_ambient)
         psi = MonomialMap(phi.matrix, source)

@@ -153,14 +153,19 @@ def test_each_spec_builds_its_own_maximal_ideal(tmp_path):
     [
         (10**18 + 3, True),
         (2**61 - 1, True),
+        (53, True),
         (561, False),
         (2047, False),
+        (1373653, False),
+        (25326001, False),
         (3215031751, False),
         (3825123056546413051, False),
     ],
 )
 def test_characteristic_primality(tmp_path, p, prime):
-    # large primes are certified quickly; strong pseudoprimes are rejected
+    # large primes are certified quickly; strong pseudoprimes are rejected.
+    # 53, 1373653 and 25326001 have no factor up to 41 and p - 1 divisible
+    # by 4, so they run the squaring loop of the Miller-Rabin test
     path = _write(tmp_path, f"variables X\nmap [2]\ncharacteristic {p}\n")
     if prime:
         assert parse_spec(path).ring.characteristic == p
