@@ -8,6 +8,11 @@ log(N)/L as integer powers.  Reports are deterministic: identical
 invocations produce byte-identical stdout (wall time goes to stderr).
 Exit codes: 0 success, 2 malformed input, 3 failed hypothesis (finite
 length, regularity, commutation, the map a suite needs), 4 failed verdict.
+Flags are declared once, in ``_FLAGS``.  A command line that names a
+leaf and gives only its flags, as ``--flag value`` or ``--flag=value``,
+is read in one pass over that table; anything else (help, an unknown
+word, a bad value) goes to the argparse tree built from the same table,
+which prints its help or usage error.
 """
 
 from __future__ import annotations
@@ -304,7 +309,7 @@ def _verify_exact_rate(args, spec, report: RunReport, scale: float):
     rate = exact_rate(spec.map)
     report.footer.append(("prediction", args.suite, _rate(rate, scale)))
     report.verdicts.append(_oracle_lengths_verdict(seq, "exact-lengths"))
-    problems = _rate_bracket_violations(seq)
+    problems = _rate_bracket_violations(seq, rate)
     report.verdicts.append((
         "rate-bracket", not problems, problems[0] if problems else
         "face products bracket length_n and match log({})/{} for n <= {}"
@@ -392,6 +397,49 @@ _HANDLERS = {
 }
 
 
+# each command's help line, in the order --help lists them
+_COMMANDS = {
+    "entropy": "colength growth of the iterates",
+    "delta": "lower/upper complexity bound tables",
+    "koszul": "cohomology lengths of a Koszul complex",
+    "verify": "verdict suites",
+    "transfer": "compare growth across a commuting square",
+}
+
+# Every flag, declared once as its ``add_argument`` keywords: ``_parser``
+# passes them on, and ``_read_flags`` reads required, type, default,
+# choices and store_true from them.
+_COMMON = {
+    "--spec": {"required": True, "help": "ring specification file"},
+    "--format": {"choices": ("tsv", "report"), "default": "tsv",
+                 "help": "tsv table or a single JSON object"},
+    "--log-base": {"choices": _LOG_SCALES, "default": "e", "help":
+                   "display base for logarithms (rescales display only)"},
+}
+_MAX_ITER = {"--max-iter": {"type": _int_at_least(1), "default": 8, "metavar": "N"}}
+_PULLBACK_ITER = {
+    "--pullback-iter": {"type": _int_at_least(0), "default": 0, "metavar": "N"}
+}
+_T = {"--t": {"type": _t_values, "default": "-1,0,1",
+              "help": "comma-separated real parameters for the bounds"}}
+_COLENGTH_ORACLE = {"--oracle": {"action": "store_true", "default": False, "help":
+                    "cross-check every colength by an independent pivot count"}}
+_KOSZUL_ORACLE = {"--oracle": {"action": "store_true", "default": False, "help":
+                  "cross-check H^0 by an independent pivot count and, on a "
+                  "regular ring, every degree by flatness"}}
+
+# the flags of each leaf, keyed like _HANDLERS, in the order --help lists them
+_FLAGS = {
+    ("entropy", None): {**_COMMON, **_MAX_ITER, **_COLENGTH_ORACLE},
+    ("delta", None): {**_COMMON, **_MAX_ITER, **_T, **_COLENGTH_ORACLE},
+    ("koszul", None): {**_COMMON, **_KOSZUL_ORACLE, **_PULLBACK_ITER},
+    ("transfer", None): {**_COMMON, **_MAX_ITER},
+    **{("verify", suite): {**_COMMON, **_MAX_ITER}
+       for suite in (*_REQUIREMENTS, "ideal-independence", "transfer")},
+    ("verify", "sandwich"): {**_COMMON, **_MAX_ITER, **_T},
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # parse_args leaves the parser unchanged, so one serves every call
@@ -403,73 +451,84 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # each command's own parser, by name
-
-    def common(sp, *, t=False, oracle="", max_iter=True):
-        sp.allow_abbrev = False  # --max is not read as --max-iter, nor --sp as --spec
-        sp.add_argument("--spec", required=True, help="ring specification file")
-        sp.add_argument(
-            "--format", choices=("tsv", "report"), default="tsv",
-            help="tsv table or a single JSON object",
-        )
-        sp.add_argument(
-            "--log-base", choices=_LOG_SCALES, default="e",
-            help="display base for logarithms (rescales display only)",
-        )
-        if max_iter:
-            sp.add_argument(
-                "--max-iter", type=_int_at_least(1), default=8, metavar="N"
-            )
-        if t:
-            sp.add_argument(
-                "--t", type=_t_values, default="-1,0,1",
-                help="comma-separated real parameters for the bounds",
-            )
-        if oracle:
-            sp.add_argument("--oracle", action="store_true", help=oracle)
-
-    colength_oracle = "cross-check every colength by an independent pivot count"
-    sp = sub.add_parser("entropy", help="colength growth of the iterates")
-    common(sp, oracle=colength_oracle)
-
-    sp = sub.add_parser("delta", help="lower/upper complexity bound tables")
-    common(sp, t=True, oracle=colength_oracle)
-
-    sp = sub.add_parser("koszul", help="cohomology lengths of a Koszul complex")
-    common(sp, oracle="cross-check H^0 by an independent pivot count and, on "
-           "a regular ring, every degree by flatness", max_iter=False)
-    sp.add_argument("--pullback-iter", type=_int_at_least(0), default=0, metavar="N")
-
-    sp = sub.add_parser("verify", help="verdict suites")
-    suites = sp.add_subparsers(dest="suite", required=True)
-    sp.commands = suites.choices
-    for suite in sorted(suite for _, suite in _HANDLERS if suite):
-        leaf = suites.add_parser(suite)
-        common(leaf, t=suite == "sandwich")
-        leaf.set_defaults(command="verify", suite=suite)
-
-    sp = sub.add_parser("transfer", help="compare growth across a commuting square")
-    common(sp)
-
-    for name, sp in sub.choices.items():  # handlers key on (command, suite)
-        sp.set_defaults(command=name, suite=None)
+    for command, help_ in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_)
+        sp.set_defaults(command=command, suite=None)
+        leaves = {None: sp}
+        if command == "verify":
+            suites = sp.add_subparsers(dest="suite", required=True)
+            leaves = {suite: suites.add_parser(suite) for suite in
+                      sorted(suite for name, suite in _FLAGS if name == command)}
+        for suite, leaf in leaves.items():
+            # --max is not read as --max-iter, nor --sp as --spec
+            leaf.allow_abbrev = False
+            leaf.set_defaults(command=command, suite=suite)
+            for option, keywords in _FLAGS[command, suite].items():
+                leaf.add_argument(option, **keywords)
     return parser
 
 
+def _read_flags(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``_parser().parse_args(argv)`` gives, read in one pass
+    over the leaf's flags, or None where argparse has more to say.
+
+    After a command, and a suite for verify, every word must be a flag of
+    that leaf, as ``--flag value`` or ``--flag=value``; the last one wins.
+    Values and string defaults go through the flag's type function and
+    choices, as in argparse.  It declines help, an unknown word, ``--``, a
+    missing value or ``--spec``, a value given to ``--oracle``, a type or
+    choice error, ``--flag=--``, and a separate value that begins with "-"
+    (argparse tells a negative number from a flag)."""
+    words = iter(argv)
+    command = next(words, None)
+    suite = next(words, None) if command == "verify" else None
+    flags = _FLAGS.get((command, suite))
+    if flags is None:
+        return None
+    values = {"command": command, "suite": suite}
+    for word in words:
+        option, equals, value = word.partition("=")
+        keywords = flags.get(option)
+        if keywords is None:
+            return None
+        dest = option[2:].replace("-", "_")
+        if "action" in keywords:  # store_true
+            if equals:
+                return None
+            values[dest] = True
+            continue
+        if not equals:
+            value = next(words, "-")  # a missing value declines as "-" does
+            if value.startswith("-"):
+                return None
+        elif value == "--":  # argparse removes it from the values it reads
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    for option, keywords in flags.items():
+        dest = option[2:].replace("-", "_")
+        if dest not in values:
+            if keywords.get("required"):
+                return None
+            default = keywords["default"]
+            if isinstance(default, str):
+                default = keywords.get("type", str)(default)
+            values[dest] = default
+    return argparse.Namespace(**values)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, sparing the scan of every word at each
-    level above the leaf: while the next word names a command or a verify
-    suite, descend to its parser, which reads the rest.  An argv that leaves
-    a word unparsed goes to the full parser, for its usage and error text."""
-    parser = leaf = _parser()
-    rest = argv
-    while rest and rest[0] in getattr(leaf, "commands", ()):
-        leaf, rest = leaf.commands[rest[0]], rest[1:]
-    if leaf is not parser:
-        args, extras = leaf.parse_known_args(rest)
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    """``_parser().parse_args(argv)``.  ``_read_flags`` reads an argv that
+    names a leaf and gives only its flags; whatever it declines goes to the
+    argparse tree, built on first use, which parses it or prints its help
+    (exit 0) or usage error (exit 2)."""
+    args = _read_flags(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -294,12 +294,15 @@ def sandwich_violations(report: SandwichReport) -> list[str]:
     ]
 
 
-def _rate_bracket_violations(seq: EntropySequence) -> list[str]:
+def _rate_bracket_violations(
+    seq: EntropySequence, rate: tuple[int, int]
+) -> list[str]:
     """A message for every n at which the lengths l_n of R/phi^n(m), the
     rows of ``seq`` for a monomial-matrix phi, break the bracket proved in
     ``exact_rate``: low_n <= l_n <= C * low_n, and low_n = N^k at every
-    n = kL for its (N, L).  low_n comes from the cycle recursion, not from
-    ``exact_rate``, so the second check tests it; C is a pivot count."""
+    n = kL for the (N, L) of ``rate``, ``exact_rate(phi)``.  low_n comes
+    from the cycle recursion, not from ``exact_rate``, so the second check
+    tests it; C is a pivot count."""
     source, power = _monomial_matrix(seq.map)
     quotient = list(seq.map.ring.quotient.generators)
     d = len(source)
@@ -310,7 +313,7 @@ def _rate_bracket_violations(seq: EntropySequence) -> list[str]:
     box = [max((g[i] for g in quotient), default=0) + 1 for i in range(d)]
     walls = [tuple(b * (i == j) for j in range(d)) for i, b in enumerate(box)]
     corners = _pivot_count(quotient + walls, d)
-    (rate_n, period), sides, problems = exact_rate(seq.map), [1] * d, []
+    (rate_n, period), sides, problems = rate, [1] * d, []
     for row in seq.rows:
         sides = [e * sides[j] for e, j in zip(power, source)]
         low = max(math.prod(sides[i] for i in face) for face in faces)

@@ -546,6 +546,119 @@ def test_benchmark_argvs_parse(monkeypatch, capsys):
         assert (bool(out), bool(err)) == (exit_code == 0, exit_code == 2), argv
 
 
+# values each flag accepts, and values for any flag: valid for some, a
+# type or choice error for others, negative numbers, an embedded space, a
+# flag or a dash as a value
+FUZZ_VALID = {
+    "--spec": ["x.ring", "a b.ring", "x=y"], "--format": ["tsv", "report"],
+    "--log-base": ["e", "2", "10"], "--max-iter": ["1", "3", "12"],
+    "--pullback-iter": ["0", "2"], "--t": ["0", "-1,0,1", "0.5,2", "-2,-0.5"],
+}
+FUZZ_VALUES = [
+    "x.ring", "0", "1", "3", "12", "-1", "-2", "1.5", "two", "", " 2",
+    "-1,0,1", "0.5,2", "nan", "1,inf", ",", "report", "tsv", "e", "2", "10",
+    "--spec", "--oracle", "-h", "-", "- 1", "-1 ", "a=b", "--",
+]
+# words that are no flag value: help, the end of flags, unknown words and
+# flags, abbreviations, a value given to a switch
+FUZZ_WORDS = [
+    "-h", "--help", "--", "extra", "--bogus", "--sp", "--max", "-x",
+    "--oracle=", "--oracle=x", "--tolerance", "--t", "--pullback-iter",
+    "--max-iter", "verify", "entropy",
+]
+
+
+def _fuzz_flag_argv(rng):
+    """A leaf's words and a random pick of its flags, with repeats, in the
+    space or the = form, valid or not, now and then with a stray word, a
+    missing value or a broken command."""
+    key = rng.choice(list(entrolab.cli._FLAGS))
+    flags = list(entrolab.cli._FLAGS[key])
+    argv = [word for word in key if word]
+    if rng.random() < 0.05:
+        argv = rng.choice([[], ["verify"], ["verify", "bogus"], ["-h"], ["bogus"],
+                           ["--spec", "x", *argv], [argv[0], *argv]])
+    picks = ([] if rng.random() < 0.1 else ["--spec"]) + [
+        rng.choice(flags) for _ in range(rng.randint(0, 5))
+    ]
+    rng.shuffle(picks)
+    for option in picks:
+        if option == "--oracle" and rng.random() < 0.9:
+            argv.append(option)
+            continue
+        value = rng.choice(
+            FUZZ_VALID.get(option, FUZZ_VALUES) if rng.random() < 0.7 else FUZZ_VALUES
+        )
+        argv += [f"{option}={value}"] if rng.random() < 0.4 else [option, value]
+    if rng.random() < 0.15:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(FUZZ_WORDS))
+    if rng.random() < 0.1:
+        argv.append(rng.choice(flags))  # a flag with its value missing
+    return argv
+
+
+# argvs the reader must read: both forms, the last of repeated flags, a
+# negative list after =, a value holding =, string defaults converted
+READ_ARGVS = [
+    ["delta", "--spec=a", "--max-iter", "2", "--spec", "b"],
+    ["verify", "sandwich", "--spec", "a", "--t=-0.5,2", "--t=-1"],
+    ["entropy", "--spec", "x=y", "--oracle", "--oracle", "--log-base=10"],
+    ["koszul", "--format=report", "--pullback-iter=0", "--spec", "a"],
+]
+
+
+def test_flag_reader_agrees_with_argparse_or_declines(capsys):
+    # whenever the reader accepts an argv, argparse gives the same namespace
+    # and prints nothing; whenever argparse exits, the reader has declined
+    rng = random.Random(3232)
+    full = entrolab.cli._parser().parse_args
+    read = declined_parsed = exited = 0
+    for argv in READ_ARGVS:
+        assert entrolab.cli._read_flags(list(argv)) is not None, argv
+    for argv in READ_ARGVS + [_fuzz_flag_argv(rng) for _ in range(1500)]:
+        args = entrolab.cli._read_flags(list(argv))
+        outcome = _parse_outcome(capsys, full, argv)
+        if args is not None:
+            assert outcome == (vars(args), "", ""), argv
+            read += 1
+        elif isinstance(outcome[0], dict):
+            declined_parsed += 1
+        else:
+            exited += 1
+    # each branch is taken: what the reader reads, the rare valid forms it
+    # leaves to argparse (--spec -1, --spec "- 1", --spec=--), and the errors
+    assert min(read, declined_parsed, exited) >= 20, (read, declined_parsed, exited)
+
+
+def test_the_reader_accepts_every_benchmark_and_golden_argv(monkeypatch):
+    # the seeds test_benchmark_argvs_parse leaves out; that test checks the
+    # namespaces against argparse
+    root = Path(__file__).parent.parent
+    monkeypatch.chdir(root)
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    workloads = importlib.import_module("workloads")
+    argvs = [
+        job.argv for workload in workloads.GENERATORS for seed in (31, 4242)
+        for job in workloads.generate(workload, seed, "unused")
+    ]
+    golden = (root / "tests" / "cli_golden.tsv").read_text().splitlines()
+    argvs += [shlex.split(line.split("\t")[0]) for line in golden]
+    declined = [argv for argv in argvs if entrolab.cli._read_flags(list(argv)) is None]
+    assert not declined
+
+
+def test_a_valid_call_builds_no_argparse_parser(workdir, capsys):
+    (workdir / "diag23.spec").write_text(DIAG)
+    entrolab.cli._parser.cache_clear()
+    argv = ["delta", "--spec=diag23.spec", "--max-iter", "2", "--t=-1,0,1"]
+    assert main(argv) == 0
+    assert entrolab.cli._parser.cache_info().currsize == 0
+    # a declined argv builds the tree, which parses it
+    assert main(["delta", "--spec", "diag23.spec", "--max-iter", "2", "--t", "-1"]) == 0
+    assert entrolab.cli._parser.cache_info().currsize == 1
+    capsys.readouterr()
+
+
 def test_exit_code_2_on_malformed_input(workdir, capsys):
     (workdir / "bad.spec").write_text("characteristic 0\nvariables X Y\nmap [2,0] [0,0]\n")
     assert main(["entropy", "--spec", "bad.spec"]) == 2

@@ -591,7 +591,7 @@ def test_sandwich_violations_compare_tower_counts():
 
 def _lengths(phi, n_max=8):
     seq = local_entropy_sequence(phi.ring, phi, None, n_max)
-    assert not _rate_bracket_violations(seq), phi
+    assert not _rate_bracket_violations(seq, exact_rate(phi)), phi
     lengths = tuple(row.length for row in seq.rows)
     assert lengths == pivot_lengths(phi, range(1, n_max + 1))
     return lengths
@@ -637,24 +637,23 @@ def test_rate_bracket_catches_a_wrong_face_or_rate(monkeypatch):
     spec = parse_spec(Path(__file__).parent.parent / "specs" / "transfer_swap.ring")
     seq = local_entropy_sequence(spec.ring, spec.map, None, 8)
     assert [row.length for row in seq.rows] == [2, 4, 8, 14, 22, 34, 50, 74]
-    assert not _rate_bracket_violations(seq)
     assert exact_rate(spec.map) == (2, 2)
-    # with every subset a face, low_4 = 16 exceeds l_4 = 14
+    assert not _rate_bracket_violations(seq, (2, 2))
+    # with every subset a face, in exact_rate too, low_4 = 16 exceeds l_4 = 14
     monkeypatch.setattr(entropy_module, "_faces", lambda q, d: list(range(1 << d)))
-    assert _rate_bracket_violations(seq)[0] == "n=4: length 14 lies outside [16, 11 * 16]"
+    assert (_rate_bracket_violations(seq, exact_rate(spec.map))[0]
+            == "n=4: length 14 lies outside [16, 11 * 16]")
     monkeypatch.undo()
     # a wrong rate breaks the second check alone, at every even n
-    monkeypatch.setattr(entropy_module, "exact_rate", lambda phi: (3, 2))
-    assert _rate_bracket_violations(seq) == [
+    assert _rate_bracket_violations(seq, (3, 2)) == [
         f"n={n}: the largest face product {2 ** (n // 2)} is not 3^{n // 2}"
         for n in (2, 4, 6, 8)
     ]
-    monkeypatch.undo()
     # a length one past C * low_n, or one below low_n, is named with its n
     rows = list(seq.rows)
     rows[0] = rows[0]._replace(length=11 * 2 + 1)
     rows[3] = rows[3]._replace(length=3)
-    assert _rate_bracket_violations(seq._replace(rows=tuple(rows))) == [
+    assert _rate_bracket_violations(seq._replace(rows=tuple(rows)), (2, 2)) == [
         "n=1: length 23 lies outside [2, 11 * 2]",
         "n=4: length 3 lies outside [4, 11 * 4]",
     ]
@@ -806,7 +805,7 @@ def test_monomial_matrix_helper_raises_a_hypothesis_error():
 
     def bracket(phi):
         return _rate_bracket_violations(
-            EntropySequence((), R2.maximal_ideal(), phi)
+            EntropySequence((), R2.maximal_ideal(), phi), (1, 1)
         )
 
     for call in (entropy_module._monomial_matrix, exact_rate, bracket):

@@ -2,11 +2,13 @@
 
 Each row names a fault, the private name it patches, a wrapper that breaks
 that name's result, an argv, and the expected outcome: a verdict name,
-meaning exit 4 with that verdict failing, or an open ROADMAP item, meaning
+meaning exit 4 with that verdict failing, an open ROADMAP item, meaning
 exit 0 with a changed stdout: the fault fires and no verdict sees it, a
-gap that the item will close.  Every argv exits 0 without the fault.  A
-change that closes a gap flips its row from an item to a verdict; a change
-that opens one cannot pass without changing the table.
+gap that the item will close, or "unchanged", meaning exit 0 with the same
+stdout: the fault costs work but changes no length.  Every argv exits 0
+without the fault and reaches the patched name with it.  A change that
+closes a gap flips its row from an item to a verdict; a change that opens
+one cannot pass without changing the table.
 """
 
 import contextlib
@@ -47,6 +49,36 @@ def _h1_plus_one(original):
     return dims
 
 
+def _top_mask_one_over(original):
+    # one more unit of volume on the cell whose mask has the most cuts
+    def volumes(tables):
+        result = dict(original(tables))
+        result[max(result)] += 1
+        return result
+    return volumes
+
+
+def _minus_one(original):
+    return lambda *args: original(*args) - 1
+
+
+def _keep_one_divisible(original):
+    # the first entry that the kept ones leave out is kept too: it lies in
+    # the ideal of the others, so K(x, y) has the homology of K(x) (x) K(0)
+    def kept(complex_):
+        kept = original.func(complex_)
+        dropped = [w for w in complex_.sequence if w not in kept]
+        return kept + (dropped[0],)
+    return property(kept)
+
+
+def _first_coordinate_plus_one(original):
+    def matvec(a, v):
+        first, *rest = original(a, v)
+        return (first + 1, *rest)
+    return matvec
+
+
 FAULTS = [
     ("every variable set a face", entropy, "_faces", _every_subset,
      "verify monomial-matrix --spec specs/transfer_swap.ring", "rate-bracket"),
@@ -66,7 +98,34 @@ FAULTS = [
     ("H^-1 + 1 in every slice", koszul, "_active_dims", _h1_plus_one,
      "koszul --spec specs/koszul_redundant.ring --pullback-iter 1 --oracle",
      "item 14"),
+    ("one unit of volume on the top mask", koszul, "_cell_volumes",
+     _top_mask_one_over,
+     "koszul --spec specs/koszul_cubics.ring --pullback-iter 1 --oracle",
+     "oracle-koszul"),
+    # every slice of the pullback is a slice of the base, so a wrong rank
+    # scales with flatness, and no rank the cubics need reaches H^0
+    ("exact rank one short", koszul, "exact_rank", _minus_one,
+     "koszul --spec specs/koszul_cubics.ring --pullback-iter 1 --oracle",
+     "item 14"),
+    ("a divisible entry kept", koszul.KoszulComplex, "_kept",
+     _keep_one_divisible,
+     "koszul --spec specs/koszul_regular.ring --pullback-iter 1 --oracle",
+     "unchanged"),
+    ("matvec + 1 in the first coordinate", entropy, "_matvec",
+     _first_coordinate_plus_one,
+     "verify frobenius --spec specs/frobenius_cross.ring", "exact-lengths"),
 ]
+
+
+def _counted(faulty, calls):
+    """``faulty``, a function or a property, counting its calls in ``calls``."""
+    if isinstance(faulty, property):
+        return property(_counted(faulty.fget, calls))
+
+    def counted(*args):
+        calls.append(args)
+        return faulty(*args)
+    return counted
 
 
 def _row_id(row):
@@ -90,9 +149,13 @@ def test_fault_table(monkeypatch, fault, module, name, wrapper, command, expecte
     argv = command.split()
     clean_code, clean = _run(argv)
     assert clean_code == 0
-    monkeypatch.setattr(module, name, wrapper(getattr(module, name)))
+    calls = []
+    monkeypatch.setattr(module, name, _counted(wrapper(getattr(module, name)), calls))
     code, out = _run(argv)
-    if expected.startswith("item "):
+    assert calls, f"{' '.join(argv)} does not reach {name}"
+    if expected == "unchanged":
+        assert code == 0 and out == clean, fault
+    elif expected.startswith("item "):
         # the gap: the fault changes the output, and no verdict sees it
         assert code == 0 and out != clean, fault
     else:
