@@ -8,7 +8,7 @@ log(N)/L as integer powers.  Reports are deterministic: identical
 invocations produce byte-identical stdout (wall time goes to stderr).
 Exit codes: 0 success, 2 malformed input, 3 failed hypothesis (finite
 length, regularity, commutation, the map a suite needs), 4 failed verdict.
-Flags are declared once, in ``_FLAGS``.  A command line that names a
+Flags are declared once, in ``_LEAVES``.  A command line that names a
 leaf and gives only its flags, as ``--flag value`` or ``--flag=value``,
 is read in one pass over that table; anything else (help, an unknown
 word, a bad value) goes to the argparse tree built from the same table,
@@ -385,18 +385,6 @@ def _fill_sequence_rows(report: RunReport, seq, scale: float):
     ]
 
 
-_HANDLERS = {
-    ("entropy", None): _entropy,
-    ("delta", None): _delta,
-    ("koszul", None): _koszul,
-    ("transfer", None): _transfer,
-    **{("verify", suite): _verify_exact_rate for suite in _REQUIREMENTS},
-    ("verify", "ideal-independence"): _verify_ideal_independence,
-    ("verify", "sandwich"): _verify_sandwich,
-    ("verify", "transfer"): _verify_transfer,
-}
-
-
 # each command's help line, in the order --help lists them
 _COMMANDS = {
     "entropy": "colength growth of the iterates",
@@ -428,15 +416,20 @@ _KOSZUL_ORACLE = {"--oracle": {"action": "store_true", "default": False, "help":
                   "cross-check H^0 by an independent pivot count and, on a "
                   "regular ring, every degree by flatness"}}
 
-# the flags of each leaf, keyed like _HANDLERS, in the order --help lists them
-_FLAGS = {
-    ("entropy", None): {**_COMMON, **_MAX_ITER, **_COLENGTH_ORACLE},
-    ("delta", None): {**_COMMON, **_MAX_ITER, **_T, **_COLENGTH_ORACLE},
-    ("koszul", None): {**_COMMON, **_KOSZUL_ORACLE, **_PULLBACK_ITER},
-    ("transfer", None): {**_COMMON, **_MAX_ITER},
-    **{("verify", suite): {**_COMMON, **_MAX_ITER}
-       for suite in (*_REQUIREMENTS, "ideal-independence", "transfer")},
-    ("verify", "sandwich"): {**_COMMON, **_MAX_ITER, **_T},
+# each leaf, keyed (command, suite), as its handler and its flags in the
+# order --help lists them
+_LEAVES = {
+    ("entropy", None): (_entropy, {**_COMMON, **_MAX_ITER, **_COLENGTH_ORACLE}),
+    ("delta", None): (_delta, {**_COMMON, **_MAX_ITER, **_T, **_COLENGTH_ORACLE}),
+    ("koszul", None): (_koszul, {**_COMMON, **_KOSZUL_ORACLE, **_PULLBACK_ITER}),
+    ("transfer", None): (_transfer, {**_COMMON, **_MAX_ITER}),
+    **{("verify", suite): (_verify_exact_rate, {**_COMMON, **_MAX_ITER})
+       for suite in _REQUIREMENTS},
+    ("verify", "ideal-independence"): (
+        _verify_ideal_independence, {**_COMMON, **_MAX_ITER}
+    ),
+    ("verify", "transfer"): (_verify_transfer, {**_COMMON, **_MAX_ITER}),
+    ("verify", "sandwich"): (_verify_sandwich, {**_COMMON, **_MAX_ITER, **_T}),
 }
 
 
@@ -458,12 +451,12 @@ def _parser() -> argparse.ArgumentParser:
         if command == "verify":
             suites = sp.add_subparsers(dest="suite", required=True)
             leaves = {suite: suites.add_parser(suite) for suite in
-                      sorted(suite for name, suite in _FLAGS if name == command)}
+                      sorted(suite for name, suite in _LEAVES if name == command)}
         for suite, leaf in leaves.items():
             # --max is not read as --max-iter, nor --sp as --spec
             leaf.allow_abbrev = False
             leaf.set_defaults(command=command, suite=suite)
-            for option, keywords in _FLAGS[command, suite].items():
+            for option, keywords in _LEAVES[command, suite][1].items():
                 leaf.add_argument(option, **keywords)
     return parser
 
@@ -482,9 +475,10 @@ def _read_flags(argv: list[str]) -> argparse.Namespace | None:
     words = iter(argv)
     command = next(words, None)
     suite = next(words, None) if command == "verify" else None
-    flags = _FLAGS.get((command, suite))
-    if flags is None:
+    leaf = _LEAVES.get((command, suite))
+    if leaf is None:
         return None
+    flags = leaf[1]
     values = {"command": command, "suite": suite}
     for word in words:
         option, equals, value = word.partition("=")
@@ -543,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = parse_spec(args.spec)
         report = RunReport()
-        _HANDLERS[args.command, args.suite](
+        _LEAVES[args.command, args.suite][0](
             args, spec, report, _LOG_SCALES[args.log_base]
         )
     except HypothesisError as exc:

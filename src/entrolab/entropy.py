@@ -243,8 +243,10 @@ def sandwich(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    maximal = None  # built at most once: for the default sequence or below
     if sequence is None:
-        sequence = ring.maximal_ideal().generators
+        maximal = ring.maximal_ideal()
+        sequence = maximal.generators
     base = KoszulComplex(ring, sequence)
     profile = generator_profile(homology_lengths(base))
     # first, so that a map not of finite length raises NotFiniteLengthError
@@ -256,7 +258,8 @@ def sandwich(
     if ring.regular:
         det = math.prod(_monomial_matrix(phi)[1])
         upper_rows = tuple(_row(n, det**n) for n in range(1, n_max + 1))
-        upper_seq = EntropySequence(upper_rows, ring.maximal_ideal(), phi)
+        maximal = maximal or ring.maximal_ideal()
+        upper_seq = EntropySequence(upper_rows, maximal, phi)
         upper = [row.log_average for row in upper_rows]
     rows = []
     for t in t_values:

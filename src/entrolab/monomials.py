@@ -64,9 +64,7 @@ class _Value:
     """Base of the validated value types.  A subclass names its fields in
     ``_fields`` and its ``__init__`` stores them with object.__setattr__
     once its checks pass; the instance is immutable from then on, and
-    compares, hashes, prints and pickles by its fields.  MonomialIdeal and
-    RingSpec, compared on every job, spell out their own ``__eq__`` and
-    ``__hash__``: a loop over the fields costs twice as much."""
+    compares, hashes, prints and pickles by its fields."""
 
     __slots__ = ()
 
@@ -117,18 +115,6 @@ class MonomialIdeal(_Value):
         ]
         object.__setattr__(self, "generators", tuple(minimal))
         object.__setattr__(self, "ambient_dim", ambient_dim)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.generators, self.ambient_dim) == (
-            other.generators, other.ambient_dim
-        )
-
-    def __hash__(self):
-        return hash((self.generators, self.ambient_dim))
 
     @property
     def is_zero(self) -> bool:
@@ -260,8 +246,7 @@ class RingSpec(_Value):
     (X_1, ..., X_d).
     """
 
-    _fields = ("characteristic", "dim_ambient", "quotient")
-    __slots__ = _fields + ("_maximal_ideal",)
+    __slots__ = _fields = ("characteristic", "dim_ambient", "quotient")
 
     def __init__(
         self, characteristic: int, dim_ambient: int, quotient: MonomialIdeal
@@ -282,19 +267,6 @@ class RingSpec(_Value):
         object.__setattr__(self, "characteristic", characteristic)
         object.__setattr__(self, "dim_ambient", dim_ambient)
         object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "_maximal_ideal", None)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.characteristic, self.dim_ambient, self.quotient) == (
-            other.characteristic, other.dim_ambient, other.quotient
-        )
-
-    def __hash__(self):
-        return hash((self.characteristic, self.dim_ambient, self.quotient))
 
     @property
     def regular(self) -> bool:
@@ -306,17 +278,10 @@ class RingSpec(_Value):
         return cls(characteristic, dim, MonomialIdeal((), dim))
 
     def maximal_ideal(self) -> MonomialIdeal:
-        """(X_1, ..., X_d), built on the first call and kept on this ring
-        (not a field, so equality and hashing ignore it)."""
-        ideal = self._maximal_ideal
-        if ideal is None:
-            gens = tuple(
-                tuple(1 if j == i else 0 for j in range(self.dim_ambient))
-                for i in range(self.dim_ambient)
-            )
-            ideal = MonomialIdeal(gens, self.dim_ambient)
-            object.__setattr__(self, "_maximal_ideal", ideal)
-        return ideal
+        """(X_1, ..., X_d), built afresh on each call."""
+        d = self.dim_ambient
+        gens = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+        return MonomialIdeal(gens, d)
 
 
 def _cell_volumes(tables) -> dict:

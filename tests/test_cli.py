@@ -572,8 +572,8 @@ def _fuzz_flag_argv(rng):
     """A leaf's words and a random pick of its flags, with repeats, in the
     space or the = form, valid or not, now and then with a stray word, a
     missing value or a broken command."""
-    key = rng.choice(list(entrolab.cli._FLAGS))
-    flags = list(entrolab.cli._FLAGS[key])
+    key = rng.choice(list(entrolab.cli._LEAVES))
+    flags = list(entrolab.cli._LEAVES[key][1])
     argv = [word for word in key if word]
     if rng.random() < 0.05:
         argv = rng.choice([[], ["verify"], ["verify", "bogus"], ["-h"], ["bogus"],
@@ -770,8 +770,8 @@ def test_handler_errors_map_to_exit_codes(workdir, capsys, monkeypatch, error, c
     def failing(args, spec, report, scale):
         raise error("raised by the handler")
 
-    for key in entrolab.cli._HANDLERS:
-        monkeypatch.setitem(entrolab.cli._HANDLERS, key, failing)
+    for key, (_, flags) in entrolab.cli._LEAVES.items():
+        monkeypatch.setitem(entrolab.cli._LEAVES, key, (failing, flags))
     (workdir / "square.spec").write_text(SQUARE_OK)
     for argv in (["entropy"], ["koszul"], ["verify", "frobenius"],
                  ["verify", "transfer"], ["transfer"]):

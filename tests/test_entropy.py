@@ -354,8 +354,9 @@ def test_regular_finite_length_maps_keep_images_minimal():
 
 def test_sequence_row_work_is_one_table(monkeypatch):
     # one feet table per row on a quotient and one per sequence on a regular
-    # ring, no ideal built but the ring's maximal ideal, once per ring on
-    # first use, and never more carried vectors than reference generators
+    # ring, no ideal built but the ring's maximal ideal, once per call that
+    # gives no reference, and never more carried vectors than reference
+    # generators
     tables = count_calls(monkeypatch, monomials_module, "_divisor_tables")
     ideals = []
     init = monomials_module.MonomialIdeal.__init__
@@ -373,20 +374,18 @@ def test_sequence_row_work_is_one_table(monkeypatch):
         )
         for reference in (ideal, None):
             gens = len(reference.generators) if reference else ring.dim_ambient
-            # an equal ring that has not built its maximal ideal yet
-            fresh = RingSpec(ring.characteristic, ring.dim_ambient, ring.quotient)
             built = []
             for n_max in (1, 4, 8):
                 tables.clear()
                 ideals.clear()
                 counts.clear()
-                local_entropy_sequence(fresh, phi, reference, n_max)
+                local_entropy_sequence(ring, phi, reference, n_max)
                 built.append(len(ideals))
                 rows_counted = 1 if ring.regular else n_max
                 assert len(tables) == rows_counted + len(ideals)
                 assert len(counts) == rows_counted
                 assert all(len(vectors) <= gens for vectors, _ in counts)
-            assert built == ([0, 0, 0] if reference else [1, 0, 0])
+            assert built == ([0, 0, 0] if reference else [1, 1, 1])
 
 
 def test_sequence_unit_ideal_is_rejected_before_finiteness():
@@ -545,6 +544,32 @@ def test_sandwich_upper_counts_come_from_the_closed_form(monkeypatch):
             row.length for row in report.lower_sequence.rows
         ]
     assert limits == []
+
+
+def test_sandwich_builds_the_maximal_ideal_at_most_once(monkeypatch):
+    # the default sequence and the upper counts share one build of m; a
+    # quotient ring given a sequence needs none
+    built = []
+    build = RingSpec.maximal_ideal
+
+    def counted(ring):
+        built.append(ring)
+        return build(ring)
+
+    monkeypatch.setattr(RingSpec, "maximal_ideal", counted)
+    quotient = RingSpec(3, 2, minimalize({(1, 1)}))
+    cases = [
+        (R2, MonomialMap.diagonal((2, 3), R2), None, 1),
+        (R2, MonomialMap.diagonal((2, 3), R2), [(2, 0), (0, 1)], 1),
+        (quotient, MonomialMap.frobenius(quotient), None, 1),
+        (quotient, MonomialMap.frobenius(quotient), [(1, 0), (0, 2)], 0),
+    ]
+    for ring, phi, sequence, expected in cases:
+        del built[:]
+        report = sandwich(ring, phi, sequence, [0.0, 1.0], 3)
+        assert built == [ring] * expected, (ring, sequence)
+        if ring.regular:
+            assert report.upper_sequence.ideal_used == build(ring)
 
 
 def test_sandwich_rejects_a_map_not_of_finite_length_first():

@@ -629,6 +629,28 @@ def _value_objects():
 
 VALIDATED = ("MonomialIdeal", "RingSpec", "MonomialMap", "TransferSquare")
 
+
+def _one_field_copies(values):
+    """Pairs of a validated value from ``_value_objects`` and a copy that
+    differs from it in exactly one field, every field that can change
+    alone at least once."""
+    ideal, ring = values["MonomialIdeal"], values["RingSpec"]
+    frob, square = values["MonomialMap"], values["TransferSquare"]
+    line, cube = square.source_ring, square.psi
+    square_map = MonomialMap.diagonal((2,), line)
+    return [
+        (ideal, MonomialIdeal(((1, 2),), 2)),
+        (MonomialIdeal((), 2), MonomialIdeal((), 3)),
+        (ring, RingSpec(5, 2, ideal)),
+        (ring, RingSpec(3, 2, minimalize({(2, 1)}))),
+        (frob, MonomialMap(((3, 0), (0, 9)), ring)),
+        (frob, MonomialMap(frob.matrix, RingSpec(5, 2, ideal))),
+        (square, TransferSquare(line, line, ((3,),), cube, cube)),
+        (square, TransferSquare(line, line, ((2,),), square_map, cube)),
+        (square, TransferSquare(line, line, ((2,),), cube, square_map)),
+    ]
+
+
 REPRS = {
     "MonomialIdeal": "MonomialIdeal(generators=((1, 1),), ambient_dim=2)",
     "RingSpec": (
@@ -687,11 +709,27 @@ def test_value_types_compare_hash_and_print_by_their_fields():
         assert type(changed) is type(value) and changed != value
         assert tuple(changed) == tuple(value)[:-1] + ("changed",)
         assert value == other, name
-    # a ring's cached maximal ideal is no field
+    # one rule for the validated types: _Value's, over slots that are
+    # exactly the fields, so a ring keeps no maximal ideal
+    for name in VALIDATED:
+        cls = type(first[name])
+        assert cls.__slots__ == cls._fields, name
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), name
     ring = first["RingSpec"]
-    ring.maximal_ideal()
-    assert ring == second["RingSpec"] and hash(ring) == hash(second["RingSpec"])
-    assert "_maximal_ideal" not in repr(ring)
+    assert ring.maximal_ideal() == ring.maximal_ideal()
+    assert ring.maximal_ideal() is not ring.maximal_ideal()
+    # a copy that differs in exactly one field is unequal
+    for value, copy in _one_field_copies(first):
+        differ = [f for f in value._fields if getattr(value, f) != getattr(copy, f)]
+        assert len(differ) == 1 and type(copy) is type(value), copy
+        assert value != copy and not value == copy, differ
+    # unsorted, non-minimal quotient generators give the canonical ring
+    canonical = RingSpec(3, 2, MonomialIdeal(((0, 3), (1, 1), (3, 0)), 2))
+    ragged = RingSpec(
+        3, 2, MonomialIdeal(((3, 0), (2, 2), (1, 1), (0, 3), (1, 4)), 2)
+    )
+    assert ragged == canonical and hash(ragged) == hash(canonical)
+    assert ragged.quotient.generators == ((0, 3), (1, 1), (3, 0))
     # equality is per type: an ideal never equals a tuple of its fields
     ideal = first["MonomialIdeal"]
     assert ideal != (ideal.generators, ideal.ambient_dim)

@@ -137,11 +137,11 @@ def test_vector_payloads(payload, expected):
 
 
 def test_each_spec_builds_its_own_maximal_ideal(tmp_path):
-    # a ring keeps its maximal ideal from the first call; a ring lives for
-    # one parse, so two parses of one file share nothing
+    # a ring builds its maximal ideal on each call and keeps none, so two
+    # parses of one file share nothing
     path = _write(tmp_path, FULL)
     first, second = parse_spec(path).ring, parse_spec(path).ring
-    assert first.maximal_ideal() is first.maximal_ideal()
+    assert first.maximal_ideal() is not first.maximal_ideal()
     assert first == second
     assert first.maximal_ideal() == second.maximal_ideal()
     assert first.maximal_ideal() is not second.maximal_ideal()
