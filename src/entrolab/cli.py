@@ -30,10 +30,11 @@ from .monomials import _pivot_count, _pure_powers
 from .endos import MonomialMap, _matmul, _matvec
 from .koszul import pullback_homology
 from .entropy import (
+    _cycle_rate,
+    _maximal_faces,
     _monomial_matrix,
     _rate_bracket_violations,
     estimate_limit,
-    exact_rate,
     int_log,
     local_entropy_sequence,
     log_rate,
@@ -132,20 +133,21 @@ _REQUIREMENTS = {
 }
 
 
-def _suites(phi: MonomialMap) -> list[str]:
-    """The suites of _REQUIREMENTS whose hypothesis the map meets, in their
-    order: a monomial matrix, with its positive entries on the diagonal,
-    and there all equal to p."""
+def _suites(phi: MonomialMap) -> tuple[tuple | None, list[str]]:
+    """The map's ``_monomial_matrix``, or None when it is none, and the
+    suites of _REQUIREMENTS whose hypothesis the map meets, in their order:
+    a monomial matrix, with its positive entries on the diagonal, and there
+    all equal to p.  The one reading of the matrix in a command."""
     try:
-        source, power = _monomial_matrix(phi)
+        matrix = source, power = _monomial_matrix(phi)
     except HypothesisError:
-        return []
+        return None, []
     if source != list(range(len(source))):
-        return ["monomial-matrix"]
+        return matrix, ["monomial-matrix"]
     # the entries are positive, so none equals a characteristic 0
     p = phi.ring.characteristic
     frobenius = all(e == p for e in power)
-    return ["frobenius"] * frobenius + ["diagonal", "monomial-matrix"]
+    return matrix, ["frobenius"] * frobenius + ["diagonal", "monomial-matrix"]
 
 
 def _oracle_lengths_verdict(seq, name="oracle-colength"):
@@ -171,10 +173,10 @@ def _entropy(args, spec, report: RunReport, scale: float):
     if args.max_iter >= 3:
         report.footer.append(("slope", _fmt(estimate_limit(seq) * scale)))
         report.footer.append(("last_a_n", _fmt(seq.rows[-1].log_average * scale)))
-    suites = _suites(spec.map)
+    matrix, suites = _suites(spec.map)
     if suites:
-        rate = _rate(exact_rate(spec.map), scale)
-        report.footer.append(("prediction", suites[0], rate))
+        rate = _cycle_rate(matrix, _maximal_faces(spec.ring))
+        report.footer.append(("prediction", suites[0], _rate(rate, scale)))
     if args.oracle:
         report.verdicts.append(_oracle_lengths_verdict(seq))
 
@@ -300,16 +302,18 @@ def _transfer(args, spec, report: RunReport, scale: float):
 
 
 def _verify_exact_rate(args, spec, report: RunReport, scale: float):
-    if args.suite not in _suites(spec.map):
+    matrix, suites = _suites(spec.map)
+    if args.suite not in suites:
         raise HypothesisError(
             f"verify {args.suite} requires {_REQUIREMENTS[args.suite]}"
         )
     seq = local_entropy_sequence(spec.ring, spec.map, None, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
-    rate = exact_rate(spec.map)
+    faces = _maximal_faces(spec.ring)
+    rate = _cycle_rate(matrix, faces)
     report.footer.append(("prediction", args.suite, _rate(rate, scale)))
     report.verdicts.append(_oracle_lengths_verdict(seq, "exact-lengths"))
-    problems = _rate_bracket_violations(seq, rate)
+    problems = _rate_bracket_violations(seq, rate, matrix, faces)
     report.verdicts.append((
         "rate-bracket", not problems, problems[0] if problems else
         "face products bracket length_n and match log({})/{} for n <= {}"

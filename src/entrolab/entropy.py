@@ -298,21 +298,19 @@ def sandwich_violations(report: SandwichReport) -> list[str]:
 
 
 def _rate_bracket_violations(
-    seq: EntropySequence, rate: tuple[int, int]
+    seq: EntropySequence, rate: tuple[int, int], matrix, faces
 ) -> list[str]:
     """A message for every n at which the lengths l_n of R/phi^n(m), the
     rows of ``seq`` for a monomial-matrix phi, break the bracket proved in
     ``exact_rate``: low_n <= l_n <= C * low_n, and low_n = N^k at every
-    n = kL for the (N, L) of ``rate``, ``exact_rate(phi)``.  low_n comes
-    from the cycle recursion, not from ``exact_rate``, so the second check
-    tests it; C is a pivot count."""
-    source, power = _monomial_matrix(seq.map)
+    n = kL for the (N, L) of ``rate``, ``exact_rate(phi)``.  ``matrix`` is
+    ``_monomial_matrix(phi)`` and ``faces`` is ``_maximal_faces(R)``, both
+    read once by the caller.  low_n comes from the cycle recursion, not
+    from ``exact_rate``, so the second check tests it; C is a pivot
+    count."""
+    source, power = matrix
     quotient = list(seq.map.ring.quotient.generators)
     d = len(source)
-    faces = _faces(quotient, d)
-    # every N_i(n) is >= 1, so the largest product is over a maximal face
-    faces = [[i for i in range(d) if f >> i & 1] for f in faces
-             if not any(f != g and f & g == f for g in faces)]
     box = [max((g[i] for g in quotient), default=0) + 1 for i in range(d)]
     walls = [tuple(b * (i == j) for j in range(d)) for i, b in enumerate(box)]
     corners = _pivot_count(quotient + walls, d)
@@ -360,7 +358,26 @@ def exact_rate(phi: MonomialMap) -> tuple[int, int]:
     log(N)/L, with L the lcm of the k's and N = max_F prod_F P^(L/k), and
     low_kL = N^k.
     """
-    source, power = _monomial_matrix(phi)
+    return _cycle_rate(_monomial_matrix(phi), _maximal_faces(phi.ring))
+
+
+def _maximal_faces(ring: RingSpec) -> list[list[int]]:
+    """The maximal faces of the quotient of ``ring``, each as the indices
+    of its variables; on a regular ring, all the variables.  Every N_i(n)
+    of ``exact_rate`` and every cycle factor is >= 1, so the largest face
+    product is over a maximal face."""
+    d, quotient = ring.dim_ambient, ring.quotient.generators
+    if not quotient:
+        return [list(range(d))]
+    faces = _faces(quotient, d)
+    return [[i for i in range(d) if f >> i & 1] for f in faces
+            if not any(f != g and f & g == f for g in faces)]
+
+
+def _cycle_rate(matrix, faces) -> tuple[int, int]:
+    """``exact_rate`` of the map whose ``_monomial_matrix`` is ``matrix``,
+    on a ring whose ``_maximal_faces`` are ``faces``."""
+    source, power = matrix
     cycles = []
     for i in range(len(source)):
         k, product, j = 1, power[i], source[i]
@@ -369,15 +386,7 @@ def exact_rate(phi: MonomialMap) -> tuple[int, int]:
         cycles.append((k, product))
     period = math.lcm(*(k for k, _ in cycles))
     factors = [product ** (period // k) for k, product in cycles]
-    quotient = phi.ring.quotient.generators
-    if not quotient:
-        # every set of variables is a face and every factor is >= 1
-        return math.prod(factors), period
-    # products[face] over the bitmasks of variable sets, bit i for X_i
-    products = [1]
-    for factor in factors:
-        products += [p * factor for p in products]
-    return max(products[f] for f in _faces(quotient, len(source))), period
+    return max(math.prod(factors[i] for i in face) for face in faces), period
 
 
 def log_rate(rate: tuple[int, int]) -> float:

@@ -60,6 +60,43 @@ def _divisor_mask(tables, v) -> int:
     return mask
 
 
+def _minimal_sweep(gens: list[Vec]) -> tuple[Vec, ...]:
+    """The minimal elements of ``gens``, distinct vectors of one length
+    sorted lexicographically, in that order.
+
+    A vector that another divides comes after it in that order, so a
+    vector is minimal iff no earlier one lies at or below it on every
+    axis.  Every earlier vector does so on axis 0, which needs no pass.
+    Vector k holds bit n - 1 - k of a mask, so the earlier vectors hold
+    the higher bits.  The pass over each other axis builds one dict from
+    each distinct coordinate to the mask of the vectors at or below it,
+    and ANDs it into the masks over the column; a vector is minimal iff
+    its own bit is the highest left in its mask.
+    """
+    n = len(gens)
+    if n < 2:
+        return tuple(gens)
+    masks = None
+    for column in itertools.islice(zip(*gens), 1, None):
+        bits: dict[int, int] = {}
+        bit = 1 << n
+        for c in column:
+            bit >>= 1
+            bits[c] = bits.get(c, 0) | bit
+        coords = sorted(bits)
+        prefix = itertools.accumulate(map(bits.get, coords), operator.or_)
+        prefix = dict(zip(coords, prefix))
+        column_masks = map(prefix.__getitem__, column)
+        masks = list(column_masks if masks is None
+                     else map(operator.and_, masks, column_masks))
+    if masks is None:  # one variable: the least vector divides the others
+        return tuple(gens[:1])
+    return tuple([
+        g for g, mask, top in zip(gens, masks, range(n, 0, -1))
+        if mask.bit_length() == top
+    ])
+
+
 class _Value:
     """Base of the validated value types.  A subclass names its fields in
     ``_fields`` and its ``__init__`` stores them with object.__setattr__
@@ -100,20 +137,30 @@ class MonomialIdeal(_Value):
     """A monomial ideal, held as its minimal generating set.
 
     Construction minimalizes and sorts the generators, so the stored form
-    is canonical.  A generator is minimal when its divisor mask over the
-    distinct generators holds only its own bit.  The empty generating set
-    is the zero ideal.
+    is canonical.  The vectors are converted and checked in bulk; only
+    when a check fails are they checked again one by one, in input order,
+    so the first bad vector names the error.  The distinct vectors, sorted
+    lexicographically, are minimalized by ``_minimal_sweep``: one pass of
+    prefix masks per axis but the first.  The empty generating set is the
+    zero ideal.
     """
 
     __slots__ = _fields = ("generators", "ambient_dim")
 
     def __init__(self, generators: tuple[Vec, ...], ambient_dim: int):
-        gens = sorted({_check_vec(g, ambient_dim) for g in generators})
-        tables = _divisor_tables(gens)
-        minimal = [
-            g for k, g in enumerate(gens) if _divisor_mask(tables, g) == 1 << k
-        ]
-        object.__setattr__(self, "generators", tuple(minimal))
+        vectors = tuple(generators)  # a one-shot iterable is read once
+        try:
+            gens = sorted({tuple(map(int, g)) for g in vectors})
+            valid = not gens or (
+                {*map(len, gens)} == {ambient_dim}
+                and min(itertools.chain.from_iterable(gens)) >= 0
+            )
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            # the first bad vector in input order raises, as it is checked
+            gens = sorted({_check_vec(g, ambient_dim) for g in vectors})
+        object.__setattr__(self, "generators", _minimal_sweep(gens))
         object.__setattr__(self, "ambient_dim", ambient_dim)
 
     @property

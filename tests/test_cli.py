@@ -16,6 +16,8 @@ import pytest
 
 import entrolab
 import entrolab.cli
+import entrolab.entropy
+import entrolab.monomials
 from entrolab import (
     DimensionMismatchError,
     HypothesisError,
@@ -1257,6 +1259,28 @@ def test_verify_transfer_fails_on_the_swap_square_at_every_depth(capsys, n):
     assert out.splitlines()[-1] == (
         "# verdict\tentropies-agree\tFAIL\tlog(2)/2 != log(4)/2"
     )
+
+
+def test_each_command_reads_the_matrix_and_the_faces_once(monkeypatch, capsys):
+    # one reading of phi's matrix per command, shared by the suites, the
+    # exact rate and the rate bracket, and one enumeration of the faces,
+    # which only a quotient needs
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    matrices = count_calls(monkeypatch, entrolab.entropy, "_monomial_matrix")
+    faces = count_calls(monkeypatch, entrolab.monomials, "_faces")
+    for command, spec, face_reads in [
+        ("verify frobenius", "frobenius_cross", 1),
+        ("verify diagonal", "diagonal235", 0),
+        ("verify monomial-matrix", "transfer_swap", 1),
+        ("entropy", "frobenius_cross", 1),
+        ("entropy", "diagonal235", 0),
+    ]:
+        matrices.clear()
+        faces.clear()
+        argv = [*command.split(), "--spec", f"specs/{spec}.ring"]
+        code, out = _run(capsys, argv)
+        assert code == 0 and "# prediction\t" in out, argv
+        assert (len(matrices), len(faces)) == (1, face_reads), argv
 
 
 def test_transfer_chain_reads_the_exact_rates(workdir, capsys):

@@ -185,7 +185,7 @@ def test_sequence_matches_the_definition_random():
                 brute += 1
                 regular += ring.regular
         twins += twin_columns
-        diagonal += "diagonal" in _suites(phi)
+        diagonal += "diagonal" in _suites(phi)[1]
     assert brute > 100 and regular > 100 and twins == 12 and diagonal < 24
 
 
@@ -337,7 +337,7 @@ def test_regular_finite_length_maps_keep_images_minimal():
         phi = MonomialMap.from_columns(cols, ring)
         if not is_finite_length(phi):
             continue
-        assert "monomial-matrix" in _suites(phi)
+        assert "monomial-matrix" in _suites(phi)[1]
         finite += 1
         ideal = minimalize(random_m_primary_ideal(rng, dim, 4, 3), dim)
         det = math.prod(e for row in phi.matrix for e in row if e)
@@ -354,9 +354,9 @@ def test_regular_finite_length_maps_keep_images_minimal():
 
 def test_sequence_row_work_is_one_table(monkeypatch):
     # one feet table per row on a quotient and one per sequence on a regular
-    # ring, no ideal built but the ring's maximal ideal, once per call that
-    # gives no reference, and never more carried vectors than reference
-    # generators
+    # ring, and no other: building an ideal builds no table.  No ideal is
+    # built but the ring's maximal ideal, once per call that gives no
+    # reference, and never more carried vectors than reference generators
     tables = count_calls(monkeypatch, monomials_module, "_divisor_tables")
     ideals = []
     init = monomials_module.MonomialIdeal.__init__
@@ -382,7 +382,7 @@ def test_sequence_row_work_is_one_table(monkeypatch):
                 local_entropy_sequence(ring, phi, reference, n_max)
                 built.append(len(ideals))
                 rows_counted = 1 if ring.regular else n_max
-                assert len(tables) == rows_counted + len(ideals)
+                assert len(tables) == rows_counted
                 assert len(counts) == rows_counted
                 assert all(len(vectors) <= gens for vectors, _ in counts)
             assert built == ([0, 0, 0] if reference else [1, 1, 1])
@@ -614,9 +614,17 @@ def test_sandwich_violations_compare_tower_counts():
     ]
 
 
+def _bracket(seq, rate):
+    """The rate bracket of ``seq`` at ``rate``, with the matrix and the
+    faces read as the verify suites read them."""
+    matrix = entropy_module._monomial_matrix(seq.map)
+    faces = entropy_module._maximal_faces(seq.map.ring)
+    return _rate_bracket_violations(seq, rate, matrix, faces)
+
+
 def _lengths(phi, n_max=8):
     seq = local_entropy_sequence(phi.ring, phi, None, n_max)
-    assert not _rate_bracket_violations(seq, exact_rate(phi)), phi
+    assert not _bracket(seq, exact_rate(phi)), phi
     lengths = tuple(row.length for row in seq.rows)
     assert lengths == pivot_lengths(phi, range(1, n_max + 1))
     return lengths
@@ -663,14 +671,14 @@ def test_rate_bracket_catches_a_wrong_face_or_rate(monkeypatch):
     seq = local_entropy_sequence(spec.ring, spec.map, None, 8)
     assert [row.length for row in seq.rows] == [2, 4, 8, 14, 22, 34, 50, 74]
     assert exact_rate(spec.map) == (2, 2)
-    assert not _rate_bracket_violations(seq, (2, 2))
+    assert not _bracket(seq, (2, 2))
     # with every subset a face, in exact_rate too, low_4 = 16 exceeds l_4 = 14
     monkeypatch.setattr(entropy_module, "_faces", lambda q, d: list(range(1 << d)))
-    assert (_rate_bracket_violations(seq, exact_rate(spec.map))[0]
+    assert (_bracket(seq, exact_rate(spec.map))[0]
             == "n=4: length 14 lies outside [16, 11 * 16]")
     monkeypatch.undo()
     # a wrong rate breaks the second check alone, at every even n
-    assert _rate_bracket_violations(seq, (3, 2)) == [
+    assert _bracket(seq, (3, 2)) == [
         f"n={n}: the largest face product {2 ** (n // 2)} is not 3^{n // 2}"
         for n in (2, 4, 6, 8)
     ]
@@ -678,7 +686,7 @@ def test_rate_bracket_catches_a_wrong_face_or_rate(monkeypatch):
     rows = list(seq.rows)
     rows[0] = rows[0]._replace(length=11 * 2 + 1)
     rows[3] = rows[3]._replace(length=3)
-    assert _rate_bracket_violations(seq._replace(rows=tuple(rows)), (2, 2)) == [
+    assert _bracket(seq._replace(rows=tuple(rows)), (2, 2)) == [
         "n=1: length 23 lies outside [2, 11 * 2]",
         "n=4: length 3 lies outside [4, 11 * 4]",
     ]
@@ -824,23 +832,19 @@ def test_transfer_check_disagreement_reports_chain():
 
 
 def test_monomial_matrix_helper_raises_a_hypothesis_error():
-    # one reader of the matrix: the exact rate, the rate bracket, the
-    # transfer check and the suites all refuse the same maps the same way
+    # one reader of the matrix: the exact rate, the transfer check and the
+    # suites all refuse the same maps the same way, and the rate bracket
+    # takes the matrix that the suites read
     shear = MonomialMap(((1, 0), (1, 1)), R2)
-
-    def bracket(phi):
-        return _rate_bracket_violations(
-            EntropySequence((), R2.maximal_ideal(), phi), (1, 1)
-        )
-
-    for call in (entropy_module._monomial_matrix, exact_rate, bracket):
+    for call in (entropy_module._monomial_matrix, exact_rate):
         with pytest.raises(HypothesisError) as info:
             call(shear)
         assert type(info.value) is HypothesisError
         assert str(info.value) == "map is not a monomial matrix"
-    assert _suites(shear) == []
+    assert _suites(shear) == (None, [])
     swap = MonomialMap.from_columns([(0, 2), (3, 0)], R2)
     assert entropy_module._monomial_matrix(swap) == ([1, 0], [3, 2])
+    assert _suites(swap) == (([1, 0], [3, 2]), ["monomial-matrix"])
     assert exact_rate(swap) == (36, 2)
 
 

@@ -66,15 +66,23 @@ def test_minimalize_idempotent_and_order_independent():
 
 
 def test_minimal_generators_match_quadratic_definition():
-    # a generator stays iff no other distinct generator divides it
+    # a generator stays iff no other distinct generator divides it, in
+    # 1 to 5 variables, with repeated generators, multiples of others, the
+    # zero vector and the empty input among the cases
     rng = random.Random(2024)
-    for _ in range(300):
-        dim = rng.randint(1, 4)
+    shapes = collections.Counter()
+    for k in range(400):
+        dim = 1 + k % 5
         gens = [
             tuple(rng.randint(0, 5) for _ in range(dim))
-            for _ in range(rng.randint(0, 40))
+            for _ in range(rng.randint(0, 40) if k % 7 else 0)
         ]
         gens += rng.sample(gens, min(len(gens), rng.randint(0, 5)))
+        gens += [tuple(a + rng.randint(0, 2) for a in g)
+                 for g in rng.sample(gens, min(len(gens), rng.randint(0, 5)))]
+        if k % 11 == 0:
+            gens.append((0,) * dim)
+        rng.shuffle(gens)
         distinct = set(gens)
         expected = sorted(
             g
@@ -82,6 +90,13 @@ def test_minimal_generators_match_quadratic_definition():
             if not any(h != g and divides(h, g) for h in distinct)
         )
         assert MonomialIdeal(tuple(gens), dim).generators == tuple(expected)
+        shapes[dim] += 1
+        shapes["empty"] += not gens
+        shapes["zero"] += (0,) * dim in distinct
+        shapes["repeated"] += len(distinct) < len(gens)
+        shapes["dropped"] += len(expected) < len(distinct)
+    assert min(shapes[dim] for dim in range(1, 6)) == 80
+    assert min(shapes.values()) >= 30, shapes
 
 
 def test_contains_unchanged_by_minimalization():
@@ -140,6 +155,28 @@ def test_exponent_vector_validation():
         assert str(info.value) == (
             f"exponent vector {bad} has length {len(bad)}, expected 2"
         )
+    # the first bad vector in input order names the error, whatever comes
+    # after it, and a negative entry is named before a wrong length
+    cases = [
+        (((1,), (1, -1)), DimensionMismatchError,
+         "exponent vector (1,) has length 1, expected 2"),
+        (((1, -1), (1,)), ValueError,
+         "exponent vector (1, -1) has a negative entry"),
+        (((2, 0), (1, 2, -1), (3,)), ValueError,
+         "exponent vector (1, 2, -1) has a negative entry"),
+        (((2, 0), (3,), (1, 2, -1)), DimensionMismatchError,
+         "exponent vector (3,) has length 1, expected 2"),
+        (((0, -1), ("x", 1)), ValueError,
+         "exponent vector (0, -1) has a negative entry"),
+    ]
+    for vectors, error, message in cases:
+        # a generator expression is read once and fails as the tuple does
+        for given in (vectors, (v for v in vectors)):
+            with pytest.raises(error) as info:
+                MonomialIdeal(given, 2)
+            assert str(info.value) == message
+            assert (type(info.value) is DimensionMismatchError) == (
+                error is DimensionMismatchError)
     # entries go through int(), so the stored generators are exact ints
     ideal = MonomialIdeal(((True, 2.0), ("3", 0), (0, 5)), 2)
     assert ideal.generators == ((0, 5), (1, 2), (3, 0))
