@@ -28,7 +28,7 @@ import time
 from .errors import HypothesisError, SpecError
 from .monomials import _pivot_count, _pure_powers
 from .endos import MonomialMap, _matmul, _matvec
-from .koszul import pullback_homology
+from .koszul import _koszul_lengths, pullback_homology
 from .entropy import (
     _cycle_rate,
     _maximal_faces,
@@ -150,17 +150,18 @@ def _suites(phi: MonomialMap) -> tuple[tuple | None, list[str]]:
     return matrix, ["frobenius"] * frobenius + ["diagonal", "monomial-matrix"]
 
 
-def _oracle_lengths_verdict(seq, name="oracle-colength"):
-    """Check every length of the sequence with ``_pivot_count``.  The images
-    come from composed powers of the map's matrix, not from the sequence's
-    image-by-image iteration, so the check stays independent of it."""
+def _oracle_lengths_verdict(seq, vectors=None, name="oracle-colength"):
+    """Check every length of the sequence by ``_pivot_count`` on the images
+    of ``vectors`` as the spec wrote them (default: the ideal used) under
+    composed powers of the map's matrix, so the check shares neither the
+    engine's minimalization nor its image-by-image iteration."""
     ring = seq.map.ring
     quotient = list(ring.quotient.generators)
     matrix = power = seq.map.matrix
     for row in seq.rows:
         if row.n > 1:
             power = _matmul(matrix, power)
-        images = [_matvec(power, g) for g in seq.ideal_used.generators]
+        images = [_matvec(power, g) for g in vectors or seq.ideal_used.generators]
         length = _pivot_count(images + quotient, ring.dim_ambient)
         if length != row.length:
             return (name, False, f"pivot count gives {length} at n = {row.n}")
@@ -178,7 +179,7 @@ def _entropy(args, spec, report: RunReport, scale: float):
         rate = _cycle_rate(matrix, _maximal_faces(spec.ring))
         report.footer.append(("prediction", suites[0], _rate(rate, scale)))
     if args.oracle:
-        report.verdicts.append(_oracle_lengths_verdict(seq))
+        report.verdicts.append(_oracle_lengths_verdict(seq, spec.ideal_vectors))
 
 
 def _profile_item(profile) -> tuple[str, ...]:
@@ -222,17 +223,18 @@ def _delta(args, spec, report: RunReport, scale: float):
     report.footer.append(_profile_item(bounds.profile))
     _fill_sandwich_rows(report, bounds, scale)
     if args.oracle:
-        report.verdicts.append(_oracle_lengths_verdict(bounds.lower_sequence))
+        lower = bounds.lower_sequence
+        report.verdicts.append(_oracle_lengths_verdict(lower, spec.sequence))
 
 
 def _koszul(args, spec, report: RunReport, scale: float):
     if spec.sequence is None:
         raise SpecError("sequence field is required for the koszul command")
-    complex_, lengths, profile = pullback_homology(
+    pulled, lengths, profile = pullback_homology(
         spec.ring, spec.sequence, spec.map, args.pullback_iter
     )
     report.columns = ["degree", "length", "log_length"]
-    for degree in range(-complex_.m, 1):
+    for degree in range(-len(pulled), 1):
         value = lengths.length(degree)
         log_txt = _fmt(int_log(value) * scale) if value else ""
         report.rows.append([str(degree), str(value), log_txt])
@@ -240,11 +242,11 @@ def _koszul(args, spec, report: RunReport, scale: float):
     report.footer.append(("region", ",".join(str(s) for s in lengths.region)))
     if args.oracle:
         report.verdicts.append(
-            _oracle_koszul_verdict(spec, complex_, lengths, args.pullback_iter)
+            _oracle_koszul_verdict(spec, pulled, lengths, args.pullback_iter)
         )
 
 
-def _oracle_koszul_verdict(spec, complex_, lengths, n):
+def _oracle_koszul_verdict(spec, pulled, lengths, n):
     """Check the lengths of the Koszul complex pulled back along phi^n.
 
     H^0 is the colength of the pulled-back sequence plus the quotient, so
@@ -260,14 +262,13 @@ def _oracle_koszul_verdict(spec, complex_, lengths, n):
     sides are products of exponents, so flatness compares a product with
     itself and H^0 by the pivot count is the only independent check."""
     ring = spec.ring
-    h0 = _pivot_count([*complex_.sequence, *ring.quotient.generators],
-                      ring.dim_ambient)
+    h0 = _pivot_count([*pulled, *ring.quotient.generators], ring.dim_ambient)
     if h0 != lengths.length(0):
         return ("oracle-koszul", False, f"pivot count gives H^0 = {h0}")
     notes = ["pivot count agrees at H^0"]
     if ring.regular and n:
         factor = math.prod(_monomial_matrix(spec.map)[1]) ** n
-        base = pullback_homology(ring, spec.sequence, spec.map, 0)[1].lengths
+        base = _koszul_lengths(ring, spec.sequence)[1].lengths
         for degree, length in sorted(base.items()):
             if factor * length != lengths.length(degree):
                 return ("oracle-koszul", False, f"flatness gives "
@@ -312,7 +313,7 @@ def _verify_exact_rate(args, spec, report: RunReport, scale: float):
     faces = _maximal_faces(spec.ring)
     rate = _cycle_rate(matrix, faces)
     report.footer.append(("prediction", args.suite, _rate(rate, scale)))
-    report.verdicts.append(_oracle_lengths_verdict(seq, "exact-lengths"))
+    report.verdicts.append(_oracle_lengths_verdict(seq, name="exact-lengths"))
     problems = _rate_bracket_violations(seq, rate, matrix, faces)
     report.verdicts.append((
         "rate-bracket", not problems, problems[0] if problems else

@@ -41,7 +41,7 @@ from .endos import (
     is_finite_length,
     iterate,
 )
-from .koszul import KoszulComplex, generator_profile, homology_lengths
+from .koszul import _koszul_lengths, generator_profile
 
 _LN2 = math.log(2)
 
@@ -247,12 +247,12 @@ def sandwich(
     if sequence is None:
         maximal = ring.maximal_ideal()
         sequence = maximal.generators
-    base = KoszulComplex(ring, sequence)
-    profile = generator_profile(homology_lengths(base))
+    sequence, lengths = _koszul_lengths(ring, sequence)
+    profile = generator_profile(lengths)
     # first, so that a map not of finite length raises NotFiniteLengthError
     # before _monomial_matrix can call it no monomial matrix
     lower_seq = local_entropy_sequence(
-        ring, phi, MonomialIdeal(base.sequence, ring.dim_ambient), n_max
+        ring, phi, MonomialIdeal(sequence, ring.dim_ambient), n_max
     )
     upper_seq, upper = None, [None] * n_max
     if ring.regular:

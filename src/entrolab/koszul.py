@@ -15,18 +15,11 @@ An entry that a quotient generator, another entry or an earlier copy of
 itself divides is a free factor: the change e_i -> e_i - (x_i/x_j) e_j
 is invertible and keeps multidegrees, so K(x) = K(x') (x) K(0)^k for the
 m' = m - k kept entries x' (Bruns-Herzog, Cohen-Macaulay Rings, 1.6).
-When a complex is first ranked, its entries are reduced so, and every
-table below is built over the kept entries alone; the lengths of K(x)
-are those of K(x') convolved with (1 + s)^k.  On a regular ring with as
-many kept entries as variables, x' is one pure power of each variable, a
-regular sequence, and its lengths are a closed form; no table below is
-built for it.  Otherwise subset S of the kept entries is active at v iff
-X^(v - shift_S) is a standard monomial, so a slice depends only on which
-cuts shift_S + g divide X^v, for g = 0 and each quotient generator.  One
-divisor table over these cuts gives the cells, and the cohomology
-lengths are summed over them, each distinct active set counted once.  A
-slice is Morse-matched first, by unit pivots on its bitmask; exact ranks
-(one sparse integer elimination for every characteristic, never floating
+``_koszul_lengths`` is the one count, a pass over plain values: it
+validates the sequence, maps it by a matrix power, reduces it to x', and
+sums the lengths of K(x') in closed form or cell by cell.  A slice is
+Morse-matched first, by unit pivots on its bitmask; exact ranks (one
+sparse integer elimination for every characteristic, never floating
 point) run only where critical cells sit in adjacent degrees.
 """
 
@@ -34,7 +27,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cache
 from math import gcd, prod
 
 from .errors import NotFiniteLengthError
@@ -157,58 +150,74 @@ def _subset_shifts(entries, d: int) -> list[Vec]:
     return shifts
 
 
+def _validated(ring: RingSpec, sequence) -> tuple[Vec, ...]:
+    # the sequence as vectors, checked to lie in the maximal ideal and to
+    # generate, with the quotient, an ideal of finite colength
+    d = ring.dim_ambient
+    seq = tuple(_check_vec(w, d) for w in sequence)
+    if any(sum(w) == 0 for w in seq):
+        raise NotFiniteLengthError("sequence entries must lie in the maximal ideal")
+    if _pure_powers(seq + ring.quotient.generators, d) is None:
+        raise NotFiniteLengthError(
+            "sequence does not generate an ideal of finite colength"
+        )
+    return seq
+
+
+def _mapped(ring: RingSpec, seq, matrix) -> tuple[Vec, ...]:
+    # the images A.w of the entries under the map with exponent matrix A.
+    # x + J contains a power m^k, so phi(x) + J contains (phi(m) + J)^k, and
+    # phi(x) lies in phi(m): phi(x) + J is m-primary iff phi is of finite
+    # length.  No image is a unit, since the columns of a map are nonzero.
+    images = tuple(_matvec(matrix, w) for w in seq)
+    if _pure_powers(images + ring.quotient.generators, ring.dim_ambient) is None:
+        raise NotFiniteLengthError(
+            "pullback requires an endomorphism of finite length"
+        )
+    return images
+
+
+def _kept(quotient, seq) -> tuple[Vec, ...]:
+    # the first copy of each entry that no quotient generator and no other
+    # entry divides; at the few entries a ranked complex can have, this
+    # scan costs less than building a divisor table
+    vectors = quotient + seq
+    kept: list[Vec] = []
+    for w in seq:
+        if w in kept or w in quotient:
+            continue
+        if all(u == w for u in vectors if all(map(operator.le, u, w))):
+            kept.append(w)
+    return tuple(kept)
+
+
+def _cut_table(ring: RingSpec, kept) -> tuple:
+    # bit b 2^m' + s stands for the cut shift_s + g_b, where g_0 = 0 and
+    # g_1, ... are the quotient generators: it divides X^v iff
+    # shift_s <= v - g_b
+    offsets = [(0,) * ring.dim_ambient, *ring.quotient.generators]
+    shifts = _subset_shifts(kept, ring.dim_ambient)
+    cuts = [tuple(map(operator.add, s, g)) for g in offsets for s in shifts]
+    return _divisor_tables(cuts)
+
+
+def _active(mask: int, m: int) -> int:
+    # the active set of a cut mask: block 0 less the later blocks
+    n, killed = 1 << m, 0
+    for block in range(n, mask.bit_length(), n):
+        killed |= mask >> block
+    return mask & ~killed & (1 << n) - 1
+
+
 class KoszulComplex:
     """The Koszul complex on monomials in the maximal ideal that generate,
-    with the quotient, an ideal of finite colength.  ``m`` is the length
-    of the whole sequence.  Construction only validates it; the kept
-    entries, their shifts and the divisor table are found the first time a
-    slice is ranked, and ``shifts`` are those of the kept entries.  The
-    differential is checked to square to zero."""
+    with the quotient, an ideal of finite colength; ``m`` is their number.
+    Construction only validates them, and no count is kept."""
 
     def __init__(self, ring: RingSpec, sequence):
-        d = ring.dim_ambient
-        seq = tuple(_check_vec(w, d) for w in sequence)
-        if any(sum(w) == 0 for w in seq):
-            raise NotFiniteLengthError(
-                "sequence entries must lie in the maximal ideal"
-            )
-        if _pure_powers(seq + ring.quotient.generators, d) is None:
-            raise NotFiniteLengthError(
-                "sequence does not generate an ideal of finite colength"
-            )
         self.ring = ring
-        self.sequence = seq
-        self.m = len(seq)
-        self._slices: dict[int, dict[int, int]] = {}
-
-    @cached_property
-    def _kept(self) -> tuple[Vec, ...]:
-        # the first copy of each entry that no quotient generator and no
-        # other entry divides; at the few entries a ranked complex can have,
-        # this scan costs less than building a divisor table
-        quotient = self.ring.quotient.generators
-        vectors = quotient + self.sequence
-        kept: list[Vec] = []
-        for w in self.sequence:
-            if w in kept or w in quotient:
-                continue
-            if all(u == w for u in vectors if all(map(operator.le, u, w))):
-                kept.append(w)
-        return tuple(kept)
-
-    @cached_property
-    def shifts(self) -> list[Vec]:
-        return _subset_shifts(self._kept, self.ring.dim_ambient)
-
-    @cached_property
-    def _cuts(self) -> tuple:
-        # bit b 2^m' + s stands for the cut shift_s + g_b, where g_0 = 0 and
-        # g_1, ... are the quotient generators: it divides X^v iff
-        # shift_s <= v - g_b
-        offsets = [(0,) * self.ring.dim_ambient, *self.ring.quotient.generators]
-        return _divisor_tables(
-            [tuple(map(operator.add, s, g)) for g in offsets for s in self.shifts]
-        )
+        self.sequence = _validated(ring, sequence)
+        self.m = len(self.sequence)
 
     def slice_dims(self, v: Vec) -> dict[int, int]:
         """Cohomology dimensions of the multidegree-v slice of the whole
@@ -219,30 +228,18 @@ class KoszulComplex:
         of the cuts at v - shift_T.  The mask is 0 (not even shift_T divides
         X^v) exactly when v - shift_T has a negative coordinate, and that T
         is skipped."""
-        dims = dict.fromkeys(range(-self.m, 1), 0)
+        ring, dims = self.ring, dict.fromkeys(range(-self.m, 1), 0)
+        kept = _kept(ring.quotient.generators, self.sequence)
+        cuts, m = _cut_table(ring, kept), len(kept)
         dropped = list(self.sequence)
-        for w in self._kept:
+        for w in kept:
             dropped.remove(w)
-        for t, shift in enumerate(_subset_shifts(dropped, self.ring.dim_ambient)):
-            mask = _divisor_mask(self._cuts, map(operator.sub, v, shift))
+        for t, shift in enumerate(_subset_shifts(dropped, ring.dim_ambient)):
+            mask = _divisor_mask(cuts, map(operator.sub, v, shift))
             if mask:
-                for degree, dim in self._cut_dims(mask).items():
+                slice_ = _active_dims(m, ring.characteristic, _active(mask, m))
+                for degree, dim in slice_.items():
                     dims[degree - t.bit_count()] += dim
-        return dims
-
-    def _cut_dims(self, mask: int) -> dict[int, int]:
-        # the active set is block 0 of the mask less the later blocks; each
-        # is counted once and cached
-        m = len(self._kept)
-        n, killed = 1 << m, 0
-        for block in range(n, mask.bit_length(), n):
-            killed |= mask >> block
-        active = mask & ~killed & (1 << n) - 1
-        dims = self._slices.get(active)
-        if dims is None:
-            dims = self._slices[active] = _active_dims(
-                m, self.ring.characteristic, active
-            )
         return dims
 
 
@@ -277,33 +274,27 @@ def _active_dims(m: int, characteristic: int, active: int) -> dict[int, int]:
     return {-j: crits[j] - ranks[j] - ranks[j + 1] for j in range(m + 1)}
 
 
-def _pullback(complex_: KoszulComplex, ring: RingSpec, matrix) -> KoszulComplex:
-    # the Koszul complex on the images A.w of the entries under the map with
-    # exponent matrix A on ``ring``
-    if ring != complex_.ring:
-        raise ValueError("map acts on a different ring than the complex")
-    images = [_matvec(matrix, w) for w in complex_.sequence]
-    # x + J contains a power m^k, so phi(x) + J contains (phi(m) + J)^k, and
-    # phi(x) lies in phi(m): phi(x) + J is m-primary iff phi is of finite
-    # length.  No image is a unit, since the columns of a map are nonzero.
-    try:
-        return KoszulComplex(ring, images)
-    except NotFiniteLengthError as exc:
-        raise NotFiniteLengthError(
-            "pullback requires an endomorphism of finite length"
-        ) from exc
-
-
 def pullback(complex_: KoszulComplex, phi: MonomialMap) -> KoszulComplex:
     """Inverse image of the complex along phi: the Koszul complex on the
     image monomials.  For a strictly perfect complex this plain base change
     already represents the derived pullback."""
-    return _pullback(complex_, phi.ring, phi.matrix)
+    if phi.ring != complex_.ring:
+        raise ValueError("map acts on a different ring than the complex")
+    return KoszulComplex(phi.ring, _mapped(phi.ring, complex_.sequence, phi.matrix))
 
 
 def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
-    """Exact length of every cohomology module: of the kept entries either
-    in closed form or as a cell sum of slices, convolved with the k
+    """Exact length of every cohomology module, by ``_koszul_lengths``."""
+    return _koszul_lengths(complex_.ring, complex_.sequence)[1]
+
+
+def _koszul_lengths(
+    ring: RingSpec, sequence, phi: MonomialMap | None = None, n: int = 0
+) -> tuple[tuple[Vec, ...], HomologyLengths]:
+    """The sequence, validated and then, for n >= 1, mapped by the one
+    matrix power A^n of phi and checked again, with the exact length of
+    every cohomology module of its Koszul complex: of the kept entries
+    either in closed form or as a cell sum of slices, convolved with the k
     dropped ones.
 
     On a regular ring with as many kept entries as variables the kept
@@ -319,34 +310,44 @@ def homology_lengths(complex_: KoszulComplex) -> HomologyLengths:
 
     Otherwise subset S of the kept entries is active at v iff X^(v -
     shift_S) is a standard monomial of the ring, so a slice is a function
-    of the divisor mask of the cuts shift_S + g at v, and the kept lengths
-    sum volume times slice dimensions over the cell volumes of the grid the
-    cuts cut, each distinct mask weighed once.  The cut shift_S + 0 for the
-    empty S is 0, and the generated ideal is m-primary and kills the
-    cohomology, so every unbounded cell is acyclic: the bounded cells hold
-    all of it.
+    of the divisor mask of the cuts shift_S + g at v.  The cell volumes of
+    the grid the cuts cut are summed per active set, and each distinct
+    active set is weighed by its slice dimensions once; the sums live for
+    this call only.  The cut shift_S + 0 for the empty S is 0, and the
+    generated ideal is m-primary and kills the cohomology, so every
+    unbounded cell is acyclic: the bounded cells hold all of it.
 
     Each factor K(0) multiplies the series sum_j l(H^(-j)) s^j by 1 + s,
     so for k dropped entries l(H^(-j) K(x)) = sum_i C(k, i) l(H^(-j+i)
     K(x')).  The region is computed from the whole sequence and the
     quotient.
     """
-    kept = complex_._kept
-    d = complex_.ring.dim_ambient
-    if complex_.ring.regular and len(kept) == d:
+    seq = _validated(ring, sequence)
+    if n:
+        if phi.ring != ring:
+            raise ValueError("map acts on a different ring than the complex")
+        seq = _mapped(ring, seq, _matpow(phi.matrix, n))
+    quotient, d = ring.quotient.generators, ring.dim_ambient
+    kept = _kept(quotient, seq)
+    m = len(kept)
+    if ring.regular and m == d:
         sums = {0: prod(map(sum, kept))}
     else:
+        volumes: dict[int, int] = {}
+        for mask, volume in _cell_volumes(_cut_table(ring, kept)).items():
+            active = _active(mask, m)
+            volumes[active] = volumes.get(active, 0) + volume
         sums = {}
-        for mask, volume in _cell_volumes(complex_._cuts).items():
-            for degree, dim in complex_._cut_dims(mask).items():
+        for active, volume in volumes.items():
+            for degree, dim in _active_dims(m, ring.characteristic, active).items():
                 sums[degree] = sums.get(degree, 0) + volume * dim
-    series = [sums.get(-j, 0) for j in range(complex_.m + 1)]
-    for _ in range(complex_.m - len(kept)):
+    series = [sums.get(-j, 0) for j in range(len(seq) + 1)]
+    for _ in range(len(seq) - m):
         series = [a + b for a, b in zip(series, [0, *series])]
     lengths = {-j: length for j, length in enumerate(series)}
-    tops = zip((0,) * d, *complex_.ring.quotient.generators)
-    region = tuple(map(sum, zip(map(max, tops), *complex_.sequence)))
-    return HomologyLengths(lengths, region)
+    tops = zip((0,) * d, *quotient)
+    region = tuple(map(sum, zip(map(max, tops), *seq)))
+    return seq, HomologyLengths(lengths, region)
 
 
 def h0_length(complex_: KoszulComplex) -> int:
@@ -368,14 +369,9 @@ def generator_profile(lengths: HomologyLengths) -> GeneratorProfile:
 
 def pullback_homology(
     ring: RingSpec, sequence, phi: MonomialMap, n: int
-) -> tuple[KoszulComplex, HomologyLengths, GeneratorProfile]:
-    """The Koszul complex on the sequence pulled back along the n-th
-    iterate of phi (the complex itself when n is 0), with its cohomology
-    lengths and generator profile.  The sequence is validated once, and
-    each entry is mapped by the one matrix power A^n; no map is built for
-    the iterate."""
-    complex_ = KoszulComplex(ring, sequence)
-    if n:
-        complex_ = _pullback(complex_, phi.ring, _matpow(phi.matrix, n))
-    lengths = homology_lengths(complex_)
-    return complex_, lengths, generator_profile(lengths)
+) -> tuple[tuple[Vec, ...], HomologyLengths, GeneratorProfile]:
+    """The sequence pulled back along phi^n (itself when n is 0), with the
+    cohomology lengths and generator profile of its Koszul complex, in one
+    ``_koszul_lengths`` pass: no map and no complex is built for it."""
+    seq, lengths = _koszul_lengths(ring, sequence, phi, n)
+    return seq, lengths, generator_profile(lengths)

@@ -45,12 +45,14 @@ _FIELDS = (
 
 
 class SpecFile(
-    namedtuple("SpecFile", "variables ideal sequence psi xi ring map digest")
+    namedtuple(
+        "SpecFile", "variables ideal ideal_vectors sequence psi xi ring map digest"
+    )
 ):
-    """Parsed and validated specification file.  ``ideal``, ``sequence``,
-    ``psi`` and ``xi`` are None when the file leaves them out; ``psi`` is
-    the transfer square's source map and ``digest`` the SHA-256 of the
-    file's bytes."""
+    """Parsed and validated specification file.  ``ideal``, with its
+    vectors as written in ``ideal_vectors``, ``sequence``, ``psi`` and
+    ``xi`` are None when the file leaves them out; ``psi`` is the transfer
+    square's source map and ``digest`` the SHA-256 of the file's bytes."""
 
     __slots__ = ()
 
@@ -177,7 +179,7 @@ def parse_spec(path: str) -> SpecFile:
     quotient = vectors("quotient", dim)
     require("map")
     map_columns = vectors("map", dim, dim)
-    ideal = vectors("ideal", dim)
+    ideal = ideal_vectors = vectors("ideal", dim)
     sequence = vectors("sequence", dim)
     # with the characteristic checked, only a quotient generator fails here
     ring = built(
@@ -206,6 +208,7 @@ def parse_spec(path: str) -> SpecFile:
     return SpecFile(
         variables=variables,
         ideal=ideal,
+        ideal_vectors=ideal_vectors,
         sequence=sequence,
         psi=psi,
         xi=xi,

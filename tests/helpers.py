@@ -15,7 +15,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from entrolab.endos import _matpow
-from entrolab.koszul import _differential
+from entrolab.koszul import _differential, _kept, _subset_shifts
 from entrolab.monomials import _pivot_count
 
 
@@ -238,12 +238,14 @@ def dd_product_terms(complex_):
     a complex's kept entries: map from (source subset, target subset,
     exponent vector) to the accumulated coefficient, subsets as bitmasks.  The two dropped entries multiply to
     the shift of the subset source ^ target.  All values must be zero."""
-    diff = _differential(len(complex_._kept))
+    kept = _kept(complex_.ring.quotient.generators, complex_.sequence)
+    shifts = _subset_shifts(kept, complex_.ring.dim_ambient)
+    diff = _differential(len(kept))
     acc = {}
     for src, entries in enumerate(diff):
         for mid, s1 in entries:
             for tgt, s2 in diff[mid]:
-                key = (src, tgt, complex_.shifts[src ^ tgt])
+                key = (src, tgt, shifts[src ^ tgt])
                 acc[key] = acc.get(key, 0) + s1 * s2
     return acc
 

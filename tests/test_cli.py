@@ -454,17 +454,10 @@ def test_empty_sequence_line_is_the_empty_sequence(workdir, capsys):
 
 def test_tower_counts_are_computed_once(capsys, monkeypatch):
     spec = str(Path(__file__).parent.parent / "specs" / "diagonal235.ring")
-    built = []
-    init = entrolab.koszul.KoszulComplex.__init__
-
-    def counted_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(entrolab.koszul.KoszulComplex, "__init__", counted_init)
+    koszul_counts = count_calls(monkeypatch, entrolab.koszul, "_koszul_lengths")
     assert main(["delta", "--spec", spec, "--max-iter", "8"]) == 0
     # the base complex only: the lower counts come from colengths
-    assert len(built) == 1
+    assert len(koszul_counts) == 1
 
     counts = count_calls(monkeypatch, entrolab.monomials, "_standard_count")
     assert main(["entropy", "--spec", spec, "--max-iter", "6", "--oracle"]) == 0

@@ -261,9 +261,15 @@ def test_unbounded_cells_of_m_primary_complexes_are_acyclic():
         ring = RingSpec(char, d, minimalize(quotient, d))
         complex_ = KoszulComplex(ring, seq)
         lengths = homology_lengths(complex_).lengths
-        total = cell_sum_pointwise(complex_._cuts, complex_._cut_dims)
+        kept = koszul._kept(ring.quotient.generators, complex_.sequence)
+        total = cell_sum_pointwise(
+            koszul._cut_table(ring, kept),
+            lambda mask: koszul._active_dims(
+                len(kept), char, koszul._active(mask, len(kept))
+            ),
+        )
         assert total is not None, (ring, seq)
-        k = len(seq) - len(complex_._kept)
+        k = len(seq) - len(kept)
         convolved = {
             -j: sum(math.comb(k, i) * total.get(i - j, 0) for i in range(k + 1))
             for j in range(len(seq) + 1)
@@ -327,12 +333,12 @@ def test_every_degree_matches_oracle_on_benchmark_shaped_pullbacks():
         n = k % 3
         while True:
             ring, seq, phi = _benchmark_shaped_case(rng, d, char, q)
-            complex_, lengths, _ = pullback_homology(ring, seq, phi, n)
+            images, lengths, _ = pullback_homology(ring, seq, phi, n)
             box = tuple(2 * side for side in lengths.region)
             if math.prod(box) << len(seq) <= 12000:
                 break
         pulled = [_apply_power(phi.columns, w, n) for w in seq]
-        assert list(complex_.sequence) == pulled
+        assert list(images) == pulled
         oracle = koszul_homology_oracle(char, ring.quotient.generators, pulled, box)
         assert lengths.lengths == oracle, (ring, seq, phi.columns, n)
 
@@ -392,12 +398,12 @@ def test_regular_systems_of_parameters_match_oracle_random(monkeypatch):
             phi = MonomialMap.from_columns(columns, ring)
             cell_walks.clear()
             tables.clear()
-            complex_, lengths, _ = pullback_homology(ring, seq, phi, n)
+            images, lengths, _ = pullback_homology(ring, seq, phi, n)
             if math.prod(lengths.region) << len(seq) <= 40000:
                 break
         assert (cell_walks, tables) == ([], []), (seq, columns, n)
-        assert len(complex_._kept) == d
-        oracle = koszul_homology_oracle(char, (), complex_.sequence, lengths.region)
+        assert len(koszul._kept((), images)) == d
+        oracle = koszul_homology_oracle(char, (), images, lengths.region)
         assert lengths.lengths == oracle, (d, char, seq, columns, n)
         permuted += n > 0 and perm != sorted(perm)
     assert permuted >= 8, permuted
@@ -504,7 +510,7 @@ def test_redundant_entries_match_oracles_random():
         char = ring.characteristic
         oracle = koszul_homology_oracle(char, quotient, seq, box)
         assert lengths.lengths == oracle, (kind, ring, seq)
-        assert complex_._kept == () or kind != "all in J"
+        assert koszul._kept(quotient, complex_.sequence) == () or kind != "all in J"
         for _ in range(4):
             v = tuple(rng.randint(0, side) for side in box)
             assert complex_.slice_dims(v) == koszul_slice_oracle(
@@ -525,13 +531,14 @@ def test_redundant_entries_leave_the_tables_when_ranked(monkeypatch):
     tables = count_calls(monkeypatch, monomials, "_divisor_tables")
     complex_ = KoszulComplex(regular, seq)
     lengths = homology_lengths(complex_)
-    assert complex_._kept == ((1, 0), (0, 2)) and tables == []
+    assert koszul._kept((), complex_.sequence) == ((1, 0), (0, 2))
+    assert tables == []
     assert lengths.lengths == {-j: 2 * math.comb(8, j) for j in range(11)}
     assert lengths.region == (13, 20)
     complex_ = KoszulComplex(quotient, seq)
     assert tables == []
     lengths = homology_lengths(complex_)
-    assert complex_._kept == ((1, 0), (0, 2))
+    assert koszul._kept(((2, 2),), complex_.sequence) == ((1, 0), (0, 2))
     cuts = [(0, 0), (1, 0), (0, 2), (1, 2), (2, 2), (3, 2), (2, 4), (3, 4)]
     assert tables == [(cuts,)]
     assert lengths.lengths[0] == 2 and lengths.region == (15, 22)
@@ -571,16 +578,18 @@ def test_torsion_slice_depends_on_characteristic(monkeypatch):
     expected = {char: {-j: 0 for j in range(7)} for char in (0, 2, 3)}
     expected[2].update({-3: 1, -4: 1})
     ranks = count_calls(monkeypatch, koszul, "exact_rank")
+    slices = count_calls(monkeypatch, koszul, "_active_dims")
     for char, dims in expected.items():
         ring = RingSpec(char, 5, minimalize(killers + powers))
         complex_ = KoszulComplex(ring, seq)
         ranks.clear()
+        slices.clear()
         assert complex_.slice_dims(v) == dims
         assert dims == koszul_slice_oracle(char, ring.quotient.generators, seq, v)
         # the matching leaves one critical cell in each of degrees -3 and -4,
         # so d_4 is ranked; over Q and F_3 the Morse rank is 1 and there are
         # more critical cells than the total length
-        (active,) = complex_._slices
+        ((_, _, active),) = slices
         criticals = _critical_count(active, 6)
         assert criticals == 2 and len(ranks) == 1
         assert criticals > sum(dims.values()) or char == 2
@@ -712,12 +721,14 @@ def _count_tables(monkeypatch):
     return calls
 
 
-def test_divisor_table_built_once_when_first_ranked(monkeypatch):
+def test_divisor_table_built_once_per_count(monkeypatch):
     # with 0 to 3 quotient generators a complex builds no table until it is
-    # ranked, then one table over the 2^m' (q + 1) cuts shift_S + g, for
-    # g = 0 and each quotient generator, in blocks of 2^m', where m' counts
-    # the entries no quotient generator divides: (1, 1) lies in the second
-    # quotient, (1, 1) and (0, 3) in the last
+    # ranked, and each count builds one table over the 2^m' (q + 1) cuts
+    # shift_S + g, for g = 0 and each quotient generator, in blocks of
+    # 2^m', where m' counts the entries no quotient generator divides: (1, 1)
+    # lies in the second quotient, (1, 1) and (0, 3) in the last.  Nothing
+    # is kept from one count to the next, so a second count builds the
+    # same table again and gives the same lengths
     quotients = [(), ((1, 1),), ((2, 1), (1, 2)), ((3, 0), (1, 1), (0, 3))]
     kept = [3, 2, 3, 1]
     tables = _count_tables(monkeypatch)
@@ -725,16 +736,19 @@ def test_divisor_table_built_once_when_first_ranked(monkeypatch):
         ring = RingSpec(3, 2, minimalize(jgens, 2))
         assert len(ring.quotient.generators) == len(jgens)
         complex_ = KoszulComplex(ring, [(2, 0), (1, 1), (0, 3)])
-        assert tables == [] and "shifts" not in vars(complex_)
+        assert tables == [] and vars(complex_).keys() == {"ring", "sequence", "m"}
         lengths = homology_lengths(complex_)
+        shifts = koszul._subset_shifts(
+            koszul._kept(ring.quotient.generators, complex_.sequence), 2
+        )
         cuts = [
             (s[0] + g[0], s[1] + g[1])
             for g in [(0, 0), *ring.quotient.generators]
-            for s in complex_.shifts
+            for s in shifts
         ]
         assert tables == [cuts] and len(cuts) == 2 ** m_kept * (len(jgens) + 1)
         assert homology_lengths(complex_) == lengths
-        assert len(tables) == 1
+        assert tables == [cuts, cuts]
         tables.clear()
 
 
@@ -747,13 +761,65 @@ def test_pullback_homology_builds_one_divisor_table(monkeypatch):
     tables = _count_tables(monkeypatch)
     powers = count_calls(monkeypatch, endos, "_matpow")
     maps = count_calls(monkeypatch, endos, "MonomialMap")
-    complex_, lengths, _ = pullback_homology(
+    images, lengths, _ = pullback_homology(
         spec.ring, spec.sequence, spec.map, 3
     )
-    assert complex_.sequence == ((27, 0), (0, 27))
+    assert images == ((27, 0), (0, 27))
     assert lengths.lengths == {0: 53, -1: 53, -2: 0}
     assert len(tables) == 1
     assert powers == [(spec.map.matrix, 3)] and maps == []
+
+
+def test_pullback_homology_is_one_pass_on_random_towers(monkeypatch):
+    # d = 2-3, with and without a quotient, n = 0-3: pullback_homology
+    # builds no KoszulComplex, every degree agrees with the complex pulled
+    # back through the public names and with the slice oracle, and each
+    # distinct active set is counted by _active_dims exactly once; cases
+    # too large for the oracle are drawn again
+    rng = random.Random(3535)
+    built, init = [], KoszulComplex.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(KoszulComplex, "__init__", counted_init)
+    slices = count_calls(monkeypatch, koszul, "_active_dims")
+    walked = 0
+    for d, quotiented, n in itertools.product((2, 3), (False, True), range(4)):
+        for _ in range(3):
+            while True:
+                char = rng.choice((0, 2, 3, 5))
+                jgens = [tuple(rng.randint(0, 2) for _ in range(d))
+                         for _ in range(rng.randint(1, 2) * quotiented)]
+                ring = RingSpec(char, d, minimalize([g for g in jgens if sum(g)], d))
+                seq = random_monomial_sequence(
+                    rng, d, rng.randint(d, d + 2), max_exp=2
+                )
+                exps = [rng.randint(1, 2) for _ in range(d)]
+                phi = MonomialMap.diagonal(exps, ring)
+                built.clear()
+                slices.clear()
+                images, lengths, _ = pullback_homology(ring, seq, phi, n)
+                if math.prod(lengths.region) << len(seq) <= 40000:
+                    break
+            assert built == [], (ring, seq, exps, n)
+            actives = [active for _, _, active in slices]
+            kept = koszul._kept(ring.quotient.generators, images)
+            if actives:
+                walked += 1
+                masks = monomials._cell_volumes(koszul._cut_table(ring, kept))
+                distinct = {koszul._active(mask, len(kept)) for mask in masks}
+                assert sorted(actives) == sorted(distinct), (ring, seq, exps, n)
+            base = KoszulComplex(ring, seq)
+            pulled = pullback(base, iterate(phi, n)) if n else base
+            assert pulled.sequence == images
+            assert homology_lengths(pulled) == lengths, (ring, seq, exps, n)
+            oracle = koszul_homology_oracle(
+                char, ring.quotient.generators, images, lengths.region
+            )
+            assert lengths.lengths == oracle, (ring, seq, exps, n)
+    assert walked >= 24, walked
 
 
 def test_dd_zero_check_runs_once_per_m(monkeypatch, capsys):
@@ -797,16 +863,19 @@ def test_differential_signs_match_oracle():
 def test_pullback_rank_work_independent_of_n(monkeypatch):
     # north-star cost model: the exponents grow like 3^n, the work must not.
     # Every slice is matched perfectly, so no rank is needed at any n, and
-    # the distinct active sets stay the same seven.
+    # the distinct active sets stay the same seven, each counted once.
     spec = parse_spec(
         str(Path(__file__).parent.parent / "specs" / "frobenius_cross.ring")
     )
     base = KoszulComplex(spec.ring, spec.sequence)
     calls = count_calls(monkeypatch, koszul, "exact_rank")
+    slices = count_calls(monkeypatch, koszul, "_active_dims")
     for n in range(1, 13):
         complex_ = pullback(base, iterate(spec.map, n))
+        slices.clear()
         homology_lengths(complex_)
-        assert (len(calls), len(complex_._slices)) == (0, 7), n
+        actives = {active for _, _, active in slices}
+        assert (len(calls), len(actives), len(slices)) == (0, 7, 7), n
 
 
 def test_morse_matching_leaves_little_rank_work(monkeypatch):
