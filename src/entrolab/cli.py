@@ -31,6 +31,7 @@ from .endos import MonomialMap, _matmul, _matvec
 from .koszul import _koszul_lengths, pullback_homology
 from .entropy import (
     _cycle_rate,
+    _entropy_pass,
     _maximal_faces,
     _monomial_matrix,
     _rate_bracket_violations,
@@ -152,16 +153,17 @@ def _suites(phi: MonomialMap) -> tuple[tuple | None, list[str]]:
 
 def _oracle_lengths_verdict(seq, vectors=None, name="oracle-colength"):
     """Check every length of the sequence by ``_pivot_count`` on the images
-    of ``vectors`` as the spec wrote them (default: the ideal used) under
+    of ``vectors`` as the spec wrote them (None: the ideal used) under
     composed powers of the map's matrix, so the check shares neither the
     engine's minimalization nor its image-by-image iteration."""
     ring = seq.map.ring
     quotient = list(ring.quotient.generators)
     matrix = power = seq.map.matrix
+    gens = seq.ideal_used.generators if vectors is None else vectors
     for row in seq.rows:
         if row.n > 1:
             power = _matmul(matrix, power)
-        images = [_matvec(power, g) for g in vectors or seq.ideal_used.generators]
+        images = [_matvec(power, g) for g in gens]
         length = _pivot_count(images + quotient, ring.dim_ambient)
         if length != row.length:
             return (name, False, f"pivot count gives {length} at n = {row.n}")
@@ -169,7 +171,7 @@ def _oracle_lengths_verdict(seq, vectors=None, name="oracle-colength"):
 
 
 def _entropy(args, spec, report: RunReport, scale: float):
-    seq = local_entropy_sequence(spec.ring, spec.map, spec.ideal, args.max_iter)
+    seq = _entropy_pass(spec.ring, spec.map, spec.ideal, args.max_iter)
     _fill_sequence_rows(report, seq, scale)
     if args.max_iter >= 3:
         report.footer.append(("slope", _fmt(estimate_limit(seq) * scale)))
@@ -179,7 +181,7 @@ def _entropy(args, spec, report: RunReport, scale: float):
         rate = _cycle_rate(matrix, _maximal_faces(spec.ring))
         report.footer.append(("prediction", suites[0], _rate(rate, scale)))
     if args.oracle:
-        report.verdicts.append(_oracle_lengths_verdict(seq, spec.ideal_vectors))
+        report.verdicts.append(_oracle_lengths_verdict(seq, spec.ideal))
 
 
 def _profile_item(profile) -> tuple[str, ...]:
@@ -333,13 +335,10 @@ def _verify_ideal_independence(args, spec, report, scale):
     monomials of degree i in the d images; summing over i < c,
     length(R/phi^n I) <= length(R/b^c) <= C(c+d-1, d) length(R/b).
     """
-    ring, mono_map = spec.ring, spec.map
-    ideal = spec.ideal
+    ring, mono_map, ideal = spec.ring, spec.map, spec.ideal
     if ideal is None:
-        raise SpecError(
-            "ideal field is required for the ideal-independence suite"
-        )
-    seq_q = local_entropy_sequence(ring, mono_map, ideal, args.max_iter)
+        raise SpecError("ideal field is required for the ideal-independence suite")
+    seq_q = _entropy_pass(ring, mono_map, ideal, args.max_iter)
     seq_m = local_entropy_sequence(ring, mono_map, None, args.max_iter)
     report.rows += [
         [str(row_q.n), str(row_q.length), _fmt(row_q.log_average * scale),
@@ -348,7 +347,7 @@ def _verify_ideal_independence(args, spec, report, scale):
     ]
     report.columns = ["n", "length_q", "a_n_q", "length_m", "a_n_m"]
     d = ring.dim_ambient
-    powers = _pure_powers(ideal.generators + ring.quotient.generators, d)
+    powers = _pure_powers((*ideal, *ring.quotient.generators), d)
     factor = math.comb(sum(powers), d)  # C(c + d - 1, d)
     outside = [
         f"length_q = {q.length} lies outside [{m.length}, {factor * m.length}]"

@@ -67,7 +67,7 @@ class EntropyRow(namedtuple("EntropyRow", "n length log_average log_length")):
 
 class EntropySequence(namedtuple("EntropySequence", "rows ideal_used map")):
     """Colength growth data for the iterates of a map against a fixed
-    reference ideal."""
+    reference ideal ``ideal_used``: an ideal, or vectors counted as written."""
 
     __slots__ = ()
 
@@ -136,37 +136,41 @@ def local_entropy_sequence(
     gives the rows.
 
     On a quotient by J each row maps the carried vectors by A, starting
-    from the minimal generators of I, and counts them with the quotient.
+    from the generators of I as given, and counts them with the quotient.
     The images that another image or a quotient generator divides are
     dropped before the next row, read off the row's feet table: phi(J)
     lies in J, so phi(I) + J = phi(I') + J whenever I + J = I' + J.
     """
+    return _entropy_pass(ring, phi, ideal and ideal.generators, n_max, ideal)
+
+
+def _entropy_pass(ring, phi, vectors, n_max, ideal=None) -> EntropySequence:
+    """``local_entropy_sequence`` on the generators of ``ideal``, or on
+    checked vectors of the ring's dimension as written; None means m."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if phi.ring != ring:
         raise ValueError("map does not act on the given ring")
-    if ideal is None:
+    if vectors is None:
         ideal = ring.maximal_ideal()
-    if any(sum(g) == 0 for g in ideal.generators):
+        vectors = ideal.generators
+    if any(sum(g) == 0 for g in vectors):
         raise ValueError("reference ideal must be proper")
-    _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
+    if ideal is not None:
+        _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
     quotient = ring.quotient.generators
-    if _pure_powers(ideal.generators + quotient, ring.dim_ambient) is None:
+    if _pure_powers((*vectors, *quotient), ring.dim_ambient) is None:
         raise NotFiniteLengthError(
             "reference ideal is not primary to the maximal ideal"
         )
     if not is_finite_length(phi):
         raise NotFiniteLengthError("endomorphism is not of finite length")
-    matrix = phi.matrix
-    rows = []
+    matrix, rows, used = phi.matrix, [], ideal or vectors
     if not quotient:
-        length = _standard_count(ideal.generators, ring)[0]
+        length = _standard_count(vectors, ring)[0]
         det = math.prod(e for row in matrix for e in row if e)
-        for n in range(1, n_max + 1):
-            length *= det
-            rows.append(_row(n, length))
-        return EntropySequence(tuple(rows), ideal, phi)
-    vectors = ideal.generators
+        rows = [_row(n, length * det**n) for n in range(1, n_max + 1)]
+        return EntropySequence(tuple(rows), used, phi)
     for n in range(1, n_max + 1):
         vectors = [_matvec(matrix, v) for v in vectors]
         length, gens, feet = _standard_count(vectors, ring)
@@ -178,7 +182,7 @@ def local_entropy_sequence(
                 if not _divisor_mask(feet, g) & ((1 << k) - 1)
                 and g not in quotient
             ]
-    return EntropySequence(tuple(rows), ideal, phi)
+    return EntropySequence(tuple(rows), used, phi)
 
 
 def _row(n: int, length: int) -> EntropyRow:

@@ -17,9 +17,10 @@ A transfer square adds a second, regular ring and the joining map:
     xi [1,0] [0,1]             # image of each source variable
 
 Every field, the ring, the map, the reference ideal and the source map
-are checked here, and each defect's message names its line.  Only the
-transfer commands build the square, so only they check that xi has finite
-length and that the square commutes (exit 3).
+are checked here, and each defect's message names its line; the
+reference ideal is kept as written, not minimalized.  Only the transfer
+commands build the square, so only they check that xi has finite length
+and that the square commutes (exit 3).
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ _FIELDS = (
 
 
 class SpecFile(
-    namedtuple(
-        "SpecFile", "variables ideal ideal_vectors sequence psi xi ring map digest"
-    )
+    namedtuple("SpecFile", "variables ideal sequence psi xi ring map digest")
 ):
-    """Parsed and validated specification file.  ``ideal``, with its
-    vectors as written in ``ideal_vectors``, ``sequence``, ``psi`` and
-    ``xi`` are None when the file leaves them out; ``psi`` is the transfer
+    """Parsed and validated specification file.  ``ideal`` and
+    ``sequence`` hold their vectors as written; they, ``psi`` and ``xi``
+    are None when the file leaves them out.  ``psi`` is the transfer
     square's source map and ``digest`` the SHA-256 of the file's bytes."""
 
     __slots__ = ()
@@ -179,15 +178,13 @@ def parse_spec(path: str) -> SpecFile:
     quotient = vectors("quotient", dim)
     require("map")
     map_columns = vectors("map", dim, dim)
-    ideal = ideal_vectors = vectors("ideal", dim)
+    ideal = vectors("ideal", dim)
     sequence = vectors("sequence", dim)
     # with the characteristic checked, only a quotient generator fails here
     ring = built(
         "quotient", RingSpec, characteristic, dim, MonomialIdeal(quotient or (), dim)
     )
     mono_map = built("map", MonomialMap.from_columns, map_columns, ring)
-    if ideal is not None:
-        ideal = built("ideal", MonomialIdeal, ideal, dim)
 
     square_fields = [
         name for name in ("source_variables", "source_map", "xi") if name in fields
@@ -208,7 +205,6 @@ def parse_spec(path: str) -> SpecFile:
     return SpecFile(
         variables=variables,
         ideal=ideal,
-        ideal_vectors=ideal_vectors,
         sequence=sequence,
         psi=psi,
         xi=xi,

@@ -736,6 +736,76 @@ def test_exit_code_3_on_hypothesis_failure(workdir, capsys):
     capsys.readouterr()
 
 
+EMPTY_IDEAL = (
+    "characteristic 2\nvariables X Y\nquotient [2,0] [0,2]\nmap [2,0] [0,2]\n"
+    "ideal\n"
+)
+
+
+def test_empty_ideal_line_is_the_zero_ideal(workdir, capsys):
+    # an ideal line with no vectors writes the zero ideal, primary to m
+    # with the quotient (X^2, Y^2), so every length is 4; the oracle counts
+    # those no vectors with the quotient, not the ideal used
+    (workdir / "empty.spec").write_text(EMPTY_IDEAL)
+    code, out = _run(
+        capsys, ["entropy", "--spec", "empty.spec", "--max-iter", "3", "--oracle"]
+    )
+    assert code == 0
+    assert out == "\n".join([
+        "# command\tentropy --spec empty.spec --max-iter 3 --oracle",
+        _digest_line(EMPTY_IDEAL),
+        "n\tlength\tlog_length\ta_n",
+        "1\t4\t1.38629436112\t1.38629436112",
+        "2\t4\t1.38629436112\t0.69314718056",
+        "3\t4\t1.38629436112\t0.462098120373",
+        "# slope\t0",
+        "# last_a_n\t0.462098120373",
+        "# prediction\tfrobenius\t0",
+        "# verdict\toracle-colength\tPASS\tpivot count agrees for n <= 3",
+        "",
+    ])
+    argv = ["verify", "ideal-independence", "--spec", "empty.spec", "--max-iter", "3"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert out == "\n".join([
+        "# command\tverify ideal-independence --spec empty.spec --max-iter 3",
+        _digest_line(EMPTY_IDEAL),
+        "n\tlength_q\ta_n_q\tlength_m\ta_n_m",
+        "1\t4\t1.38629436112\t4\t1.38629436112",
+        "2\t4\t0.69314718056\t4\t0.69314718056",
+        "3\t4\t0.462098120373\t4\t0.462098120373",
+        "# verdict\tlength-bracket\tPASS\t"
+        "length_m <= length_q <= 6 * length_m at every n",
+        "",
+    ])
+
+
+def test_entropy_builds_no_ideal_from_the_reference_vectors(monkeypatch, capsys):
+    # the 23 reference vectors are counted as written: the one MonomialIdeal
+    # a run builds is the zero quotient of the regular ring, and no vector
+    # reaches the minimal-generator sweep
+    built, swept = [], []
+    zero = entrolab.monomials.MonomialIdeal((), 3)
+    init = entrolab.monomials.MonomialIdeal.__init__
+    sweep = entrolab.monomials._minimal_sweep
+
+    def counted_init(self, generators, ambient_dim):
+        init(self, generators, ambient_dim)
+        built.append(self)
+
+    def counted_sweep(gens):
+        swept.extend(gens)
+        return sweep(gens)
+
+    monkeypatch.setattr(entrolab.monomials.MonomialIdeal, "__init__", counted_init)
+    monkeypatch.setattr(entrolab.monomials, "_minimal_sweep", counted_sweep)
+    spec = Path(__file__).parent.parent / "specs" / "degree5_squares.ring"
+    code, out = _run(capsys, ["entropy", "--spec", str(spec), "--oracle"])
+    assert code == 0
+    assert "# verdict\toracle-colength\tPASS\tpivot count agrees for n <= 8" in out
+    assert built == [zero] and swept == []
+
+
 def test_unit_reference_ideal_exits_2_before_finiteness(workdir, capsys):
     # the reference ideal is validated before the map's finiteness, so a
     # unit ideal is malformed input (exit 2) even for a map that is not of
@@ -1101,18 +1171,19 @@ def test_ideal_independence_bracket_catches_count_faults(workdir, capsys,
     assert out.splitlines()[-1] == (
         "# verdict\tlength-bracket\tFAIL\tlength_q = 8 lies outside [2, 6] at n = 1"
     )
-    # a reference-ideal row counted below length_m fails the left side
-    sequence = entrolab.cli.local_entropy_sequence
+    # a reference-ideal row counted below length_m fails the left side; the
+    # q-sequence counts the spec's vectors through the engine's private pass
+    sequence = entrolab.cli._entropy_pass
 
-    def low_third_row(ring, phi, ideal, n_max):
-        seq = sequence(ring, phi, ideal, n_max)
-        if ideal is None:
+    def low_third_row(ring, phi, vectors, n_max):
+        seq = sequence(ring, phi, vectors, n_max)
+        if vectors is None:
             return seq
         rows = list(seq.rows)
         rows[2] = rows[2]._replace(length=52)
         return seq._replace(rows=tuple(rows))
 
-    monkeypatch.setattr(entrolab.cli, "local_entropy_sequence", low_third_row)
+    monkeypatch.setattr(entrolab.cli, "_entropy_pass", low_third_row)
     cross = Path(__file__).parent.parent / "specs" / "frobenius_cross.ring"
     code, out = _run(capsys, ["verify", "ideal-independence", "--spec", str(cross)])
     assert code == 4

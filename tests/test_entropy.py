@@ -10,6 +10,7 @@ from entrolab import (
     EntropyRow,
     EntropySequence,
     HypothesisError,
+    MonomialIdeal,
     MonomialMap,
     NotFiniteLengthError,
     NotRegularError,
@@ -386,6 +387,35 @@ def test_sequence_row_work_is_one_table(monkeypatch):
                 assert len(counts) == rows_counted
                 assert all(len(vectors) <= gens for vectors, _ in counts)
             assert built == ([0, 0, 0] if reference else [1, 1, 1])
+
+
+def test_pass_counts_written_vectors_as_their_minimal_generators():
+    # the one row loop, on reference vectors as a spec may write them
+    # (shuffled, with copies and multiples of generators), gives exactly
+    # the rows that the public function gives on the ideal they generate
+    rng = random.Random(36)
+    seen = set()
+    for k in range(48):
+        ring, phi, ideal = _random_sequence_case(
+            rng, 1 + k % 4, k % 2 == 1, k % 4 == 3
+        )
+        gens = list(ideal.generators)
+        written = gens + rng.choices(gens, k=2) + [
+            tuple(e + rng.randint(0, 2) for e in g) for g in rng.choices(gens, k=2)
+        ]
+        rng.shuffle(written)
+        written = tuple(written)
+        d = ring.dim_ambient
+        assert MonomialIdeal(written, d) == ideal
+        for n_max in (1, 5):
+            seq = entropy_module._entropy_pass(ring, phi, written, n_max)
+            assert seq.ideal_used == written
+            expected = local_entropy_sequence(
+                ring, phi, MonomialIdeal(written, d), n_max
+            )
+            assert seq.rows == expected.rows
+        seen.add((ring.regular, ring.characteristic))
+    assert seen == {(regular, p) for regular in (True, False) for p in (0, 2, 3)}
 
 
 def test_sequence_unit_ideal_is_rejected_before_finiteness():

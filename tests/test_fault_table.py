@@ -137,11 +137,13 @@ FAULTS = [
     # divisible
     ("a divisible generator kept", monomials, "_minimal_sweep",
      _keep_one_dropped, "delta --spec specs/koszul_regular.ring", "unchanged"),
-    # the oracle counts the reference ideal as the spec writes it, so a
-    # wrong minimalization shows
+    # sandwich minimalizes the sequence, and the oracle counts it as the
+    # spec writes it, so a wrong minimalization shows; the entropy path
+    # counts the reference ideal as written and never minimalizes it
     ("a minimal generator dropped", monomials, "_minimal_sweep",
      _drop_one_in_every_variable,
-     "entropy --spec specs/degree5_squares.ring --oracle", "oracle-colength"),
+     "delta --spec specs/koszul_cubics.ring --max-iter 2 --oracle",
+     "oracle-colength"),
     ("matvec + 1 in the first coordinate", entropy, "_matvec",
      _first_coordinate_plus_one,
      "verify frobenius --spec specs/frobenius_cross.ring", "exact-lengths"),

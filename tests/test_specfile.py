@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from entrolab import NotFiniteLengthError, SpecError
+from entrolab import MonomialIdeal, NotFiniteLengthError, SpecError
 from entrolab.specfile import _parse_vectors, parse_spec
 
 
@@ -31,7 +31,9 @@ def test_parse_full(tmp_path):
     assert spec.variables == ("X", "Y")
     assert spec.ring.quotient.generators == ((1, 1),)
     assert spec.map.columns == ((3, 0), (0, 3))
-    assert spec.ideal.generators == ((0, 2), (2, 0))
+    # the reference ideal is kept as written; minimalized, it is the same
+    assert spec.ideal == ((2, 0), (0, 2))
+    assert MonomialIdeal(spec.ideal, 2).generators == ((0, 2), (2, 0))
     assert spec.sequence == ((1, 0), (0, 1))
     assert not spec.ring.regular
     assert spec.map.matrix == ((3, 0), (0, 3))
