@@ -151,20 +151,20 @@ def _suites(phi: MonomialMap) -> tuple[tuple | None, list[str]]:
     return matrix, ["frobenius"] * frobenius + ["diagonal", "monomial-matrix"]
 
 
-def _oracle_lengths_verdict(seq, vectors=None, name="oracle-colength"):
+def _oracle_lengths_verdict(spec, seq, vectors=None, name="oracle-colength"):
     """Check every length of the sequence by ``_pivot_count`` on the images
     of ``vectors`` as the spec wrote them (None: the ideal used) under
-    composed powers of the map's matrix, so the check shares neither the
-    engine's minimalization nor its image-by-image iteration."""
-    ring = seq.map.ring
-    quotient = list(ring.quotient.generators)
+    composed powers of the map's matrix, with the spec's quotient as
+    written, so the check shares neither the engine's minimalization nor
+    its image-by-image iteration."""
+    quotient = list(spec.quotient)
     matrix = power = seq.map.matrix
     gens = seq.ideal_used.generators if vectors is None else vectors
     for row in seq.rows:
         if row.n > 1:
             power = _matmul(matrix, power)
         images = [_matvec(power, g) for g in gens]
-        length = _pivot_count(images + quotient, ring.dim_ambient)
+        length = _pivot_count(images + quotient, spec.ring.dim_ambient)
         if length != row.length:
             return (name, False, f"pivot count gives {length} at n = {row.n}")
     return (name, True, f"pivot count agrees for n <= {seq.rows[-1].n}")
@@ -181,7 +181,7 @@ def _entropy(args, spec, report: RunReport, scale: float):
         rate = _cycle_rate(matrix, _maximal_faces(spec.ring))
         report.footer.append(("prediction", suites[0], _rate(rate, scale)))
     if args.oracle:
-        report.verdicts.append(_oracle_lengths_verdict(seq, spec.ideal))
+        report.verdicts.append(_oracle_lengths_verdict(spec, seq, spec.ideal))
 
 
 def _profile_item(profile) -> tuple[str, ...]:
@@ -226,7 +226,7 @@ def _delta(args, spec, report: RunReport, scale: float):
     _fill_sandwich_rows(report, bounds, scale)
     if args.oracle:
         lower = bounds.lower_sequence
-        report.verdicts.append(_oracle_lengths_verdict(lower, spec.sequence))
+        report.verdicts.append(_oracle_lengths_verdict(spec, lower, spec.sequence))
 
 
 def _koszul(args, spec, report: RunReport, scale: float):
@@ -251,20 +251,21 @@ def _koszul(args, spec, report: RunReport, scale: float):
 def _oracle_koszul_verdict(spec, pulled, lengths, n):
     """Check the lengths of the Koszul complex pulled back along phi^n.
 
-    H^0 is the colength of the pulled-back sequence plus the quotient, so
-    ``_pivot_count`` checks it on any ring and at any depth, with no cell
-    walk and no slice count: this is the independent part.  On a regular
-    ring a finite-length phi is flat (Matsumura, Commutative Ring Theory,
-    23.1), so for n >= 1 every degree is length(R/phi^n m) = |det A|^n,
-    read off phi's matrix A, times its length at n = 0.  That catches
-    cell-walk and region errors, which grow with the exponents.  It does
-    not catch a wrong slice count: for a monomial-matrix map every slice of
-    the pullback is a slice of the base, so such an error scales exactly
-    and passes.  When the kept entries are a system of parameters, both
-    sides are products of exponents, so flatness compares a product with
-    itself and H^0 by the pivot count is the only independent check."""
+    H^0 is the colength of the pulled-back sequence plus the quotient as
+    the spec writes it, so ``_pivot_count`` checks it on any ring and at
+    any depth, with no cell walk, no slice count and no minimalization:
+    this is the independent part.  On a regular ring a finite-length phi
+    is flat (Matsumura, Commutative Ring Theory, 23.1), so for n >= 1
+    every degree is length(R/phi^n m) = |det A|^n, read off phi's matrix
+    A, times its length at n = 0.  That catches cell-walk and region
+    errors, which grow with the exponents.  It does not catch a wrong
+    slice count: for a monomial-matrix map every slice of the pullback is
+    a slice of the base, so such an error scales exactly and passes.  When
+    the kept entries are a system of parameters, both sides are products
+    of exponents, so flatness compares a product with itself and H^0 by
+    the pivot count is the only independent check."""
     ring = spec.ring
-    h0 = _pivot_count([*pulled, *ring.quotient.generators], ring.dim_ambient)
+    h0 = _pivot_count([*pulled, *spec.quotient], ring.dim_ambient)
     if h0 != lengths.length(0):
         return ("oracle-koszul", False, f"pivot count gives H^0 = {h0}")
     notes = ["pivot count agrees at H^0"]
@@ -315,7 +316,7 @@ def _verify_exact_rate(args, spec, report: RunReport, scale: float):
     faces = _maximal_faces(spec.ring)
     rate = _cycle_rate(matrix, faces)
     report.footer.append(("prediction", args.suite, _rate(rate, scale)))
-    report.verdicts.append(_oracle_lengths_verdict(seq, name="exact-lengths"))
+    report.verdicts.append(_oracle_lengths_verdict(spec, seq, name="exact-lengths"))
     problems = _rate_bracket_violations(seq, rate, matrix, faces)
     report.verdicts.append((
         "rate-bracket", not problems, problems[0] if problems else

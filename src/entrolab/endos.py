@@ -52,17 +52,17 @@ class MonomialMap(_Value):
     def __init__(self, matrix: Matrix, ring: RingSpec):
         d = ring.dim_ambient
         rows = tuple([tuple(map(int, row)) for row in matrix])
-        if len(rows) != d or any(len(row) != d for row in rows):
+        if len(rows) != d or {*map(len, rows)} != {d}:
             raise DimensionMismatchError(f"matrix must be {d}x{d}")
         if min(map(min, rows)) < 0:
             raise ValueError("matrix entries must be nonnegative")
-        for j, column in enumerate(zip(*rows)):
-            if not any(column):
-                raise ValueError(
-                    f"map column {j + 1} is zero (not a local endomorphism)"
-                )
+        if not all(map(any, zip(*rows))):
+            j = [*map(any, zip(*rows))].index(False)
+            raise ValueError(
+                f"map column {j + 1} is zero (not a local endomorphism)"
+            )
         quotient = ring.quotient.generators
-        tables = _divisor_tables(quotient)
+        tables = quotient and _divisor_tables(quotient)  # none if regular
         for g in quotient:
             if not _divisor_mask(tables, _matvec(rows, g)):
                 raise ValueError(
@@ -80,7 +80,7 @@ class MonomialMap(_Value):
     def from_columns(cls, cols, ring: RingSpec) -> "MonomialMap":
         cols = [tuple(c) for c in cols]
         d = ring.dim_ambient
-        if len(cols) != d or any(len(c) != d for c in cols):
+        if len(cols) != d or {*map(len, cols)} != {d}:
             raise DimensionMismatchError(f"expected {d} columns of length {d}")
         return cls(tuple(zip(*cols)), ring)
 

@@ -146,23 +146,26 @@ def local_entropy_sequence(
 
 def _entropy_pass(ring, phi, vectors, n_max, ideal=None) -> EntropySequence:
     """``local_entropy_sequence`` on the generators of ``ideal``, or on
-    checked vectors of the ring's dimension as written; None means m."""
+    checked vectors of the ring's dimension as written; None means m,
+    which is proper, of the ring's dimension and m-primary by
+    construction, so only a given reference is checked for those."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if phi.ring != ring:
         raise ValueError("map does not act on the given ring")
+    quotient = ring.quotient.generators
     if vectors is None:
         ideal = ring.maximal_ideal()
         vectors = ideal.generators
-    if any(sum(g) == 0 for g in vectors):
+    elif any(sum(g) == 0 for g in vectors):
         raise ValueError("reference ideal must be proper")
-    if ideal is not None:
-        _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
-    quotient = ring.quotient.generators
-    if _pure_powers((*vectors, *quotient), ring.dim_ambient) is None:
-        raise NotFiniteLengthError(
-            "reference ideal is not primary to the maximal ideal"
-        )
+    else:
+        if ideal is not None:
+            _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
+        if _pure_powers((*vectors, *quotient), ring.dim_ambient) is None:
+            raise NotFiniteLengthError(
+                "reference ideal is not primary to the maximal ideal"
+            )
     if not is_finite_length(phi):
         raise NotFiniteLengthError("endomorphism is not of finite length")
     matrix, rows, used = phi.matrix, [], ideal or vectors

@@ -325,10 +325,15 @@ class RingSpec(_Value):
         return cls(characteristic, dim, MonomialIdeal((), dim))
 
     def maximal_ideal(self) -> MonomialIdeal:
-        """(X_1, ..., X_d), built afresh on each call."""
+        """(X_1, ..., X_d), built afresh on each call and written down: the
+        unit vectors of X_d, ..., X_1 are minimal and in lexicographic
+        order, so none of ``MonomialIdeal``'s checks or its sweep runs."""
         d = self.dim_ambient
-        gens = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-        return MonomialIdeal(gens, d)
+        ideal = object.__new__(MonomialIdeal)
+        units = [(0,) * (d - 1 - i) + (1,) + (0,) * i for i in range(d)]
+        object.__setattr__(ideal, "generators", tuple(units))
+        object.__setattr__(ideal, "ambient_dim", d)
+        return ideal
 
 
 def _cell_volumes(tables) -> dict:

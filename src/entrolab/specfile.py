@@ -18,9 +18,10 @@ A transfer square adds a second, regular ring and the joining map:
 
 Every field, the ring, the map, the reference ideal and the source map
 are checked here, and each defect's message names its line; the
-reference ideal is kept as written, not minimalized.  Only the transfer
-commands build the square, so only they check that xi has finite length
-and that the square commutes (exit 3).
+quotient, the reference ideal and the sequence are also kept as written,
+not minimalized.  Only the transfer commands build the square, so only
+they check that xi has finite length and that the square commutes
+(exit 3).
 """
 
 from __future__ import annotations
@@ -46,12 +47,16 @@ _FIELDS = (
 
 
 class SpecFile(
-    namedtuple("SpecFile", "variables ideal sequence psi xi ring map digest")
+    namedtuple(
+        "SpecFile", "variables quotient ideal sequence psi xi ring map digest"
+    )
 ):
-    """Parsed and validated specification file.  ``ideal`` and
-    ``sequence`` hold their vectors as written; they, ``psi`` and ``xi``
-    are None when the file leaves them out.  ``psi`` is the transfer
-    square's source map and ``digest`` the SHA-256 of the file's bytes."""
+    """Parsed and validated specification file.  ``quotient``, ``ideal``
+    and ``sequence`` hold their vectors as written, for the oracles to
+    count; a missing quotient is (), and ``ideal``, ``sequence``, ``psi``
+    and ``xi`` are None when the file leaves them out.  ``psi`` is the
+    transfer square's source map and ``digest`` the SHA-256 of the file's
+    bytes."""
 
     __slots__ = ()
 
@@ -104,7 +109,7 @@ def parse_spec(path: str) -> SpecFile:
     ``digest`` hashes exactly the bytes parsed.  Raises SpecError on any
     defect, with the line at fault in the message."""
     try:
-        with open(path, "rb") as handle:
+        with open(path, "rb", buffering=0) as handle:
             data = handle.read()
         raw_lines = data.decode("utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -175,14 +180,14 @@ def parse_spec(path: str) -> SpecFile:
 
     variables = names("variables")
     dim = len(variables)
-    quotient = vectors("quotient", dim)
+    quotient = vectors("quotient", dim) or ()
     require("map")
     map_columns = vectors("map", dim, dim)
     ideal = vectors("ideal", dim)
     sequence = vectors("sequence", dim)
     # with the characteristic checked, only a quotient generator fails here
     ring = built(
-        "quotient", RingSpec, characteristic, dim, MonomialIdeal(quotient or (), dim)
+        "quotient", RingSpec, characteristic, dim, MonomialIdeal(quotient, dim)
     )
     mono_map = built("map", MonomialMap.from_columns, map_columns, ring)
 
@@ -204,6 +209,7 @@ def parse_spec(path: str) -> SpecFile:
 
     return SpecFile(
         variables=variables,
+        quotient=quotient,
         ideal=ideal,
         sequence=sequence,
         psi=psi,

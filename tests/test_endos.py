@@ -218,6 +218,8 @@ def test_map_error_messages():
     fails(ValueError, "matrix entries must be nonnegative", ((0, 0), (0, -1)))
     fails(ValueError, "map column 1 is zero (not a local endomorphism)",
           ((0, 0), (0, 2)))
+    fails(ValueError, "map column 2 is zero (not a local endomorphism)",
+          ((1, 0), (2, 0)))
     quotient = RingSpec(0, 2, minimalize({(1, 1)}))
     fails(ValueError, "map is not well defined on the quotient: the image of "
           "generator (1, 1) leaves the quotient ideal", ((2, 3), (0, 0)),

@@ -355,18 +355,25 @@ def test_regular_finite_length_maps_keep_images_minimal():
 
 def test_sequence_row_work_is_one_table(monkeypatch):
     # one feet table per row on a quotient and one per sequence on a regular
-    # ring, and no other: building an ideal builds no table.  No ideal is
-    # built but the ring's maximal ideal, once per call that gives no
-    # reference, and never more carried vectors than reference generators
+    # ring, and no other: building an ideal builds no table.  The maximal
+    # ideal is asked for once per call that gives no reference, and it is
+    # written down, so no call reaches MonomialIdeal.__init__; never more
+    # carried vectors than reference generators
     tables = count_calls(monkeypatch, monomials_module, "_divisor_tables")
-    ideals = []
+    ideals, maximal = [], []
     init = monomials_module.MonomialIdeal.__init__
+    write_down = RingSpec.maximal_ideal
 
     def counted_init(self, *args):
         ideals.append(self)
         init(self, *args)
 
+    def counted_maximal(ring):
+        maximal.append(ring)
+        return write_down(ring)
+
     monkeypatch.setattr(monomials_module.MonomialIdeal, "__init__", counted_init)
+    monkeypatch.setattr(RingSpec, "maximal_ideal", counted_maximal)
     _, counts = _count_row_work(monkeypatch)
     rng = random.Random(31)
     for k in range(16):
@@ -375,18 +382,61 @@ def test_sequence_row_work_is_one_table(monkeypatch):
         )
         for reference in (ideal, None):
             gens = len(reference.generators) if reference else ring.dim_ambient
-            built = []
+            asked = []
             for n_max in (1, 4, 8):
                 tables.clear()
                 ideals.clear()
+                maximal.clear()
                 counts.clear()
                 local_entropy_sequence(ring, phi, reference, n_max)
-                built.append(len(ideals))
+                assert ideals == []
+                asked.append(len(maximal))
                 rows_counted = 1 if ring.regular else n_max
                 assert len(tables) == rows_counted
                 assert len(counts) == rows_counted
                 assert all(len(vectors) <= gens for vectors, _ in counts)
-            assert built == ([0, 0, 0] if reference else [1, 1, 1])
+            assert asked == ([0, 0, 0] if reference else [1, 1, 1])
+
+
+def test_pass_on_the_maximal_ideal_skips_only_checks_it_meets():
+    # with no reference the pass writes m down and skips the checks m meets
+    # by construction, and gives exactly the rows of the checked path on
+    # the ideal the unit vectors generate; a map not of finite length
+    # still raises the same error
+    rng = random.Random(37)
+    seen = set()
+    for k in range(48):
+        ring, phi, _ = _random_sequence_case(
+            rng, 1 + k % 4, k % 2 == 1, k % 4 == 3
+        )
+        d = ring.dim_ambient
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        for n_max in (1, 5):
+            seq = entropy_module._entropy_pass(ring, phi, None, n_max)
+            expected = local_entropy_sequence(
+                ring, phi, MonomialIdeal(units, d), n_max
+            )
+            assert seq.rows == expected.rows
+            assert seq.ideal_used == expected.ideal_used
+        seen.add((ring.regular, ring.characteristic,
+                  "monomial-matrix" in _suites(phi)[1]))
+    assert {(regular, p) for regular, p, _ in seen} == {
+        (regular, p) for regular in (True, False) for p in (0, 2, 3)
+    }
+    assert {(False, False), (True, True)} <= {(r, m) for r, _, m in seen}
+    for ring in (R2, RingSpec(3, 2, minimalize({(1, 1)}))):
+        collapse = MonomialMap.from_columns([(1, 1), (1, 1)], ring)
+        messages = []
+        for call in (
+            lambda: entropy_module._entropy_pass(ring, collapse, None, 3),
+            lambda: local_entropy_sequence(
+                ring, collapse, MonomialIdeal([(1, 0), (0, 1)], 2), 3
+            ),
+        ):
+            with pytest.raises(NotFiniteLengthError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages == ["endomorphism is not of finite length"] * 2
 
 
 def test_pass_counts_written_vectors_as_their_minimal_generators():

@@ -627,7 +627,7 @@ def test_ringspec_validation():
     assert RingSpec(0, 2, minimalize({(1, 1)})).regular is False
 
 
-def test_maximal_ideal():
+def test_maximal_ideal(monkeypatch):
     ring = RingSpec.polynomial(0, 3)
     assert ring.maximal_ideal().generators == (
         (0, 0, 1),
@@ -635,6 +635,37 @@ def test_maximal_ideal():
         (1, 0, 0),
     )
     assert colength(ring.maximal_ideal(), ring) == 1
+    # m is written down: for d = 1..6, on a regular ring and on a quotient,
+    # it is the ideal the unit vectors generate in generators, equality,
+    # hash, repr and pickling, a new object on each call, and no call
+    # reaches MonomialIdeal.__init__ or the minimal-generator sweep
+    rings = [RingSpec.polynomial(0, d) for d in range(1, 7)] + [
+        RingSpec(2, d, MonomialIdeal([(2,) * d, (1,) + (0,) * (d - 1)], d))
+        for d in range(1, 7)
+    ]
+    expected = [
+        MonomialIdeal([tuple(int(i == j) for j in range(r.dim_ambient))
+                       for i in range(r.dim_ambient)], r.dim_ambient)
+        for r in rings
+    ]
+    inits, init = [], MonomialIdeal.__init__
+
+    def counted_init(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MonomialIdeal, "__init__", counted_init)
+    sweeps = count_calls(monkeypatch, monomials, "_minimal_sweep")
+    written = [(r.maximal_ideal(), r.maximal_ideal()) for r in rings]
+    assert inits == [] and sweeps == []
+    monkeypatch.undo()
+    for (first, second), ideal in zip(written, expected):
+        assert first is not second and first == second
+        assert first.generators == ideal.generators
+        assert first == ideal and hash(first) == hash(ideal)
+        assert repr(first) == repr(ideal)
+        copy = pickle.loads(pickle.dumps(first))
+        assert copy == ideal and copy.generators == ideal.generators
 
 
 def _value_objects():

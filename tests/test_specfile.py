@@ -30,6 +30,7 @@ def test_parse_full(tmp_path):
     assert spec.ring.characteristic == 3
     assert spec.variables == ("X", "Y")
     assert spec.ring.quotient.generators == ((1, 1),)
+    assert spec.quotient == ((1, 1),)
     assert spec.map.columns == ((3, 0), (0, 3))
     # the reference ideal is kept as written; minimalized, it is the same
     assert spec.ideal == ((2, 0), (0, 2))
@@ -55,6 +56,7 @@ def test_tabs_separate_like_spaces(tmp_path):
 def test_parse_regular_defaults(tmp_path):
     spec = parse_spec(_write(tmp_path, "characteristic 0\nvariables X\nmap [2]\n"))
     assert spec.ring.regular
+    assert spec.quotient == ()
     assert spec.ideal is None
     assert spec.sequence is None
 
