@@ -153,13 +153,13 @@ def _suites(phi: MonomialMap) -> tuple[tuple | None, list[str]]:
 
 def _oracle_lengths_verdict(spec, seq, vectors=None, name="oracle-colength"):
     """Check every length of the sequence by ``_pivot_count`` on the images
-    of ``vectors`` as the spec wrote them (None: the ideal used) under
-    composed powers of the map's matrix, with the spec's quotient as
-    written, so the check shares neither the engine's minimalization nor
-    its image-by-image iteration."""
+    of ``vectors`` as the spec wrote them (None: the vectors the pass
+    counted) under composed powers of the map's matrix, with the spec's
+    quotient as written, so the check shares neither the engine's
+    minimalization nor its image-by-image iteration."""
     quotient = list(spec.quotient)
     matrix = power = seq.map.matrix
-    gens = seq.ideal_used.generators if vectors is None else vectors
+    gens = seq.ideal_used if vectors is None else vectors
     for row in seq.rows:
         if row.n > 1:
             power = _matmul(matrix, power)

@@ -30,6 +30,7 @@ from .monomials import (
     _pivot_count,
     _pure_powers,
     _standard_count,
+    _units,
     colength,
 )
 from .endos import (
@@ -67,7 +68,8 @@ class EntropyRow(namedtuple("EntropyRow", "n length log_average log_length")):
 
 class EntropySequence(namedtuple("EntropySequence", "rows ideal_used map")):
     """Colength growth data for the iterates of a map against a fixed
-    reference ideal ``ideal_used``: an ideal, or vectors counted as written."""
+    reference ideal; ``ideal_used`` holds the vectors counted: an ideal's
+    generators, vectors as written, or the unit vectors of m."""
 
     __slots__ = ()
 
@@ -88,10 +90,10 @@ class SandwichReport(
 
     Row invariants: lower_logavg <= upper_logavg, and their gap is at most
     (log(peak) + width*|t|)/n.  ``lower_sequence`` holds the lower tower
-    counts: the colengths of the iterate images of the ideal the Koszul
-    sequence generates.  ``upper_sequence`` holds the upper ones, the
-    lengths of R/phi^n(m), or None on a non-regular ring, whose rows carry
-    the lower bound only.
+    counts: the colengths of the iterate images of the validated Koszul
+    sequence.  ``upper_sequence`` holds the upper ones, the lengths of
+    R/phi^n(m) of the unit vectors, or None on a non-regular ring, whose
+    rows carry the lower bound only.
     """
 
     __slots__ = ()
@@ -141,34 +143,33 @@ def local_entropy_sequence(
     dropped before the next row, read off the row's feet table: phi(J)
     lies in J, so phi(I) + J = phi(I') + J whenever I + J = I' + J.
     """
-    return _entropy_pass(ring, phi, ideal and ideal.generators, n_max, ideal)
+    dim = ideal and ideal.ambient_dim
+    return _entropy_pass(ring, phi, ideal and ideal.generators, n_max, dim)
 
 
-def _entropy_pass(ring, phi, vectors, n_max, ideal=None) -> EntropySequence:
-    """``local_entropy_sequence`` on the generators of ``ideal``, or on
-    checked vectors of the ring's dimension as written; None means m,
-    which is proper, of the ring's dimension and m-primary by
-    construction, so only a given reference is checked for those."""
+def _entropy_pass(ring, phi, vectors, n_max, dim=None) -> EntropySequence:
+    """``local_entropy_sequence`` on vectors of the ring's length, counted
+    as written and kept as ``ideal_used``; ``dim`` is the dimension of the
+    ideal they come from.  None means the unit vectors of m."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if phi.ring != ring:
         raise ValueError("map does not act on the given ring")
     quotient = ring.quotient.generators
     if vectors is None:
-        ideal = ring.maximal_ideal()
-        vectors = ideal.generators
+        vectors = _units(ring.dim_ambient)
     elif any(sum(g) == 0 for g in vectors):
         raise ValueError("reference ideal must be proper")
     else:
-        if ideal is not None:
-            _check_same_dim(ideal.ambient_dim, ring.dim_ambient)
+        if dim is not None:
+            _check_same_dim(dim, ring.dim_ambient)
         if _pure_powers((*vectors, *quotient), ring.dim_ambient) is None:
             raise NotFiniteLengthError(
                 "reference ideal is not primary to the maximal ideal"
             )
     if not is_finite_length(phi):
         raise NotFiniteLengthError("endomorphism is not of finite length")
-    matrix, rows, used = phi.matrix, [], ideal or vectors
+    matrix, rows, used = phi.matrix, [], vectors
     if not quotient:
         length = _standard_count(vectors, ring)[0]
         det = math.prod(e for row in matrix for e in row if e)
@@ -241,32 +242,28 @@ def sandwich(
     quotient, an ideal of finite colength; the generator profile comes
     from the Koszul complex on it.
     H^0 of its n-th pullback is the ring modulo the n-th iterate image of
-    that ideal, so the lower tower count at n is that colength.  The upper
-    count, the length of R/phi^n(m), is certified only over a regular ring.
-    There a finite-length map is a monomial matrix, so the upper count is
-    |det A|^n, read off its matrix A and not from the colength engine
-    behind the lower counts.  On any other ring the rows carry the lower
-    bound only.
+    that ideal, so the lower tower count at n is that colength, counted on
+    the validated sequence.  The upper count, the length of R/phi^n(m), is
+    certified only over a regular ring.  There a finite-length map is a
+    monomial matrix, so the upper count is |det A|^n, read off its matrix
+    A and not from the colength engine behind the lower counts.  On any
+    other ring the rows carry the lower bound only.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    maximal = None  # built at most once: for the default sequence or below
-    if sequence is None:
-        maximal = ring.maximal_ideal()
-        sequence = maximal.generators
-    sequence, lengths = _koszul_lengths(ring, sequence)
+    units = _units(ring.dim_ambient)
+    sequence, lengths = _koszul_lengths(
+        ring, units if sequence is None else sequence
+    )
     profile = generator_profile(lengths)
     # first, so that a map not of finite length raises NotFiniteLengthError
     # before _monomial_matrix can call it no monomial matrix
-    lower_seq = local_entropy_sequence(
-        ring, phi, MonomialIdeal(sequence, ring.dim_ambient), n_max
-    )
+    lower_seq = _entropy_pass(ring, phi, sequence, n_max)
     upper_seq, upper = None, [None] * n_max
     if ring.regular:
         det = math.prod(_monomial_matrix(phi)[1])
         upper_rows = tuple(_row(n, det**n) for n in range(1, n_max + 1))
-        maximal = maximal or ring.maximal_ideal()
-        upper_seq = EntropySequence(upper_rows, maximal, phi)
+        upper_seq = EntropySequence(upper_rows, units, phi)
         upper = [row.log_average for row in upper_rows]
     rows = []
     for t in t_values:

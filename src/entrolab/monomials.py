@@ -62,39 +62,23 @@ def _divisor_mask(tables, v) -> int:
 
 def _minimal_sweep(gens: list[Vec]) -> tuple[Vec, ...]:
     """The minimal elements of ``gens``, distinct vectors of one length
-    sorted lexicographically, in that order.
-
-    A vector that another divides comes after it in that order, so a
-    vector is minimal iff no earlier one lies at or below it on every
-    axis.  Every earlier vector does so on axis 0, which needs no pass.
-    Vector k holds bit n - 1 - k of a mask, so the earlier vectors hold
-    the higher bits.  The pass over each other axis builds one dict from
-    each distinct coordinate to the mask of the vectors at or below it,
-    and ANDs it into the masks over the column; a vector is minimal iff
-    its own bit is the highest left in its mask.
-    """
-    n = len(gens)
-    if n < 2:
+    sorted lexicographically, in that order, by the feet test of
+    ``entropy._entropy_pass``: a divisor of a vector comes before it and
+    lies at or below it on axis 0, so a vector is minimal iff its mask over
+    the other coordinates has no bit below its own."""
+    if len(gens) < 2:  # no table for the zero ideal or one generator
         return tuple(gens)
-    masks = None
-    for column in itertools.islice(zip(*gens), 1, None):
-        bits: dict[int, int] = {}
-        bit = 1 << n
-        for c in column:
-            bit >>= 1
-            bits[c] = bits.get(c, 0) | bit
-        coords = sorted(bits)
-        prefix = itertools.accumulate(map(bits.get, coords), operator.or_)
-        prefix = dict(zip(coords, prefix))
-        column_masks = map(prefix.__getitem__, column)
-        masks = list(column_masks if masks is None
-                     else map(operator.and_, masks, column_masks))
-    if masks is None:  # one variable: the least vector divides the others
-        return tuple(gens[:1])
+    feet = _divisor_tables([g[1:] for g in gens])
     return tuple([
-        g for g, mask, top in zip(gens, masks, range(n, 0, -1))
-        if mask.bit_length() == top
+        g for k, g in enumerate(gens)
+        if not _divisor_mask(feet, g[1:]) & ((1 << k) - 1)
     ])
+
+
+def _units(d: int) -> tuple[Vec, ...]:
+    """The unit vectors of X_d, ..., X_1: the generators of the maximal
+    ideal, minimal and in lexicographic order."""
+    return tuple([(0,) * (d - 1 - i) + (1,) + (0,) * i for i in range(d)])
 
 
 class _Value:
@@ -136,30 +120,16 @@ class _Value:
 class MonomialIdeal(_Value):
     """A monomial ideal, held as its minimal generating set.
 
-    Construction minimalizes and sorts the generators, so the stored form
-    is canonical.  The vectors are converted and checked in bulk; only
-    when a check fails are they checked again one by one, in input order,
-    so the first bad vector names the error.  The distinct vectors, sorted
-    lexicographically, are minimalized by ``_minimal_sweep``: one pass of
-    prefix masks per axis but the first.  The empty generating set is the
-    zero ideal.
+    Construction checks each vector as it reads it, so the first bad one
+    names the error, and stores the minimal ones, by ``_minimal_sweep``, in
+    lexicographic order: the stored form is canonical.  The empty
+    generating set is the zero ideal.
     """
 
     __slots__ = _fields = ("generators", "ambient_dim")
 
     def __init__(self, generators: tuple[Vec, ...], ambient_dim: int):
-        vectors = tuple(generators)  # a one-shot iterable is read once
-        try:
-            gens = sorted({tuple(map(int, g)) for g in vectors})
-            valid = not gens or (
-                {*map(len, gens)} == {ambient_dim}
-                and min(itertools.chain.from_iterable(gens)) >= 0
-            )
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            # the first bad vector in input order raises, as it is checked
-            gens = sorted({_check_vec(g, ambient_dim) for g in vectors})
+        gens = sorted({_check_vec(g, ambient_dim) for g in generators})
         object.__setattr__(self, "generators", _minimal_sweep(gens))
         object.__setattr__(self, "ambient_dim", ambient_dim)
 
@@ -325,15 +295,8 @@ class RingSpec(_Value):
         return cls(characteristic, dim, MonomialIdeal((), dim))
 
     def maximal_ideal(self) -> MonomialIdeal:
-        """(X_1, ..., X_d), built afresh on each call and written down: the
-        unit vectors of X_d, ..., X_1 are minimal and in lexicographic
-        order, so none of ``MonomialIdeal``'s checks or its sweep runs."""
-        d = self.dim_ambient
-        ideal = object.__new__(MonomialIdeal)
-        units = [(0,) * (d - 1 - i) + (1,) + (0,) * i for i in range(d)]
-        object.__setattr__(ideal, "generators", tuple(units))
-        object.__setattr__(ideal, "ambient_dim", d)
-        return ideal
+        """(X_1, ..., X_d), built afresh on each call from ``_units``."""
+        return MonomialIdeal(_units(self.dim_ambient), self.dim_ambient)
 
 
 def _cell_volumes(tables) -> dict:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from entrolab import (
+    DimensionMismatchError,
     EntropyRow,
     EntropySequence,
     HypothesisError,
@@ -60,7 +61,7 @@ def _fake_sequence(lengths):
         for n, val in enumerate(lengths, start=1)
     )
     ring = RingSpec.polynomial(0, 1)
-    return EntropySequence(rows, ring.maximal_ideal(),
+    return EntropySequence(rows, ring.maximal_ideal().generators,
                            MonomialMap.diagonal((2,), ring))
 
 
@@ -356,8 +357,8 @@ def test_regular_finite_length_maps_keep_images_minimal():
 def test_sequence_row_work_is_one_table(monkeypatch):
     # one feet table per row on a quotient and one per sequence on a regular
     # ring, and no other: building an ideal builds no table.  The maximal
-    # ideal is asked for once per call that gives no reference, and it is
-    # written down, so no call reaches MonomialIdeal.__init__; never more
+    # ideal is never asked for: a call that gives no reference counts the
+    # unit vectors, so no call reaches MonomialIdeal.__init__; never more
     # carried vectors than reference generators
     tables = count_calls(monkeypatch, monomials_module, "_divisor_tables")
     ideals, maximal = [], []
@@ -395,7 +396,7 @@ def test_sequence_row_work_is_one_table(monkeypatch):
                 assert len(tables) == rows_counted
                 assert len(counts) == rows_counted
                 assert all(len(vectors) <= gens for vectors, _ in counts)
-            assert asked == ([0, 0, 0] if reference else [1, 1, 1])
+            assert asked == [0, 0, 0]
 
 
 def test_pass_on_the_maximal_ideal_skips_only_checks_it_meets():
@@ -466,6 +467,31 @@ def test_pass_counts_written_vectors_as_their_minimal_generators():
             assert seq.rows == expected.rows
         seen.add((ring.regular, ring.characteristic))
     assert seen == {(regular, p) for regular in (True, False) for p in (0, 2, 3)}
+
+
+def test_sequence_checks_a_given_ideal_in_order():
+    # n_max, the map's ring, properness, then the ideal's dimension (the
+    # zero ideal's too), then primality: each case also has the faults
+    # checked after its own, and its own message wins
+    good = MonomialMap.diagonal((2, 3), R2)
+    other = MonomialMap.diagonal((2, 2, 2), R3)
+    wide, zero = minimalize({(1, 0, 0), (0, 1, 0)}), MonomialIdeal((), 3)
+    cases = [
+        (good, wide, 0, ValueError, "n_max must be >= 1"),
+        (other, wide, 3, ValueError, "map does not act on the given ring"),
+        (good, minimalize({(0, 0, 0)}), 3, ValueError,
+         "reference ideal must be proper"),
+        (good, wide, 3, DimensionMismatchError,
+         "cannot add ideals in 3 and 2 variables"),
+        (good, zero, 3, DimensionMismatchError,
+         "cannot add ideals in 3 and 2 variables"),
+        (good, MonomialIdeal((), 2), 3, NotFiniteLengthError,
+         "reference ideal is not primary to the maximal ideal"),
+    ]
+    for phi, ideal, n_max, error, message in cases:
+        with pytest.raises(error) as info:
+            local_entropy_sequence(R2, phi, ideal, n_max)
+        assert str(info.value) == message
 
 
 def test_sequence_unit_ideal_is_rejected_before_finiteness():
@@ -539,8 +565,14 @@ def test_sandwich_identity_map():
         assert abs(row.lower_logavg) < 1e-12
         assert abs(row.upper_logavg) < 1e-12
         assert abs(row.gap_bound) < 1e-12
-    # no sequence stands for the variables
-    assert sandwich(R2, ident, None, [0.0, 2.0], 4) == report
+    # no sequence stands for the variables, and the lower sequence records
+    # the vectors in the order it counted them: as written, or the unit
+    # vectors of m
+    assert report.lower_sequence.ideal_used == ((1, 0), (0, 1))
+    units = report.lower_sequence._replace(ideal_used=((0, 1), (1, 0)))
+    assert sandwich(R2, ident, None, [0.0, 2.0], 4) == report._replace(
+        lower_sequence=units
+    )
 
 
 def test_sandwich_requires_regular():
@@ -595,7 +627,7 @@ def test_sandwich_upper_counts_come_from_the_closed_form(monkeypatch):
         return (length + 1, *rest)
 
     rng = random.Random(2024)
-    engine = count_calls(monkeypatch, entropy_module, "local_entropy_sequence")
+    engine = count_calls(monkeypatch, entropy_module, "_entropy_pass")
     limits = count_calls(monkeypatch, entropy_module, "estimate_limit")
     for _ in range(40):
         d = rng.randint(1, 3)
@@ -615,7 +647,9 @@ def test_sandwich_upper_counts_come_from_the_closed_form(monkeypatch):
         assert not sandwich_violations(report)
         upper = [row.length for row in report.upper_sequence.rows]
         assert upper == [det**n for n in range(1, n_max + 1)]
-        assert report.upper_sequence.ideal_used == ring.maximal_ideal()
+        assert report.upper_sequence.ideal_used == (
+            ring.maximal_ideal().generators
+        )
         with monkeypatch.context() as patch:
             patch.setattr(entropy_module, "_standard_count", one_over)
             faulty = sandwich(ring, phi, sequence, [0.0], n_max)
@@ -626,30 +660,42 @@ def test_sandwich_upper_counts_come_from_the_closed_form(monkeypatch):
     assert limits == []
 
 
-def test_sandwich_builds_the_maximal_ideal_at_most_once(monkeypatch):
-    # the default sequence and the upper counts share one build of m; a
-    # quotient ring given a sequence needs none
-    built = []
-    build = RingSpec.maximal_ideal
+def test_sandwich_counts_the_validated_sequence(monkeypatch):
+    # the lower counts are taken on the sequence as _koszul_lengths
+    # validated it, as written and unswept, and the upper ones record the
+    # unit vectors of m: no ideal is built and m is never asked for
+    built, asked = [], []
+    init, maximal = MonomialIdeal.__init__, RingSpec.maximal_ideal
 
-    def counted(ring):
-        built.append(ring)
-        return build(ring)
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
 
-    monkeypatch.setattr(RingSpec, "maximal_ideal", counted)
+    def counted_maximal(ring):
+        asked.append(ring)
+        return maximal(ring)
+
     quotient = RingSpec(3, 2, minimalize({(1, 1)}))
     cases = [
-        (R2, MonomialMap.diagonal((2, 3), R2), None, 1),
-        (R2, MonomialMap.diagonal((2, 3), R2), [(2, 0), (0, 1)], 1),
-        (quotient, MonomialMap.frobenius(quotient), None, 1),
-        (quotient, MonomialMap.frobenius(quotient), [(1, 0), (0, 2)], 0),
+        (R2, MonomialMap.diagonal((2, 3), R2), None),
+        (R2, MonomialMap.diagonal((2, 3), R2), [(2, 0), [0, 1], (2, 0), (3, 1)]),
+        (quotient, MonomialMap.frobenius(quotient), None),
+        (quotient, MonomialMap.frobenius(quotient), [(1, 0), (0, 2), (1, 1)]),
     ]
-    for ring, phi, sequence, expected in cases:
-        del built[:]
-        report = sandwich(ring, phi, sequence, [0.0, 1.0], 3)
-        assert built == [ring] * expected, (ring, sequence)
+    units = ((0, 1), (1, 0))
+    for ring, phi, sequence in cases:
+        validated = units if sequence is None else tuple(map(tuple, sequence))
+        expected = local_entropy_sequence(ring, phi, minimalize(validated), 3)
+        del built[:], asked[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(MonomialIdeal, "__init__", counted_init)
+            patch.setattr(RingSpec, "maximal_ideal", counted_maximal)
+            report = sandwich(ring, phi, sequence, [0.0, 1.0], 3)
+        assert (built, asked) == ([], []), (ring, sequence)
+        assert report.lower_sequence.ideal_used == validated
+        assert report.lower_sequence.rows == expected.rows
         if ring.regular:
-            assert report.upper_sequence.ideal_used == build(ring)
+            assert report.upper_sequence.ideal_used == units
 
 
 def test_sandwich_rejects_a_map_not_of_finite_length_first():

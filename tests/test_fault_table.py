@@ -85,9 +85,9 @@ def _keep_one_dropped(original):
 
 def _drop_one_in_every_variable(original):
     # the first minimal generator that involves every variable is dropped:
-    # the ideal stays m-primary and its colength grows.  The maximal ideal
-    # is written down and never swept; a quotient such as (X^2, XY) loses
-    # XY, and the oracles count the quotient as the spec writes it
+    # the ideal stays m-primary and its colength grows.  A quotient such
+    # as (X^2, XY) loses XY, and the oracles count the quotient as the
+    # spec writes it
     def minimal(gens):
         kept = original(gens)
         inner = [g for g in kept if all(g)]
@@ -134,16 +134,20 @@ FAULTS = [
      _keep_one_divisible,
      "koszul --spec specs/koszul_regular.ring --pullback-iter 1 --oracle",
      "unchanged"),
-    # sandwich minimalizes the sequence, whose X^2 Y, second Y and Z^4 are
-    # divisible
+    # the quotient is written with X^2 Y, which X^2 and XY divide; the
+    # engine counts the swept quotient, and a divisible generator kept
+    # there never sets a column height
     ("a divisible generator kept", monomials, "_minimal_sweep",
-     _keep_one_dropped, "delta --spec specs/koszul_regular.ring", "unchanged"),
-    # sandwich minimalizes the sequence, and the oracle counts it as the
-    # spec writes it, so a wrong minimalization shows; the entropy path
-    # counts the reference ideal as written and never minimalizes it
+     _keep_one_dropped,
+     "entropy --spec specs/quotient_divisible.ring --max-iter 3 --oracle",
+     "unchanged"),
+    # the swept quotient (X^2, XY) loses XY under the lower counts of
+    # delta, while the oracle counts the quotient the spec writes; the
+    # sequence, like the reference ideal, is counted as written and never
+    # swept
     ("a minimal generator dropped", monomials, "_minimal_sweep",
      _drop_one_in_every_variable,
-     "delta --spec specs/koszul_cubics.ring --max-iter 2 --oracle",
+     "delta --spec specs/koszul_redundant.ring --max-iter 2 --oracle",
      "oracle-colength"),
     # the quotient (X^2, XY) loses XY, and the engine counts the swept
     # quotient while the oracle counts the one the spec writes
